@@ -317,7 +317,7 @@ func newStatsStream(w io.Writer, every int64) *statsStream {
 
 func (s *statsStream) wrap(c cache.Simulator) access.Sink {
 	if s == nil {
-		return access.SinkFunc(c.Access)
+		return c
 	}
 	return access.SinkFunc(func(addr uint64, write bool) {
 		c.Access(addr, write)

@@ -19,6 +19,16 @@ type Sink interface {
 	Access(addr uint64, write bool)
 }
 
+// BatchSink is a Sink that also consumes a whole block of accesses in one
+// call. AccessBatch(ops) must have the same effect as calling Access on each
+// op in order; the caller owns ops, so an implementation must not retain it.
+// Producers that buffer accesses (machine.TraceRecorder) resolve it once and
+// hand over each block, saving an indirect call per access.
+type BatchSink interface {
+	Sink
+	AccessBatch(ops []Op)
+}
+
 // SinkFunc adapts a function to the Sink interface.
 type SinkFunc func(addr uint64, write bool)
 
@@ -35,6 +45,9 @@ type Recorder struct {
 func (r *Recorder) Access(addr uint64, write bool) {
 	r.Ops = append(r.Ops, Op{Addr: addr, Write: write})
 }
+
+// AccessBatch implements BatchSink.
+func (r *Recorder) AccessBatch(ops []Op) { r.Ops = append(r.Ops, ops...) }
 
 // Tee fans one stream out to several sinks.
 type Tee []Sink

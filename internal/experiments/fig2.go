@@ -73,81 +73,103 @@ func figCache() *cache.FALRU {
 	return cache.NewFALRU(figL3Bytes, figLineBytes)
 }
 
-func runTrace(run func(access.Sink)) (cache.Stats, int64) {
+// FigTrace is one point of a Figure 2 or Figure 5 panel: the access stream
+// whose simulated L3 counts the point reports.
+type FigTrace struct {
+	Panel string            // the panel's FigPanel.Name
+	Mid   int               // middle (contraction) dimension
+	Run   func(access.Sink) // emits the point's access stream
+	ideal bool              // report the ideal-cache reference line (Fig 2a)
+}
+
+// Simulate runs the trace through a fresh simulated L3, flushes it and
+// returns its counters.
+func (t FigTrace) Simulate() cache.Stats {
 	c := figCache()
-	run(access.SinkFunc(c.Access))
+	t.Run(c)
 	c.FlushDirty()
-	st := c.Stats()
-	return st, st.VictimsM
+	return c.Stats()
 }
 
-// Fig2 regenerates all six panels of Figure 2: (a) cache-oblivious order,
-// (b) the locality-tuned but write-oblivious order standing in for MKL
-// dgemm, (c)-(f) two-level write-avoiding orders with L3 blocks 48/56/64/72
-// (the paper's 700/800/900/1023).
-func (s *Session) Fig2(quick bool) []FigPanel {
-	s.mark("fig2")
-	var panels []FigPanel
-
-	co := FigPanel{Name: "fig2a cache-oblivious"}
+// Fig2Traces lists the points of Figure 2's six panels in panel order: (a)
+// cache-oblivious order, (b) the locality-tuned but write-oblivious order
+// standing in for MKL dgemm, (c)-(f) two-level write-avoiding orders with L3
+// blocks 48/56/64/72 (the paper's 700/800/900/1023).
+func Fig2Traces(quick bool) []FigTrace {
+	var ts []FigTrace
 	for _, mid := range figSweep(quick) {
-		tr := core.NewCOMatMulTrace(figOuter, mid, figOuter, figL1Block, figLineBytes)
-		st, _ := runTrace(tr.Run)
-		co.Points = append(co.Points, point(mid, st, true))
+		ts = append(ts, FigTrace{Panel: "fig2a cache-oblivious", Mid: mid, ideal: true,
+			Run: core.NewCOMatMulTrace(figOuter, mid, figOuter, figL1Block, figLineBytes).Run})
 	}
-	panels = append(panels, co)
-
-	tuned := FigPanel{Name: "fig2b tuned (MKL stand-in)"}
 	for _, mid := range figSweep(quick) {
-		tr := core.NewMatMulTrace(figOuter, mid, figOuter, figLineBytes,
-			core.TraceLevel{Block: 32, ContractionInner: false},
-			core.TraceLevel{Block: figL1Block, ContractionInner: true})
-		st, _ := runTrace(tr.Run)
-		tuned.Points = append(tuned.Points, point(mid, st, false))
+		ts = append(ts, FigTrace{Panel: "fig2b tuned (MKL stand-in)", Mid: mid,
+			Run: core.NewMatMulTrace(figOuter, mid, figOuter, figLineBytes,
+				core.TraceLevel{Block: 32, ContractionInner: false},
+				core.TraceLevel{Block: figL1Block, ContractionInner: true}).Run})
 	}
-	panels = append(panels, tuned)
-
 	for _, b := range Fig2Blocks {
-		p := FigPanel{Name: fmt.Sprintf("fig2 two-level WA L3=%d", b)}
 		for _, mid := range figSweep(quick) {
-			tr := core.NewMatMulTrace(figOuter, mid, figOuter, figLineBytes,
-				core.TraceLevel{Block: b, ContractionInner: true},
-				core.TraceLevel{Block: figL2Block, ContractionInner: false},
-				core.TraceLevel{Block: figL1Block, ContractionInner: false})
-			st, _ := runTrace(tr.Run)
-			p.Points = append(p.Points, point(mid, st, false))
+			ts = append(ts, FigTrace{Panel: fmt.Sprintf("fig2 two-level WA L3=%d", b), Mid: mid,
+				Run: waFigTrace(mid, b, false).Run})
 		}
-		panels = append(panels, p)
 	}
-	return panels
+	return ts
 }
 
-// Fig5 regenerates the two columns of Figure 5 for each L3 block size: the
-// left column is the multi-level WA instruction order (Fig. 4a: contraction
-// innermost at every level), the right column the two-level WA order
-// (Fig. 4b: contraction outermost below the top level).
-func (s *Session) Fig5(quick bool) []FigPanel {
-	s.mark("fig5")
-	var panels []FigPanel
+// Fig5Traces lists the points of Figure 5's panels in panel order: for each
+// L3 block size, the left column's multi-level WA instruction order (Fig. 4a:
+// contraction innermost at every level), then the right column's two-level
+// WA order (Fig. 4b: contraction outermost below the top level).
+func Fig5Traces(quick bool) []FigTrace {
+	var ts []FigTrace
 	for _, b := range Fig2Blocks {
 		for _, multiLevel := range []bool{true, false} {
 			name := fmt.Sprintf("fig5 two-level order L3=%d", b)
 			if multiLevel {
 				name = fmt.Sprintf("fig5 multi-level order L3=%d", b)
 			}
-			p := FigPanel{Name: name}
 			for _, mid := range figSweep(quick) {
-				tr := core.NewMatMulTrace(figOuter, mid, figOuter, figLineBytes,
-					core.TraceLevel{Block: b, ContractionInner: true},
-					core.TraceLevel{Block: figL2Block, ContractionInner: multiLevel},
-					core.TraceLevel{Block: figL1Block, ContractionInner: multiLevel})
-				st, _ := runTrace(tr.Run)
-				p.Points = append(p.Points, point(mid, st, false))
+				ts = append(ts, FigTrace{Panel: name, Mid: mid, Run: waFigTrace(mid, b, multiLevel).Run})
 			}
-			panels = append(panels, p)
 		}
 	}
+	return ts
+}
+
+// waFigTrace is the three-level write-avoiding order with L3 block b:
+// contraction innermost at the top level, and below it too when multiLevel.
+func waFigTrace(mid, b int, multiLevel bool) *core.MatMulTrace {
+	return core.NewMatMulTrace(figOuter, mid, figOuter, figLineBytes,
+		core.TraceLevel{Block: b, ContractionInner: true},
+		core.TraceLevel{Block: figL2Block, ContractionInner: multiLevel},
+		core.TraceLevel{Block: figL1Block, ContractionInner: multiLevel})
+}
+
+// figPanels simulates every trace and groups the points into panels, in
+// order.
+func figPanels(traces []FigTrace) []FigPanel {
+	var panels []FigPanel
+	for _, t := range traces {
+		if len(panels) == 0 || panels[len(panels)-1].Name != t.Panel {
+			panels = append(panels, FigPanel{Name: t.Panel})
+		}
+		p := &panels[len(panels)-1]
+		p.Points = append(p.Points, point(t.Mid, t.Simulate(), t.ideal))
+	}
 	return panels
+}
+
+// Fig2 regenerates all six panels of Figure 2 (see Fig2Traces).
+func (s *Session) Fig2(quick bool) []FigPanel {
+	s.mark("fig2")
+	return figPanels(Fig2Traces(quick))
+}
+
+// Fig5 regenerates the two columns of Figure 5 for each L3 block size (see
+// Fig5Traces).
+func (s *Session) Fig5(quick bool) []FigPanel {
+	s.mark("fig5")
+	return figPanels(Fig5Traces(quick))
 }
 
 // RealCacheCrossCheck reruns one WA and the CO order at a fixed middle
@@ -175,11 +197,11 @@ func (s *Session) RealCacheCrossCheck() (waVictimsM, coVictimsM int64) {
 		core.TraceLevel{Block: 48, ContractionInner: true},
 		core.TraceLevel{Block: figL2Block, ContractionInner: false},
 		core.TraceLevel{Block: figL1Block, ContractionInner: false}).
-		Run(access.SinkFunc(c1.Access))
+		Run(c1)
 	c1.FlushDirty()
 	c2 := mkClock()
 	core.NewCOMatMulTrace(outer, mid, outer, figL1Block, figLineBytes).
-		Run(access.SinkFunc(c2.Access))
+		Run(c2)
 	c2.FlushDirty()
 	return c1.Stats().VictimsM, c2.Stats().VictimsM
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"writeavoid/internal/access"
 	"writeavoid/internal/cache"
 	"writeavoid/internal/cdag"
 	"writeavoid/internal/core"
@@ -306,13 +305,13 @@ func (s *Session) Sec5(quick bool) []Sec5Row {
 		}
 		co := core.NewCOMatMulTrace(n, n, n, figL1Block, figLineBytes)
 		cCO := cache.NewFALRU(sz, figLineBytes)
-		co.Run(access.SinkFunc(cCO.Access))
+		co.Run(cCO)
 		cCO.FlushDirty()
 
 		wa := core.NewMatMulTrace(n, n, n, figLineBytes,
 			core.TraceLevel{Block: waBlock, ContractionInner: true})
 		cWA := cache.NewFALRU(sz, figLineBytes)
-		wa.Run(access.SinkFunc(cWA.Access))
+		wa.Run(cWA)
 		cWA.FlushDirty()
 
 		key := fmt.Sprintf("%dK", sz/1024)

@@ -50,18 +50,31 @@ func FromRows(rows [][]float64) *Dense {
 
 // At returns element (i,j).
 func (m *Dense) At(i, j int) float64 {
-	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
-		panic(fmt.Sprintf("matrix: At(%d,%d) out of range %dx%d", i, j, m.Rows, m.Cols))
+	if uint(i) >= uint(m.Rows) || uint(j) >= uint(m.Cols) {
+		panic(&indexError{"At", i, j, m.Rows, m.Cols})
 	}
 	return m.Data[i*m.Stride+j]
 }
 
 // Set stores v into element (i,j).
 func (m *Dense) Set(i, j int, v float64) {
-	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
-		panic(fmt.Sprintf("matrix: Set(%d,%d) out of range %dx%d", i, j, m.Rows, m.Cols))
+	if uint(i) >= uint(m.Rows) || uint(j) >= uint(m.Cols) {
+		panic(&indexError{"Set", i, j, m.Rows, m.Cols})
 	}
 	m.Data[i*m.Stride+j] = v
+}
+
+// indexError is the panic value of an out-of-range At or Set. Its message is
+// built only when printed, which keeps both methods cheap enough to inline
+// into every kernel loop.
+type indexError struct {
+	op         string
+	i, j       int
+	rows, cols int
+}
+
+func (e *indexError) Error() string {
+	return fmt.Sprintf("matrix: %s(%d,%d) out of range %dx%d", e.op, e.i, e.j, e.rows, e.cols)
 }
 
 // Block returns the r-by-c submatrix view whose top-left corner is (i,j).

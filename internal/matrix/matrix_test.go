@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -35,6 +36,27 @@ func TestAtOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	New(2, 2).At(2, 0)
+}
+
+func TestOutOfRangePanicMessages(t *testing.T) {
+	for _, tc := range []struct {
+		f    func()
+		want string
+	}{
+		{func() { New(2, 3).At(2, 0) }, "matrix: At(2,0) out of range 2x3"},
+		{func() { New(2, 3).At(0, -1) }, "matrix: At(0,-1) out of range 2x3"},
+		{func() { New(2, 3).Set(-1, 1, 0) }, "matrix: Set(-1,1) out of range 2x3"},
+		{func() { New(2, 3).Set(1, 3, 0) }, "matrix: Set(1,3) out of range 2x3"},
+	} {
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != tc.want {
+					t.Errorf("panic %q, want %q", got, tc.want)
+				}
+			}()
+			tc.f()
+		}()
+	}
 }
 
 func TestBlockAliasesParent(t *testing.T) {

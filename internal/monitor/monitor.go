@@ -104,9 +104,9 @@ type Monitor struct {
 	// monitor. It is driven (and synced) only from the run goroutine —
 	// Record/RecordBatch/Phase/Finish/TotalEvents — never from the HTTP
 	// readers: a concurrent reader syncing would race with the hierarchy it
-	// flushes. Live reads (Snapshot, Violations) therefore keep their
-	// momentary-snapshot semantics, now at batch rather than event
-	// granularity.
+	// flushes. Live reads (Snapshot, Violations, PeekTotalEvents) therefore
+	// keep their momentary-snapshot semantics, now at batch rather than
+	// event granularity.
 	sources machine.Sources
 
 	mu         sync.Mutex
@@ -369,9 +369,17 @@ func (m *Monitor) Phases() int64 {
 }
 
 // TotalEvents returns the counter-bearing events seen so far, syncing any
-// batch-buffered events first. Call from the run goroutine.
+// batch-buffered events first. Call from the run goroutine; other goroutines
+// read PeekTotalEvents.
 func (m *Monitor) TotalEvents() int64 {
 	m.sources.Sync()
+	return m.PeekTotalEvents()
+}
+
+// PeekTotalEvents returns the counter-bearing events recorded so far without
+// syncing batch-buffered events: safe from any goroutine, at batch rather
+// than event granularity, like Snapshot. This is what /metrics serves.
+func (m *Monitor) PeekTotalEvents() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.total

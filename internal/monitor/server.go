@@ -471,7 +471,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	if mon != nil {
 		samples = append(samples,
-			metricSample{family: "wa_monitor_events_total", value: float64(mon.TotalEvents())},
+			metricSample{family: "wa_monitor_events_total", value: float64(mon.PeekTotalEvents())},
 			metricSample{family: "wa_monitor_phases_total", value: float64(mon.Phases())},
 		)
 	}
