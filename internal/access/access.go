@@ -1,6 +1,6 @@
 // Package access defines the tiny memory-trace vocabulary shared between the
-// trace-emitting algorithm backends (internal/core's TraceBackend and
-// friends) and the cache simulator (internal/cache).
+// trace emitters (internal/core's MatMulTrace, COMatMulTrace and the other
+// traced drivers) and the cache simulators (internal/cache).
 //
 // A trace is a stream of (byte address, read/write) events delivered to a
 // Sink. Streaming through a callback keeps the Figure 2/5 experiments from

@@ -10,7 +10,8 @@ import (
 // and the EvTouch element stream is buffered as a trace; Stats replays it
 // through SimulateOPT on first use. Counted drivers can thus report
 // ideal-cache victim counts — the reference line of the Figure 2
-// experiments — without a separate trace pass through the TraceBackend.
+// experiments — without a separate pass through a trace emitter such as
+// core.MatMulTrace.
 //
 // Offline optimality fundamentally needs the whole trace before the first
 // replacement decision, so buffering is not an implementation shortcut;

@@ -5,6 +5,7 @@ package cache_test
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"testing"
 
@@ -57,10 +58,11 @@ func (t *blockTee) flush() {
 
 // TestFALRUFigurePins pins every Stats field of every Figure 2 and Figure 5
 // quick point, through Access and through AccessBatch, to the counts the
-// reference FALRU gives (regenerate with -update). It replays 10^9 accesses
-// on one goroutine, where the race detector has nothing to find but would
-// stretch the run past the test timeout, so race-instrumented builds leave
-// this file out and CI runs it uninstrumented.
+// reference FALRU gives (regenerate with -update). Each point is a parallel
+// subtest named after its panel and mid. The points share nothing, so the
+// race detector has nothing to find in their 10^9 accesses but would stretch
+// the run past the test timeout: race-instrumented builds leave this file
+// out and CI runs it uninstrumented.
 func TestFALRUFigurePins(t *testing.T) {
 	traces := append(experiments.Fig2Traces(true), experiments.Fig5Traces(true)...)
 	if *update {
@@ -96,18 +98,21 @@ func TestFALRUFigurePins(t *testing.T) {
 		if tr.Panel != want.Panel || tr.Mid != want.Mid {
 			t.Fatalf("point %d is %s mid %d, pinned %s mid %d", i, tr.Panel, tr.Mid, want.Panel, want.Mid)
 		}
-		tee := &blockTee{
-			one: cache.NewFALRU(figL3Bytes, figLineBytes),
-			blk: cache.NewFALRU(figL3Bytes, figLineBytes),
-			buf: make([]access.Op, 0, 1000),
-		}
-		tr.Run(tee)
-		tee.flush()
-		for path, c := range map[string]*cache.FALRU{"Access": tee.one, "AccessBatch": tee.blk} {
-			c.FlushDirty()
-			if got := c.Stats(); got != want.Stats {
-				t.Errorf("%s mid %d through %s: %+v, pinned %+v", tr.Panel, tr.Mid, path, got, want.Stats)
+		t.Run(fmt.Sprintf("%s mid=%d", tr.Panel, tr.Mid), func(t *testing.T) {
+			t.Parallel()
+			tee := &blockTee{
+				one: cache.NewFALRU(figL3Bytes, figLineBytes),
+				blk: cache.NewFALRU(figL3Bytes, figLineBytes),
+				buf: make([]access.Op, 0, 1000),
 			}
-		}
+			tr.Run(tee)
+			tee.flush()
+			for path, c := range map[string]*cache.FALRU{"Access": tee.one, "AccessBatch": tee.blk} {
+				c.FlushDirty()
+				if got := c.Stats(); got != want.Stats {
+					t.Errorf("through %s: %+v, pinned %+v", path, got, want.Stats)
+				}
+			}
+		})
 	}
 }

@@ -46,37 +46,6 @@ func gemmLevel(p *Plan, s int, c, a, b *matrix.Dense, mode gemmMode) {
 	m, l, n := c.Rows, c.Cols, a.Cols
 	mb, lb, nb := intmath.CeilDiv(m, bs), intmath.CeilDiv(l, bs), intmath.CeilDiv(n, bs)
 
-	blkA := func(i, k int) *matrix.Dense {
-		return a.Block(i*bs, k*bs, min(bs, m-i*bs), min(bs, n-k*bs))
-	}
-	blkB := func(k, j int) *matrix.Dense {
-		if mode == modeSubABt || mode == modeSubABtLower {
-			return b.Block(j*bs, k*bs, min(bs, l-j*bs), min(bs, n-k*bs))
-		}
-		return b.Block(k*bs, j*bs, min(bs, n-k*bs), min(bs, l-j*bs))
-	}
-	blkC := func(i, j int) *matrix.Dense {
-		return c.Block(i*bs, j*bs, min(bs, m-i*bs), min(bs, l-j*bs))
-	}
-
-	step := func(i, j, k int) {
-		// The triangular mode keeps the full block loops (so the staged
-		// word counts are identical to modeSubABt at every interface) and
-		// narrows to the triangle only for diagonal sub-blocks of C.
-		sub := mode
-		if mode == modeSubABtLower && i != j {
-			sub = modeSubABt
-		}
-		ab, bb, cb := blkA(i, k), blkB(k, j), blkC(i, j)
-		p.H.Load(s, words(ab))
-		p.note(s, ab, false)
-		p.H.Load(s, words(bb))
-		p.note(s, bb, false)
-		gemmLevel(p, s-1, cb, ab, bb, sub)
-		p.H.Discard(s, words(ab))
-		p.H.Discard(s, words(bb))
-	}
-
 	mark := p.marking(s)
 	switch p.orderAt(s) {
 	case OrderWA:
@@ -87,11 +56,11 @@ func gemmLevel(p *Plan, s int, c, a, b *matrix.Dense, mode gemmMode) {
 				if mark {
 					p.H.Begin(cBlockLabels.Get(i, j))
 				}
-				cb := blkC(i, j)
+				cb := c.Block(i*bs, j*bs, min(bs, m-i*bs), min(bs, l-j*bs))
 				p.H.Load(s, words(cb))
 				p.note(s, cb, false)
 				for k := 0; k < nb; k++ {
-					step(i, j, k)
+					gemmStep(p, s, c, a, b, mode, i, j, k)
 				}
 				p.H.Store(s, words(cb))
 				p.note(s, cb, true)
@@ -109,10 +78,10 @@ func gemmLevel(p *Plan, s int, c, a, b *matrix.Dense, mode gemmMode) {
 			}
 			for i := 0; i < mb; i++ {
 				for j := 0; j < lb; j++ {
-					cb := blkC(i, j)
+					cb := c.Block(i*bs, j*bs, min(bs, m-i*bs), min(bs, l-j*bs))
 					p.H.Load(s, words(cb))
 					p.note(s, cb, false)
-					step(i, j, k)
+					gemmStep(p, s, c, a, b, mode, i, j, k)
 					p.H.Store(s, words(cb))
 					p.note(s, cb, true)
 				}
@@ -122,6 +91,38 @@ func gemmLevel(p *Plan, s int, c, a, b *matrix.Dense, mode gemmMode) {
 			}
 		}
 	}
+}
+
+// gemmStep is one block step of gemmLevel at interface s: it stages block
+// (i,k) of A and block (k,j) of B (block (j,k) in the transposed modes)
+// across s and recurses into block (i,j) of C. Block inlines, so the three
+// views stay in this frame. It cuts the C block itself rather than take
+// gemmLevel's: a view made inside a loop and passed down the recursion
+// escapes to the heap.
+func gemmStep(p *Plan, s int, c, a, b *matrix.Dense, mode gemmMode, i, j, k int) {
+	bs := p.BlockSizes[s]
+	cb := c.Block(i*bs, j*bs, min(bs, c.Rows-i*bs), min(bs, c.Cols-j*bs))
+	ab := a.Block(i*bs, k*bs, min(bs, a.Rows-i*bs), min(bs, a.Cols-k*bs))
+	var bb *matrix.Dense
+	if mode == modeSubABt || mode == modeSubABtLower {
+		bb = b.Block(j*bs, k*bs, min(bs, b.Rows-j*bs), min(bs, b.Cols-k*bs))
+	} else {
+		bb = b.Block(k*bs, j*bs, min(bs, b.Rows-k*bs), min(bs, b.Cols-j*bs))
+	}
+	// The triangular mode keeps the full block loops (so the staged word
+	// counts are identical to modeSubABt at every interface) and narrows
+	// to the triangle only for diagonal sub-blocks of C.
+	sub := mode
+	if mode == modeSubABtLower && i != j {
+		sub = modeSubABt
+	}
+	p.H.Load(s, words(ab))
+	p.note(s, ab, false)
+	p.H.Load(s, words(bb))
+	p.note(s, bb, false)
+	gemmLevel(p, s-1, cb, ab, bb, sub)
+	p.H.Discard(s, words(ab))
+	p.H.Discard(s, words(bb))
 }
 
 // gemmKernel is the base case: the operands are resident in the fastest

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"writeavoid/internal/access"
 	"writeavoid/internal/machine"
@@ -87,13 +88,45 @@ func NewMatMulTrace(m, n, l int, lineBytes int, levels ...TraceLevel) *MatMulTra
 
 // Run emits the full access stream into sink.
 func (t *MatMulTrace) Run(sink access.Sink) {
-	a, b, c := matrix.New(t.M, t.N), matrix.New(t.N, t.L), matrix.New(t.M, t.L)
+	buf := getOperands(t.M*t.N + t.N*t.L + t.M*t.L)
+	defer operandPool.Put(buf)
+	d := *buf
+	a := carve(&d, t.M, t.N)
+	b := carve(&d, t.N, t.L)
+	c := carve(&d, t.M, t.L)
 	p, tr := tracePlan(t.Levels, max(t.M, max(t.N, t.L)), sink)
 	tr.Bind(a, t.A)
 	tr.Bind(b, t.B)
 	tr.Bind(c, t.C)
 	gemmLevel(p, p.topInterface(), c, a, b, modeAddAB)
 	p.H.Flush() // deliver the tail of the batched touch stream to the sink
+}
+
+// operandPool holds *[]float64 backing stores for MatMulTrace operands. A
+// sweep of traced points, run back to back or side by side, then reuses a
+// few stores instead of allocating three fresh matrices per point.
+var operandPool sync.Pool
+
+// getOperands returns a pooled store of n zeroed elements.
+func getOperands(n int) *[]float64 {
+	buf, _ := operandPool.Get().(*[]float64)
+	if buf == nil || cap(*buf) < n {
+		d := make([]float64, n)
+		return &d
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return buf
+}
+
+// carve cuts a tight r-by-c root matrix off the front of *d. Its capacity
+// ends with it, so no view of one root can reach into the next and
+// Tracer.view tells the roots apart.
+func carve(d *[]float64, r, c int) *matrix.Dense {
+	n := r * c
+	m := &matrix.Dense{Rows: r, Cols: c, Stride: c, Data: (*d)[:n:n]}
+	*d = (*d)[n:]
+	return m
 }
 
 // PredictTraceOps returns the exact number of reads and writes the trace will

@@ -10,8 +10,13 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"text/tabwriter"
 
 	"writeavoid/internal/access"
@@ -74,21 +79,13 @@ func figCache() *cache.FALRU {
 }
 
 // FigTrace is one point of a Figure 2 or Figure 5 panel: the access stream
-// whose simulated L3 counts the point reports.
+// whose simulated L3 counts the point reports. Fig2 and Fig5 call the Run
+// funcs of different points concurrently.
 type FigTrace struct {
 	Panel string            // the panel's FigPanel.Name
 	Mid   int               // middle (contraction) dimension
 	Run   func(access.Sink) // emits the point's access stream
 	ideal bool              // report the ideal-cache reference line (Fig 2a)
-}
-
-// Simulate runs the trace through a fresh simulated L3, flushes it and
-// returns its counters.
-func (t FigTrace) Simulate() cache.Stats {
-	c := figCache()
-	t.Run(c)
-	c.FlushDirty()
-	return c.Stats()
 }
 
 // Fig2Traces lists the points of Figure 2's six panels in panel order: (a)
@@ -146,15 +143,53 @@ func waFigTrace(mid, b int, multiLevel bool) *core.MatMulTrace {
 }
 
 // figPanels simulates every trace and groups the points into panels, in
-// order.
+// trace order. The points are independent, so min(GOMAXPROCS, len(traces))
+// workers share them out, each through one simulated L3 that it empties
+// and reuses between points. A point's work grows with its Mid, so workers
+// take the largest Mid first and the sweep does not end on one long point.
+// A panic in a point is re-raised here once every worker has stopped.
 func figPanels(traces []FigTrace) []FigPanel {
+	order := make([]int, len(traces))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(traces[y].Mid, traces[x].Mid) })
+	stats := make([]cache.Stats, len(traces))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	panics := make([]any, min(runtime.GOMAXPROCS(0), len(traces)))
+	for w := range panics {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[w] = recover() }()
+			c := figCache()
+			for {
+				n := int(next.Add(1)) - 1
+				if n >= len(order) {
+					return
+				}
+				i := order[n]
+				traces[i].Run(c)
+				c.FlushDirty()
+				stats[i] = c.Stats()
+				c.ResetStats()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, e := range panics {
+		if e != nil {
+			panic(e)
+		}
+	}
 	var panels []FigPanel
-	for _, t := range traces {
+	for i, t := range traces {
 		if len(panels) == 0 || panels[len(panels)-1].Name != t.Panel {
 			panels = append(panels, FigPanel{Name: t.Panel})
 		}
 		p := &panels[len(panels)-1]
-		p.Points = append(p.Points, point(t.Mid, t.Simulate(), t.ideal))
+		p.Points = append(p.Points, point(t.Mid, stats[i], t.ideal))
 	}
 	return panels
 }

@@ -78,12 +78,24 @@ func (e *indexError) Error() string {
 }
 
 // Block returns the r-by-c submatrix view whose top-left corner is (i,j).
-// The view aliases m's storage.
+// The view aliases m's storage. Block inlines, so a view that does not
+// outlive its caller stays on the caller's stack.
 func (m *Dense) Block(i, j, r, c int) *Dense {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
-		panic(fmt.Sprintf("matrix: Block(%d,%d,%d,%d) out of range %dx%d", i, j, r, c, m.Rows, m.Cols))
+		panic(&blockError{i, j, r, c, m.Rows, m.Cols})
 	}
 	return &Dense{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[i*m.Stride+j:]}
+}
+
+// blockError is the panic value of an out-of-range Block, formatted only
+// when printed, like indexError.
+type blockError struct {
+	i, j, r, c int
+	rows, cols int
+}
+
+func (e *blockError) Error() string {
+	return fmt.Sprintf("matrix: Block(%d,%d,%d,%d) out of range %dx%d", e.i, e.j, e.r, e.c, e.rows, e.cols)
 }
 
 // Clone returns a tight-stride deep copy of m.

@@ -47,6 +47,8 @@ func TestOutOfRangePanicMessages(t *testing.T) {
 		{func() { New(2, 3).At(0, -1) }, "matrix: At(0,-1) out of range 2x3"},
 		{func() { New(2, 3).Set(-1, 1, 0) }, "matrix: Set(-1,1) out of range 2x3"},
 		{func() { New(2, 3).Set(1, 3, 0) }, "matrix: Set(1,3) out of range 2x3"},
+		{func() { New(4, 4).Block(2, 2, 3, 1) }, "matrix: Block(2,2,3,1) out of range 4x4"},
+		{func() { New(4, 4).Block(-1, 0, 1, 1) }, "matrix: Block(-1,0,1,1) out of range 4x4"},
 	} {
 		func() {
 			defer func() {

@@ -154,6 +154,10 @@ func (b *Broker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	// Subscribe before the stream opens, so a client that has read the
+	// open line is counted and misses no later record.
+	ch := b.subscribe()
+	defer b.unsubscribe(ch)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
@@ -165,8 +169,6 @@ func (b *Broker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	fl.Flush()
 
-	ch := b.subscribe()
-	defer b.unsubscribe(ch)
 	for {
 		select {
 		case <-b.done:
