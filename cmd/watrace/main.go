@@ -42,6 +42,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,7 +63,7 @@ func main() {
 	}
 	switch os.Args[1] {
 	case "record":
-		record(os.Args[2:])
+		os.Exit(record(os.Args[2:]))
 	case "sim":
 		sim(os.Args[2:])
 	case "checktrace":
@@ -108,21 +109,35 @@ func checktrace(args []string) {
 		*in, info.Events, info.Spans, len(info.CounterTracks), len(info.Pids), info.Tids)
 }
 
-func record(args []string) {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
+// record writes the trace of one instruction order and returns the exit
+// code: 2 for bad flags, 1 for a failed write.
+func record(args []string) int {
+	fs := flag.NewFlagSet("record", flag.ContinueOnError)
 	out := fs.String("out", "", "output trace file (required)")
 	order := fs.String("order", "wa", "instruction order: wa | multilevel | tuned | co")
 	m := fs.Int("m", 128, "C rows")
 	n := fs.Int("n", 128, "contraction dimension")
 	l := fs.Int("l", 128, "C cols")
 	blocks := fs.String("blocks", "32,8", "comma-separated block sizes, coarsest first (wa/multilevel/tuned)")
-	base := fs.Int("base", 8, "base-case threshold (co)")
+	base := fs.Int("base", 8, "base-case threshold (co), at least 1")
 	line := fs.Int("line", 64, "address-space line alignment")
-	fs.Parse(args) //nolint:errcheck
-
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "watrace record: -out is required")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	bad := func(format string, a ...any) int {
+		fmt.Fprintf(os.Stderr, "watrace record: "+format+"\n", a...)
+		return 2
+	}
+	switch {
+	case *out == "":
+		return bad("-out is required")
+	case *m < 0 || *n < 0 || *l < 0:
+		return bad("dimensions must not be negative: -m %d -n %d -l %d", *m, *n, *l)
+	case *base < 1:
+		return bad("-base %d: the base-case threshold must be at least 1", *base)
 	}
 	var rec access.Recorder
 	switch *order {
@@ -131,8 +146,7 @@ func record(args []string) {
 	case "wa", "multilevel", "tuned":
 		bs, err := parseBlocks(*blocks)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "watrace record:", err)
-			os.Exit(2)
+			return bad("%v", err)
 		}
 		levels := make([]core.TraceLevel, len(bs))
 		for i, b := range bs {
@@ -147,19 +161,24 @@ func record(args []string) {
 		}
 		core.NewMatMulTrace(*m, *n, *l, *line, levels...).Run(&rec)
 	default:
-		fmt.Fprintf(os.Stderr, "watrace record: unknown order %q\n", *order)
-		os.Exit(2)
+		return bad("unknown order %q", *order)
 	}
 
 	f, err := os.Create(*out)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "watrace:", err)
+		return 1
 	}
-	defer f.Close()
-	if err := access.WriteTrace(f, rec.Ops); err != nil {
-		fatal(err)
+	err = access.WriteTrace(f, rec.Ops)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "watrace:", err)
+		return 1
 	}
 	fmt.Printf("wrote %d accesses to %s\n", len(rec.Ops), *out)
+	return 0
 }
 
 func sim(args []string) {

@@ -22,8 +22,8 @@ type Sink interface {
 // BatchSink is a Sink that also consumes a whole block of accesses in one
 // call. AccessBatch(ops) must have the same effect as calling Access on each
 // op in order; the caller owns ops, so an implementation must not retain it.
-// Producers that buffer accesses (machine.TraceRecorder) resolve it once and
-// hand over each block, saving an indirect call per access.
+// Producers that buffer accesses (core.Tracer) resolve it once and hand over
+// each block, saving an indirect call per access.
 type BatchSink interface {
 	Sink
 	AccessBatch(ops []Op)

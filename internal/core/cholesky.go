@@ -116,11 +116,13 @@ func cholLeftLevel(p *Plan, s int, a *matrix.Dense) error {
 	return nil
 }
 
-// cholKernel is the shared base case: the in-fast-memory factorization,
-// traced when the plan carries a Tracer.
+// cholKernel is the shared base case: the in-fast-memory factorization, or
+// its access stream when the plan carries a Tracer. Only the arithmetic can
+// fail.
 func cholKernel(p *Plan, a *matrix.Dense) error {
 	if p.Trace != nil {
-		return p.Trace.CholeskyInPlace(a)
+		p.Trace.cholesky(a)
+		return nil
 	}
 	return matrix.CholeskyInPlace(a)
 }
@@ -208,7 +210,7 @@ func cholRightLevel(p *Plan, s int, a *matrix.Dense) error {
 func trsmRightLevel(p *Plan, s int, l, b *matrix.Dense) {
 	if s < 0 {
 		if p.Trace != nil {
-			p.Trace.TRSMLowerTransRight(l, b)
+			p.Trace.trsmLowerTransRight(l, b)
 		} else {
 			matrix.TRSMLowerTransRight(l, b)
 		}

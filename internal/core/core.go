@@ -14,8 +14,10 @@
 //     read/write counters can be compared against the paper's closed-form
 //     counts, which this package also provides as Predict* functions.
 //
-// The same algorithms are additionally available as element-granularity
-// address-trace emitters (trace.go) for the Section 6 cache-replacement
+// With a Tracer in the Plan the same drivers are element-granularity
+// address-trace emitters instead (tracer.go; the façades MatMulTrace,
+// TRSMTrace and CholeskyTrace in traceadapt.go, and the cache-oblivious
+// COMatMulTrace in cotrace.go) for the Section 6 cache-replacement
 // experiments.
 package core
 
@@ -73,9 +75,10 @@ type Plan struct {
 	// instruction streams (write-avoiding at the top interface only, or
 	// everywhere but the top) are expressed this way.
 	Orders []Order
-	// Trace, when non-nil, switches the base-case kernels to their traced
-	// twins, which emit every element access through H.Touch in the exact
-	// instruction order of the reference kernels. Word and flop counting
+	// Trace, when non-nil, makes the plan a pure trace emitter: its
+	// base-case kernels write every element access to the Tracer's sink in
+	// the exact instruction order of the reference kernels, in place of the
+	// arithmetic, so the operands keep their values. Word and flop counting
 	// is unchanged. See Tracer.
 	Trace *Tracer
 }
@@ -137,26 +140,16 @@ func (p *Plan) topInterface() int { return len(p.BlockSizes) - 1 }
 // block v's address extent (see Hierarchy.Range). A no-op unless the plan
 // is traced and a touch-interested recorder is attached, and never a change
 // to word or message counters either way.
-func (p *Plan) note(s int, v *matrix.Dense, store bool) {
-	if p.Trace != nil && p.H.Tracing() {
-		p.Trace.Ranges(s, v, store)
-	}
-}
+func (p *Plan) note(s int, v *matrix.Dense, store bool) { p.noteSized(s, v, false, store) }
 
 // noteLower is note for lower-triangle (triWords) transfers.
-func (p *Plan) noteLower(s int, v *matrix.Dense, store bool) {
-	if p.Trace != nil && p.H.Tracing() {
-		p.Trace.RangesLower(s, v, store)
-	}
-}
+func (p *Plan) noteLower(s int, v *matrix.Dense, store bool) { p.noteSized(s, v, true, store) }
 
-// noteSized dispatches to noteLower or note depending on whether the
-// transfer just counted moved the lower triangle or the whole block.
+// noteSized is note or noteLower depending on whether the transfer just
+// counted moved the lower triangle or the whole block.
 func (p *Plan) noteSized(s int, v *matrix.Dense, lower, store bool) {
-	if lower {
-		p.noteLower(s, v, store)
-	} else {
-		p.note(s, v, store)
+	if p.Trace != nil && p.H.Tracing() {
+		p.Trace.ranges(p.H, s, v, lower, store)
 	}
 }
 

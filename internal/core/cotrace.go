@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"writeavoid/internal/access"
 	"writeavoid/internal/intmath"
 )
@@ -10,56 +12,60 @@ import (
 // the element kernel below a base threshold. Splitting the contraction
 // dimension executes the two halves in sequence on the same C block. Unlike
 // the blocked traces, this order has no counted-driver twin (there is no
-// explicit staging to count), so it remains a standalone emitter.
+// explicit staging to count), so it remains a standalone emitter. Its base
+// case is the Tracer's C += A*B kernel stream, written into the same block.
 type COMatMulTrace struct {
 	M, N, L int
-	Base    int
+	Base    int // base-case threshold; at least 1, or the halving never ends
 	A, B, C access.Region
 }
 
-// NewCOMatMulTrace lays out the operands in a fresh address space.
+// NewCOMatMulTrace lays out the operands in a fresh address space. It
+// panics if base < 1.
 func NewCOMatMulTrace(m, n, l, base, lineBytes int) *COMatMulTrace {
 	lay := access.NewLayout(uint64(lineBytes))
-	return &COMatMulTrace{
+	t := &COMatMulTrace{
 		M: m, N: n, L: l, Base: base,
 		A: lay.NewRegion(m, n),
 		B: lay.NewRegion(n, l),
 		C: lay.NewRegion(m, l),
 	}
+	t.checkBase()
+	return t
+}
+
+// checkBase panics on a base-case threshold the recursion cannot reach: at
+// Base 0, a 1-wide dimension splits into 0 and 1 and recurses on itself.
+func (t *COMatMulTrace) checkBase() {
+	if t.Base < 1 {
+		panic(fmt.Sprintf("core: COMatMulTrace base %d < 1", t.Base))
+	}
 }
 
 // Run emits the access stream.
 func (t *COMatMulTrace) Run(sink access.Sink) {
-	t.rec(sink, 0, 0, 0, t.M, t.L, t.N)
+	t.checkBase()
+	t.rec(NewTracer(sink), 0, 0, 0, t.M, t.L, t.N)
 }
 
-func (t *COMatMulTrace) rec(sink access.Sink, ci, cj, ck, m, l, n int) {
+func (t *COMatMulTrace) rec(tr *Tracer, ci, cj, ck, m, l, n int) {
 	if m <= t.Base && l <= t.Base && n <= t.Base {
-		for i := 0; i < m; i++ {
-			for j := 0; j < l; j++ {
-				sink.Access(t.C.Addr(ci+i, cj+j), false)
-				for k := 0; k < n; k++ {
-					sink.Access(t.A.Addr(ci+i, ck+k), false)
-					sink.Access(t.B.Addr(ck+k, cj+j), false)
-				}
-				sink.Access(t.C.Addr(ci+i, cj+j), true)
-			}
-		}
+		tr.mul(regionView(t.C, ci, cj), regionView(t.A, ci, ck), regionView(t.B, ck, cj), m, l, n, false, false)
 		return
 	}
 	switch {
 	case m >= l && m >= n:
 		h := m / 2
-		t.rec(sink, ci, cj, ck, h, l, n)
-		t.rec(sink, ci+h, cj, ck, m-h, l, n)
+		t.rec(tr, ci, cj, ck, h, l, n)
+		t.rec(tr, ci+h, cj, ck, m-h, l, n)
 	case l >= n:
 		h := l / 2
-		t.rec(sink, ci, cj, ck, m, h, n)
-		t.rec(sink, ci, cj+h, ck, m, l-h, n)
+		t.rec(tr, ci, cj, ck, m, h, n)
+		t.rec(tr, ci, cj+h, ck, m, l-h, n)
 	default:
 		h := n / 2
-		t.rec(sink, ci, cj, ck, m, l, h)
-		t.rec(sink, ci, cj, ck+h, m, l, n-h)
+		t.rec(tr, ci, cj, ck, m, l, h)
+		t.rec(tr, ci, cj, ck+h, m, l, n-h)
 	}
 }
 

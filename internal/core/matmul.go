@@ -126,40 +126,28 @@ func gemmStep(p *Plan, s int, c, a, b *matrix.Dense, mode gemmMode, i, j, k int)
 }
 
 // gemmKernel is the base case: the operands are resident in the fastest
-// level, so only arithmetic happens (plus per-element trace emission when the
-// plan carries a Tracer).
+// level, so only arithmetic happens, or, when the plan carries a Tracer, the
+// per-element trace emission that stands in for it.
 func gemmKernel(p *Plan, c, a, b *matrix.Dense, mode gemmMode) {
-	tr := p.Trace
-	switch mode {
-	case modeAddAB:
-		if tr != nil {
-			tr.MulAdd(c, a, b)
-		} else {
+	if tr := p.Trace; tr != nil {
+		tr.gemm(c, a, b, mode == modeSubABt || mode == modeSubABtLower, mode == modeSubABtLower)
+	} else {
+		switch mode {
+		case modeAddAB:
 			matrix.MulAdd(c, a, b)
-		}
-		p.H.Flops(2 * int64(c.Rows) * int64(c.Cols) * int64(a.Cols))
-	case modeSubAB:
-		if tr != nil {
-			tr.MulSub(c, a, b)
-		} else {
+		case modeSubAB:
 			matrix.MulSub(c, a, b)
-		}
-		p.H.Flops(2 * int64(c.Rows) * int64(c.Cols) * int64(a.Cols))
-	case modeSubABt:
-		if tr != nil {
-			tr.MulSubTrans(c, a, b)
-		} else {
+		case modeSubABt:
 			matrix.MulSubTrans(c, a, b)
-		}
-		p.H.Flops(2 * int64(c.Rows) * int64(c.Cols) * int64(a.Cols))
-	case modeSubABtLower:
-		if tr != nil {
-			tr.MulSubTransLower(c, a, b)
-		} else {
+		case modeSubABtLower:
 			matrix.MulSubTransLower(c, a, b)
 		}
+	}
+	if mode == modeSubABtLower {
 		// 2 flops per term over the n(n+1)/2 triangle elements.
 		p.H.Flops(int64(c.Rows) * int64(c.Rows+1) * int64(a.Cols))
+	} else {
+		p.H.Flops(2 * int64(c.Rows) * int64(c.Cols) * int64(a.Cols))
 	}
 }
 

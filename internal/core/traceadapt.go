@@ -13,10 +13,10 @@ import (
 // the Section 6 experiments (Figures 2 and 5, Propositions 6.1 and 6.2) need
 // element-granularity access streams fed into a simulated cache, and they get
 // them by running the same gemmLevel/trsmLevel/cholLeftLevel recursions that
-// drive the word counters, with a Tracer bound to the operands and a
-// machine.TraceRecorder forwarding every Touch to the sink. There is exactly
-// one implementation of each blocked loop nest; these types only configure
-// it: dims, blocking, per-level loop order, operand address layout.
+// drive the word counters, with a Tracer bound to the operands writing every
+// access straight into the sink. There is exactly one implementation of each
+// blocked loop nest; these types only configure it: dims, blocking,
+// per-level loop order, operand address layout.
 
 // TraceLevel is one level of blocking in a traced matmul.
 type TraceLevel struct {
@@ -31,11 +31,13 @@ type TraceLevel struct {
 
 // tracePlan assembles the machinery shared by every trace façade: an
 // unbounded non-strict hierarchy with one interface per blocking level, the
-// per-interface loop orders, a Tracer, and a TraceRecorder forwarding to
-// sink. Levels are given coarsest first (interface indices count from the
-// fastest level, so the list is reversed); an empty list degenerates to a
-// single block covering the whole problem, which sends the first recursion
-// step straight to the element kernel.
+// per-interface loop orders, and a Tracer emitting into sink. The hierarchy
+// has no recorder attached: it only counts the drivers' Load/Store/Flops, and
+// the accesses go from the Tracer to the sink directly. Levels are given
+// coarsest first (interface indices count from the fastest level, so the list
+// is reversed); an empty list degenerates to a single block covering the
+// whole problem, which sends the first recursion step straight to the element
+// kernel.
 func tracePlan(levels []TraceLevel, maxDim int, sink access.Sink) (*Plan, *Tracer) {
 	bs := make([]int, 0, len(levels))
 	orders := make([]Order, 0, len(levels))
@@ -58,10 +60,8 @@ func tracePlan(levels []TraceLevel, maxDim int, sink access.Sink) (*Plan, *Trace
 	for i := range hl {
 		hl[i] = machine.Level{Name: fmt.Sprintf("T%d", i)}
 	}
-	h := machine.New(false, hl...)
-	h.Attach(machine.NewTraceRecorder(sink))
-	tr := NewTracer(h)
-	return &Plan{H: h, BlockSizes: bs, Orders: orders, Trace: tr}, tr
+	tr := NewTracer(sink)
+	return &Plan{H: machine.New(false, hl...), BlockSizes: bs, Orders: orders, Trace: tr}, tr
 }
 
 // MatMulTrace describes a traced multiplication C(m×l) += A(m×n)*B(n×l),
@@ -88,35 +88,35 @@ func NewMatMulTrace(m, n, l int, lineBytes int, levels ...TraceLevel) *MatMulTra
 
 // Run emits the full access stream into sink.
 func (t *MatMulTrace) Run(sink access.Sink) {
-	buf := getOperands(t.M*t.N + t.N*t.L + t.M*t.L)
-	defer operandPool.Put(buf)
-	d := *buf
+	d := zeros(t.M*t.N + t.N*t.L + t.M*t.L)
 	a := carve(&d, t.M, t.N)
 	b := carve(&d, t.N, t.L)
 	c := carve(&d, t.M, t.L)
-	p, tr := tracePlan(t.Levels, max(t.M, max(t.N, t.L)), sink)
+	p, tr := tracePlan(t.Levels, max(t.M, t.N, t.L), sink)
 	tr.Bind(a, t.A)
 	tr.Bind(b, t.B)
 	tr.Bind(c, t.C)
 	gemmLevel(p, p.topInterface(), c, a, b, modeAddAB)
-	p.H.Flush() // deliver the tail of the batched touch stream to the sink
 }
 
-// operandPool holds *[]float64 backing stores for MatMulTrace operands. A
-// sweep of traced points, run back to back or side by side, then reuses a
-// few stores instead of allocating three fresh matrices per point.
-var operandPool sync.Pool
+// zeroStore backs the operands of every trace façade. A traced plan emits
+// addresses in place of arithmetic, so its operands only have to exist: no
+// run writes them, and runs on any goroutine share one store, which only
+// grows. Like a pool, it is package state because the runs that share it
+// have nothing else in common.
+var zeroStore struct {
+	sync.Mutex
+	d []float64
+}
 
-// getOperands returns a pooled store of n zeroed elements.
-func getOperands(n int) *[]float64 {
-	buf, _ := operandPool.Get().(*[]float64)
-	if buf == nil || cap(*buf) < n {
-		d := make([]float64, n)
-		return &d
+// zeros returns n elements of the shared zero store.
+func zeros(n int) []float64 {
+	zeroStore.Lock()
+	defer zeroStore.Unlock()
+	if len(zeroStore.d) < n {
+		zeroStore.d = make([]float64, n)
 	}
-	*buf = (*buf)[:n]
-	clear(*buf)
-	return buf
+	return zeroStore.d[:n:n]
 }
 
 // carve cuts a tight r-by-c root matrix off the front of *d. Its capacity
@@ -159,20 +159,19 @@ func NewTRSMTrace(n, m, block, lineBytes int) *TRSMTrace {
 	return &TRSMTrace{N: n, M: m, Block: block, T: lay.NewRegion(n, n), B: lay.NewRegion(n, m)}
 }
 
-// Run emits the access stream. The dummy operands are the identity system
-// I*X = 0 (upper triangular and trivially nonsingular); the access stream is
-// data-independent.
+// Run emits the access stream.
 func (t *TRSMTrace) Run(sink access.Sink) {
-	tm, bm := matrix.Identity(t.N), matrix.New(t.N, t.M)
+	d := zeros(t.N*t.N + t.N*t.M)
+	tm := carve(&d, t.N, t.N)
+	bm := carve(&d, t.N, t.M)
 	p, tr := tracePlan([]TraceLevel{{Block: t.Block, ContractionInner: true}}, 0, sink)
 	tr.Bind(tm, t.T)
 	tr.Bind(bm, t.B)
 	trsmLevel(p, p.topInterface(), tm, bm)
-	p.H.Flush() // deliver the tail of the batched touch stream to the sink
 }
 
 // CholeskyTrace traces the two-level left-looking blocked Cholesky
-// (Algorithm 3 order) on an n x n SPD matrix.
+// (Algorithm 3 order) of an n x n matrix.
 type CholeskyTrace struct {
 	N, Block int
 	A        access.Region
@@ -184,14 +183,11 @@ func NewCholeskyTrace(n, block, lineBytes int) *CholeskyTrace {
 	return &CholeskyTrace{N: n, Block: block, A: lay.NewRegion(n, n)}
 }
 
-// Run emits the access stream, factoring the identity (SPD; the access
-// stream is data-independent).
+// Run emits the access stream.
 func (t *CholeskyTrace) Run(sink access.Sink) {
-	am := matrix.Identity(t.N)
+	d := zeros(t.N * t.N)
+	am := carve(&d, t.N, t.N)
 	p, tr := tracePlan([]TraceLevel{{Block: t.Block, ContractionInner: true}}, 0, sink)
 	tr.Bind(am, t.A)
-	if err := cholLeftLevel(p, p.topInterface(), am); err != nil {
-		panic(fmt.Sprintf("core: CholeskyTrace on identity failed: %v", err))
-	}
-	p.H.Flush() // deliver the tail of the batched touch stream to the sink
+	_ = cholLeftLevel(p, p.topInterface(), am) // only the arithmetic can fail
 }

@@ -2,28 +2,37 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"writeavoid/internal/access"
 	"writeavoid/internal/machine"
 	"writeavoid/internal/matrix"
 )
 
+// traceBlock is the number of accesses a Tracer gathers before it hands them
+// to its sink: enough that the hand-off is a small share of each access, few
+// enough that the block stays in the first-level cache.
+const traceBlock = 256
+
 // Tracer gives the counted algorithm drivers an element-granularity address
 // stream: each root matrix is bound to an access.Region, block views are
 // resolved back to root coordinates by pointer arithmetic on the shared
-// backing slice, and every element read or write inside a base-case kernel is
-// dispatched through Hierarchy.Touch. With a machine.TraceRecorder attached
-// the stream feeds a simulated cache (the Section 6 experiments); with no
-// touch-interested recorder attached, Touch is a no-op and only the float
-// arithmetic remains.
+// backing slice, and every element read or write inside a base-case kernel
+// is written as an access.Op into one reused block of traceBlock ops. A full
+// block goes to the sink in one AccessBatch call when the sink is an
+// access.BatchSink (cache.FALRU, access.Recorder), one Access per op
+// otherwise; each kernel call hands over its tail before it returns, so the
+// sink has the whole stream of every kernel that has run.
 //
 // A Plan with a non-nil Trace switches its base-case kernels to the traced
-// twins below, which perform the same computation as the internal/matrix
-// reference kernels while emitting every access in the kernels' exact
-// instruction order.
+// twins below. They emit the accesses of the internal/matrix reference
+// kernels in those kernels' exact instruction order, in place of the
+// arithmetic: no instruction order here pivots, so the stream does not
+// depend on the values, and a traced plan leaves its operands as they are.
 type Tracer struct {
-	h     *machine.Hierarchy
+	sink  access.Sink
+	batch access.BatchSink // sink's block path, nil when it has none
+	n     int              // ops pending in block; always < traceBlock between calls
+	block [traceBlock]access.Op
 	bound []traceBinding
 }
 
@@ -33,9 +42,12 @@ type traceBinding struct {
 	reg  access.Region
 }
 
-// NewTracer builds a tracer emitting through h.Touch.
-func NewTracer(h *machine.Hierarchy) *Tracer {
-	return &Tracer{h: h}
+// NewTracer builds a tracer emitting into sink. Pass access.SinkFunc(h.Touch)
+// to send the stream through a hierarchy's touch-interested recorders.
+func NewTracer(sink access.Sink) *Tracer {
+	t := &Tracer{sink: sink}
+	t.batch, _ = sink.(access.BatchSink)
+	return t
 }
 
 // Bind associates a root matrix with the address region its elements occupy.
@@ -51,12 +63,21 @@ func (t *Tracer) Bind(m *matrix.Dense, reg access.Region) {
 	t.bound = append(t.bound, traceBinding{data: m.Data, cols: m.Cols, reg: reg})
 }
 
-// tracedView is one operand resolved to root coordinates, cached for the
-// duration of a kernel call so per-element emission is two adds and a Touch.
+// tracedView is one operand's address grid: the byte address of its element
+// (0,0) and the steps to the next row and the next column. The kernels step
+// addresses along rows and columns from it instead of recomputing each.
 type tracedView struct {
-	t      *Tracer
-	reg    access.Region
-	r0, c0 int
+	base, pitch, elem uint64
+}
+
+// regionView is the grid of reg's elements from (r0,c0) on.
+func regionView(reg access.Region, r0, c0 int) tracedView {
+	return tracedView{base: reg.Addr(r0, c0), pitch: uint64(reg.Cols) * reg.ElemSz, elem: reg.ElemSz}
+}
+
+// at is the byte address of element (i,j) of the view.
+func (v tracedView) at(i, j int) uint64 {
+	return v.base + uint64(i)*v.pitch + uint64(j)*v.elem
 }
 
 // view resolves a (possibly nested) block view back to its bound root.
@@ -69,209 +90,165 @@ func (t *Tracer) view(v *matrix.Dense) tracedView {
 			b := &t.bound[i]
 			off := len(b.data) - len(v.Data)
 			if off >= 0 && &b.data[off] == &v.Data[0] {
-				return tracedView{t: t, reg: b.reg, r0: off / b.cols, c0: off % b.cols}
+				return regionView(b.reg, off/b.cols, off%b.cols)
 			}
 		}
 	}
 	panic("core: traced kernel operand is not a view of any bound matrix")
 }
 
-func (v tracedView) touch(i, j int, write bool) {
-	v.t.h.Touch(v.reg.Addr(v.r0+i, v.c0+j), write)
-}
-
-// Ranges annotates the block transfer just counted across interface s with
-// block v's address extent: one EvRange run per block row (rows are
-// contiguous in the bound root). Addresses are in elements (region byte
-// addresses scaled by the element size) so run lengths match the word
-// units of the enclosing Load/Store.
-func (t *Tracer) Ranges(s int, v *matrix.Dense, store bool) {
-	tv := t.view(v)
-	base := tv.reg.Base/tv.reg.ElemSz + uint64(tv.r0*tv.reg.Cols+tv.c0)
-	for i := 0; i < v.Rows; i++ {
-		t.h.Range(s, base+uint64(i*tv.reg.Cols), int64(v.Cols), store)
+// put appends one access to the block, handing the block on when it fills.
+func (t *Tracer) put(addr uint64, write bool) {
+	t.block[t.n] = access.Op{Addr: addr, Write: write}
+	t.n++
+	if t.n == traceBlock {
+		t.flush()
 	}
 }
 
-// RangesLower is Ranges restricted to the lower triangle (diagonal
-// included) of square block v, matching the triWords transfers of the
-// Cholesky drivers: row i contributes a run of i+1 words.
-func (t *Tracer) RangesLower(s int, v *matrix.Dense, store bool) {
-	tv := t.view(v)
-	base := tv.reg.Base/tv.reg.ElemSz + uint64(tv.r0*tv.reg.Cols+tv.c0)
-	for i := 0; i < v.Rows; i++ {
-		run := i + 1
-		if run > v.Cols {
-			run = v.Cols
+// dot appends the k operand reads of one dot product, a then b per term, with
+// a stepping by da and b by db. It fills the block in runs that fit, so a dot
+// product longer than the block comes out in order across hand-offs.
+func (t *Tracer) dot(a, da, b, db uint64, k int) {
+	for k > 0 {
+		if traceBlock-t.n < 2 {
+			t.flush()
 		}
-		t.h.Range(s, base+uint64(i*tv.reg.Cols), int64(run), store)
-	}
-}
-
-// MulAdd is the traced twin of matrix.MulAdd: C += A*B, emitting per C
-// element one read, the A/B dot-product stream, and one write.
-func (t *Tracer) MulAdd(c, a, b *matrix.Dense) {
-	tc, ta, tb := t.view(c), t.view(a), t.view(b)
-	for i := 0; i < c.Rows; i++ {
-		for j := 0; j < c.Cols; j++ {
-			tc.touch(i, j, false)
-			s := c.At(i, j)
-			for k := 0; k < a.Cols; k++ {
-				ta.touch(i, k, false)
-				tb.touch(k, j, false)
-				s += a.At(i, k) * b.At(k, j)
-			}
-			tc.touch(i, j, true)
-			c.Set(i, j, s)
+		run := min(k, (traceBlock-t.n)/2)
+		for free := t.block[t.n : t.n+2*run]; len(free) >= 2; free = free[2:] {
+			free[0] = access.Op{Addr: a}
+			free[1] = access.Op{Addr: b}
+			a += da
+			b += db
 		}
+		t.n += 2 * run
+		k -= run
+	}
+	if t.n == traceBlock {
+		t.flush()
 	}
 }
 
-// MulSub is the traced twin of matrix.MulSub: C -= A*B.
-func (t *Tracer) MulSub(c, a, b *matrix.Dense) {
-	tc, ta, tb := t.view(c), t.view(a), t.view(b)
-	for i := 0; i < c.Rows; i++ {
-		for j := 0; j < c.Cols; j++ {
-			tc.touch(i, j, false)
-			s := c.At(i, j)
-			for k := 0; k < a.Cols; k++ {
-				ta.touch(i, k, false)
-				tb.touch(k, j, false)
-				s -= a.At(i, k) * b.At(k, j)
-			}
-			tc.touch(i, j, true)
-			c.Set(i, j, s)
+// flush hands the pending ops to the sink.
+func (t *Tracer) flush() {
+	if t.n == 0 {
+		return
+	}
+	ops := t.block[:t.n]
+	t.n = 0
+	if t.batch != nil {
+		t.batch.AccessBatch(ops)
+		return
+	}
+	for _, op := range ops {
+		t.sink.Access(op.Addr, op.Write)
+	}
+}
+
+// mul emits the stream of C op= A*op(B) for a rows×cols C and dot products
+// of length k, the order of matrix.MulAdd, MulSub, MulSubTrans and
+// MulSubTransLower: per C element one read, the (A(i,p), op(B)(p,j)) pairs,
+// one write. A steps along its row; op(B) is B stepped down its column, or
+// with trans B^T, stepped along B's row j. With lower only the lower
+// triangle of C (diagonal included) is visited.
+func (t *Tracer) mul(c, a, b tracedView, rows, cols, k int, trans, lower bool) {
+	bj, bk := b.elem, b.pitch // B(p,j): the next j is across, the next p down
+	if trans {
+		bj, bk = b.pitch, b.elem // B(j,p)
+	}
+	for i := 0; i < rows; i++ {
+		n := cols
+		if lower {
+			n = min(i+1, cols)
 		}
-	}
-}
-
-// MulSubTrans is the traced twin of matrix.MulSubTrans: C -= A*B^T.
-func (t *Tracer) MulSubTrans(c, a, b *matrix.Dense) {
-	tc, ta, tb := t.view(c), t.view(a), t.view(b)
-	for i := 0; i < c.Rows; i++ {
-		for j := 0; j < c.Cols; j++ {
-			tc.touch(i, j, false)
-			s := c.At(i, j)
-			for k := 0; k < a.Cols; k++ {
-				ta.touch(i, k, false)
-				tb.touch(j, k, false)
-				s -= a.At(i, k) * b.At(j, k)
-			}
-			tc.touch(i, j, true)
-			c.Set(i, j, s)
+		ci, ai, bc := c.at(i, 0), a.at(i, 0), b.base
+		for range n {
+			t.put(ci, false)
+			t.dot(ai, a.elem, bc, bk, k)
+			t.put(ci, true)
+			ci += c.elem
+			bc += bj
 		}
 	}
+	t.flush()
 }
 
-// MulSubTransLower is the traced twin of matrix.MulSubTransLower: the lower
-// triangle (including diagonal) of square C -= A*B^T, the SYRK flavor
-// Cholesky's diagonal update needs.
-func (t *Tracer) MulSubTransLower(c, a, b *matrix.Dense) {
-	tc, ta, tb := t.view(c), t.view(a), t.view(b)
-	for i := 0; i < c.Rows; i++ {
-		for j := 0; j <= i && j < c.Cols; j++ {
-			tc.touch(i, j, false)
-			s := c.At(i, j)
-			for k := 0; k < a.Cols; k++ {
-				ta.touch(i, k, false)
-				tb.touch(j, k, false)
-				s -= a.At(i, k) * b.At(j, k)
-			}
-			tc.touch(i, j, true)
-			c.Set(i, j, s)
-		}
-	}
+// gemm is the traced twin of the four matrix GEMM kernels on bound views;
+// see mul.
+func (t *Tracer) gemm(c, a, b *matrix.Dense, trans, lower bool) {
+	t.mul(t.view(c), t.view(a), t.view(b), c.Rows, c.Cols, a.Cols, trans, lower)
 }
 
-// TRSMUpperLeft is the traced twin of matrix.TRSMUpperLeft: back substitution
-// over the columns of B, reading the diagonal entry just before each write.
-func (t *Tracer) TRSMUpperLeft(tm, b *matrix.Dense) {
+// trsmUpperLeft is the traced twin of matrix.TRSMUpperLeft: back
+// substitution over the columns of B, reading the diagonal entry just before
+// each write.
+func (t *Tracer) trsmUpperLeft(tm, b *matrix.Dense) {
 	tt, tb := t.view(tm), t.view(b)
 	n := tm.Rows
 	for j := 0; j < b.Cols; j++ {
 		for i := n - 1; i >= 0; i-- {
-			tb.touch(i, j, false)
-			s := b.At(i, j)
-			for k := i + 1; k < n; k++ {
-				tt.touch(i, k, false)
-				tb.touch(k, j, false)
-				s -= tm.At(i, k) * b.At(k, j)
-			}
-			tt.touch(i, i, false)
-			d := tm.At(i, i)
-			if d == 0 {
-				panic("core: traced TRSMUpperLeft singular diagonal")
-			}
-			tb.touch(i, j, true)
-			b.Set(i, j, s/d)
+			bij := tb.at(i, j)
+			t.put(bij, false)
+			t.dot(tt.at(i, i+1), tt.elem, tb.at(i+1, j), tb.pitch, n-1-i)
+			t.put(tt.at(i, i), false)
+			t.put(bij, true)
 		}
 	}
+	t.flush()
 }
 
-// TRSMLowerTransRight is the traced twin of matrix.TRSMLowerTransRight:
+// trsmLowerTransRight is the traced twin of matrix.TRSMLowerTransRight:
 // X*L^T = B row by row.
-func (t *Tracer) TRSMLowerTransRight(l, b *matrix.Dense) {
+func (t *Tracer) trsmLowerTransRight(l, b *matrix.Dense) {
 	tl, tb := t.view(l), t.view(b)
-	n := l.Rows
 	for i := 0; i < b.Rows; i++ {
-		for j := 0; j < n; j++ {
-			tb.touch(i, j, false)
-			s := b.At(i, j)
-			for k := 0; k < j; k++ {
-				tb.touch(i, k, false)
-				tl.touch(j, k, false)
-				s -= b.At(i, k) * l.At(j, k)
-			}
-			tl.touch(j, j, false)
-			d := l.At(j, j)
-			if d == 0 {
-				panic("core: traced TRSMLowerTransRight singular diagonal")
-			}
-			tb.touch(i, j, true)
-			b.Set(i, j, s/d)
+		for j := 0; j < l.Rows; j++ {
+			bij := tb.at(i, j)
+			t.put(bij, false)
+			t.dot(tb.at(i, 0), tb.elem, tl.at(j, 0), tl.elem, j)
+			t.put(tl.at(j, j), false)
+			t.put(bij, true)
 		}
 	}
+	t.flush()
 }
 
-// CholeskyInPlace is the traced twin of matrix.CholeskyInPlace. The diagonal
-// update reads A(j,k) twice per term (squaring it), exactly as the compute
-// kernel does; the final zeroing of the strict upper triangle is performed
-// but not emitted — the factorization's access stream never touches the upper
+// cholesky is the traced twin of matrix.CholeskyInPlace. The diagonal update
+// reads A(j,k) twice per term (squaring it), exactly as the compute kernel
+// does. The kernel's final zeroing of the strict upper triangle is not
+// emitted: the factorization's access stream never touches the upper
 // triangle, which is what keeps the Proposition 6.2 write-back count at the
 // lower-triangle output size.
-func (t *Tracer) CholeskyInPlace(a *matrix.Dense) error {
+func (t *Tracer) cholesky(a *matrix.Dense) {
 	ta := t.view(a)
-	n := a.Rows
-	for j := 0; j < n; j++ {
-		ta.touch(j, j, false)
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			ta.touch(j, k, false)
-			ta.touch(j, k, false)
-			d -= a.At(j, k) * a.At(j, k)
-		}
-		if d <= 0 {
-			return fmt.Errorf("core: traced Cholesky not positive definite at pivot %d (d=%g)", j, d)
-		}
-		d = math.Sqrt(d)
-		ta.touch(j, j, true)
-		a.Set(j, j, d)
-		for i := j + 1; i < n; i++ {
-			ta.touch(i, j, false)
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				ta.touch(i, k, false)
-				ta.touch(j, k, false)
-				s -= a.At(i, k) * a.At(j, k)
-			}
-			ta.touch(i, j, true)
-			a.Set(i, j, s/d)
+	for j := 0; j < a.Rows; j++ {
+		aj := ta.at(j, 0)
+		t.put(ta.at(j, j), false)
+		t.dot(aj, ta.elem, aj, ta.elem, j)
+		t.put(ta.at(j, j), true)
+		for i := j + 1; i < a.Rows; i++ {
+			aij := ta.at(i, j)
+			t.put(aij, false)
+			t.dot(ta.at(i, 0), ta.elem, aj, ta.elem, j)
+			t.put(aij, true)
 		}
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			a.Set(i, j, 0)
+	t.flush()
+}
+
+// ranges annotates the block transfer just counted across interface s of h
+// with block v's address extent: one EvRange run per block row (rows are
+// contiguous in the bound root), or with lower only the row's lower-triangle
+// prefix, matching the triWords transfers of the Cholesky drivers.
+// Addresses are in elements (region byte addresses scaled by the element
+// size) so run lengths match the word units of the enclosing Load/Store.
+func (t *Tracer) ranges(h *machine.Hierarchy, s int, v *matrix.Dense, lower, store bool) {
+	tv := t.view(v)
+	for i := 0; i < v.Rows; i++ {
+		run := v.Cols
+		if lower {
+			run = min(i+1, v.Cols)
 		}
+		h.Range(s, tv.at(i, 0)/tv.elem, int64(run), store)
 	}
-	return nil
 }

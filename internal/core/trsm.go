@@ -23,7 +23,7 @@ func TRSM(p *Plan, t, b *matrix.Dense) error {
 func trsmLevel(p *Plan, s int, t, b *matrix.Dense) {
 	if s < 0 {
 		if p.Trace != nil {
-			p.Trace.TRSMUpperLeft(t, b)
+			p.Trace.trsmUpperLeft(t, b)
 		} else {
 			matrix.TRSMUpperLeft(t, b)
 		}

@@ -77,50 +77,58 @@ func TestCholeskyIdentical(t *testing.T) {
 	})
 }
 
-// TestTracedMatMulIdentical drives the element-granularity touch stream (the
-// trace façades' engine) through both paths and additionally checks the
-// access-sink op sequence, which is what the cache simulations consume.
+// TestTracedMatMulIdentical drives the element-granularity touch stream
+// through both engines: the Tracer emits into access.SinkFunc(h.Touch), so
+// every access crosses the engine as an EvTouch. The touches each engine
+// delivers must also be, op for op, the stream the Tracer writes straight
+// into a sink, which is what the cache simulations consume.
 func TestTracedMatMulIdentical(t *testing.T) {
 	const n = 16
 	a, b := matrix.Random(n, n, 7), matrix.Random(n, n, 8)
 	lay := access.NewLayout(64)
 	ra, rb, rc := lay.NewRegion(n, n), lay.NewRegion(n, n), lay.NewRegion(n, n)
-
+	matmul := func(h *machine.Hierarchy, sink access.Sink) {
+		tr := core.NewTracer(sink)
+		cm := matrix.New(n, n)
+		tr.Bind(a, ra)
+		tr.Bind(b, rb)
+		tr.Bind(cm, rc)
+		p := &core.Plan{H: h, BlockSizes: []int{4}, Order: core.OrderWA, Trace: tr}
+		if err := core.MatMul(p, cm, a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
 	run := func(ref bool) (Result, []access.Op) {
-		sink := &access.Recorder{}
-		res := Run(levels2(), ref, func(h *machine.Hierarchy) {
-			tr := core.NewTracer(h)
-			trec := machine.NewTraceRecorder(sink)
-			if ref {
-				h.Attach(PerEventOnly{R: trec})
-			} else {
-				h.Attach(trec)
+		res := Run(levels2(), ref, func(h *machine.Hierarchy) { matmul(h, access.SinkFunc(h.Touch)) })
+		var ops []access.Op
+		for _, e := range res.Events {
+			if e.Kind == machine.EvTouch {
+				ops = append(ops, access.Op{Addr: e.Addr, Write: e.Write})
 			}
-			cm := matrix.New(n, n)
-			tr.Bind(a, ra)
-			tr.Bind(b, rb)
-			tr.Bind(cm, rc)
-			p := &core.Plan{H: h, BlockSizes: []int{4}, Order: core.OrderWA, Trace: tr}
-			if err := core.MatMul(p, cm, a, b); err != nil {
-				t.Fatal(err)
-			}
-		})
-		return res, sink.Ops
+		}
+		return res, ops
 	}
 	refRes, refOps := run(true)
 	gotRes, gotOps := run(false)
 	if d := Diff(refRes, gotRes); d != "" {
 		t.Fatal(d)
 	}
-	if len(refOps) == 0 {
+	var direct access.Recorder
+	matmul(machine.New(false, levels2()...), &direct)
+	if len(direct.Ops) == 0 {
 		t.Fatal("trace emitted no ops")
 	}
-	if len(refOps) != len(gotOps) {
-		t.Fatalf("sink op counts differ: reference %d, batched %d", len(refOps), len(gotOps))
-	}
-	for i := range refOps {
-		if refOps[i] != gotOps[i] {
-			t.Fatalf("sink op %d differs: reference %+v, batched %+v", i, refOps[i], gotOps[i])
+	for _, engine := range []struct {
+		name string
+		ops  []access.Op
+	}{{"reference", refOps}, {"batched", gotOps}} {
+		if len(engine.ops) != len(direct.Ops) {
+			t.Fatalf("%s engine delivered %d touches, the Tracer emitted %d", engine.name, len(engine.ops), len(direct.Ops))
+		}
+		for i := range direct.Ops {
+			if engine.ops[i] != direct.Ops[i] {
+				t.Fatalf("%s engine touch %d = %+v, the Tracer emitted %+v", engine.name, i, engine.ops[i], direct.Ops[i])
+			}
 		}
 	}
 }

@@ -48,8 +48,10 @@ func figSweep(quick bool) []int {
 	return full
 }
 
-// Fig2Block3Fit is the scaled analogue of the paper's block 1023 (just under
-// the 3-blocks-fit limit sqrt(M/3) = 73.9 for the simulated L3).
+// Fig2Blocks are the scaled L3 blocks of Figure 2's write-avoiding panels,
+// standing in for the paper's 700/800/900/1023. The last, 72, is the
+// analogue of block 1023: just under the 3-blocks-fit limit sqrt(M/3) = 73.9
+// for the simulated L3.
 var Fig2Blocks = []int{48, 56, 64, 72}
 
 // FigPoint is one x-axis point of a Figure 2 or Figure 5 panel.

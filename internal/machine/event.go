@@ -5,8 +5,8 @@ package machine
 // per-element Touch) is described by an Event value and dispatched to any
 // number of Recorder sinks. The default sink is a CounterSet, which keeps the
 // per-interface and per-level counters the paper's bounds are stated in;
-// other sinks in this package turn the same event stream into address traces
-// (TraceRecorder), alpha-beta times (CostRecorder), or goroutine-safe shared
+// other sinks in this package turn the same event stream into alpha-beta
+// times (CostRecorder), JSON lines (StreamRecorder), or goroutine-safe shared
 // counters (ShardedRecorder).
 
 // EventKind identifies a machine primitive.

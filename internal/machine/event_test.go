@@ -124,29 +124,6 @@ func TestCounterSetMirrorsHierarchy(t *testing.T) {
 	}
 }
 
-func TestTraceRecorderForwardsTouches(t *testing.T) {
-	var got []uint64
-	var writes int
-	h := TwoLevel(64)
-	h.Attach(NewTraceRecorder(addrSinkFunc(func(addr uint64, write bool) {
-		got = append(got, addr)
-		if write {
-			writes++
-		}
-	})))
-	h.Load(0, 1) // non-touch events must not reach the sink
-	h.Touch(8, false)
-	h.Touch(16, true)
-	h.Flush()
-	if len(got) != 2 || got[0] != 8 || got[1] != 16 || writes != 1 {
-		t.Errorf("sink saw addrs %v (%d writes), want [8 16] with 1 write", got, writes)
-	}
-}
-
-type addrSinkFunc func(addr uint64, write bool)
-
-func (f addrSinkFunc) Access(addr uint64, write bool) { f(addr, write) }
-
 func TestShardedRecorderMergesConcurrentCounts(t *testing.T) {
 	const workers = 8
 	const perWorker = 1000

@@ -15,7 +15,9 @@ import (
 // matmulHeatmaps runs a traced two-level C += A*B with both heatmap modes
 // attached and returns them plus the element base address of C. Row i of C
 // is heatmap block i: the layout aligns regions to 8n bytes and the block
-// size is n words.
+// size is n words. The Tracer emits through access.SinkFunc(h.Touch), so the
+// touches reach the touch heatmap through the hierarchy; a traced plan emits
+// the accesses in place of the arithmetic, so C keeps its zeros.
 func matmulHeatmaps(t *testing.T, n, b int, order core.Order) (rng, tch *profile.HeatmapRecorder, cbase uint64) {
 	t.Helper()
 	lay := access.NewLayout(uint64(8 * n))
@@ -25,7 +27,7 @@ func matmulHeatmaps(t *testing.T, n, b int, order core.Order) (rng, tch *profile
 	tch = profile.NewTouchHeatmap(int64(n))
 	h.Attach(rng)
 	h.Attach(tch)
-	tr := core.NewTracer(h)
+	tr := core.NewTracer(access.SinkFunc(h.Touch))
 	am, bm, cm := matrix.Random(n, n, 1), matrix.Random(n, n, 2), matrix.New(n, n)
 	tr.Bind(am, ra)
 	tr.Bind(bm, rb)
@@ -33,10 +35,6 @@ func matmulHeatmaps(t *testing.T, n, b int, order core.Order) (rng, tch *profile
 	p := &core.Plan{H: h, BlockSizes: []int{b}, Order: order, Trace: tr}
 	if err := core.MatMul(p, cm, am, bm); err != nil {
 		t.Fatal(err)
-	}
-	want := matrix.Mul(am, bm)
-	if d := matrix.MaxAbsDiff(cm, want); d > 1e-12 {
-		t.Fatalf("traced product wrong, diff %g", d)
 	}
 	return rng, tch, rc.Base / 8
 }
