@@ -12,11 +12,15 @@
 //	        [-sockets S] [-placement block|rr] [section ...]
 //	wabench dashboards -out DIR [-check]
 //
-// Sections: sec2 sec3 sec4 sec5 fig2 fig5 realcache table1 table2 lu krylov sec9 smp multilevel omega numa all
-// (default: all). -quick shrinks problem sizes so the whole run finishes in
-// well under a minute; the full run takes a few minutes, dominated by the
-// Figure 2/5 cache simulations. -json skips the text sections and instead
-// emits machine-readable counter snapshots of a fixed counted phase suite.
+// The sections are the entries of the experiments section table
+// (experiments.SectionNames), and `wabench -h` lists them. They run in table
+// order whatever the order of the arguments; "all" (the default) runs every
+// one, and an unknown name exits 2 before anything runs. -quick shrinks
+// problem sizes so the whole run finishes in well under a minute; the full
+// run takes a few minutes, dominated by the Figure 2/5 cache simulations.
+// -json skips the text sections and instead emits machine-readable counter
+// snapshots of a fixed counted phase suite, so it takes no section
+// arguments.
 //
 // The omega section prices the write-efficient algorithm family (extsort's
 // small-write sort, dp's LCS and Floyd–Warshall schedules) against the
@@ -65,9 +69,10 @@
 // correlated by superstep. Bundles are served at /violations/{id}/dump and
 // listed at /flight when -serve is on; -flight-dump DIR additionally writes
 // each bundle as DIR/violation-<id>.json plus a .trace.json Perfetto export,
-// which is how the CI strict gates preserve forensics on failure. With
-// -benchjson, -flight N times the suite with the recorder attached, so the
-// compare gate prices its steady-state cost.
+// which is how the CI strict gates preserve forensics on failure. Only a
+// monitor trips a dump, so -flight-dump also needs -check warn|strict or
+// -serve. With -benchjson, -flight N times the suite with the recorder
+// attached, so the compare gate prices its steady-state cost.
 //
 // -serve starts a live observability HTTP server on addr (":0" picks a
 // port, printed to stderr) for the duration of the run:
@@ -99,14 +104,15 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
-	"time"
-
 	"path/filepath"
+	"strings"
+	"time"
 
 	"writeavoid/internal/costmodel"
 	"writeavoid/internal/experiments"
@@ -126,7 +132,14 @@ func run(args []string) (rc int) {
 	if len(args) > 0 && args[0] == "dashboards" {
 		return runDashboards(args[1:])
 	}
-	fs := flag.NewFlagSet("wabench", flag.ExitOnError)
+	fs := flag.NewFlagSet("wabench", flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: wabench [flags] [section ...]\n"+
+			"       wabench dashboards -out DIR [-check]\n\n"+
+			"sections, run in this order (default all):\n  %s all\n\nflags:\n",
+			strings.Join(experiments.SectionNames(), " "))
+		fs.PrintDefaults()
+	}
 	quick := fs.Bool("quick", false, "run reduced problem sizes")
 	hwKind := fs.String("hw", "nvm", "hardware preset for analytic tables: dram|nvm")
 	jsonOut := fs.Bool("json", false, "emit per-phase recorder snapshots as JSON")
@@ -145,12 +158,14 @@ func run(args []string) (rc int) {
 	logFormat := fs.String("log", "text", "diagnostic log format: text | json")
 	logLevel := fs.String("log-level", "info", "diagnostic log level: debug | info | warn | error")
 	pprofOn := fs.Bool("pprof", false, "with -serve: expose /debug/pprof profiling endpoints")
-	serviceAddr := fs.String("service", "", "standalone mode: serve the multi-tenant benchmark API (POST /runs, result cache, load shedding) on this address")
-	serviceWorkers := fs.Int("service-workers", 4, "with -service: worker-pool size")
-	serviceQueue := fs.Int("service-queue", 64, "with -service: bounded job-queue capacity (full queue sheds with 429)")
 	flightEvents := fs.Int("flight", 0, "attach an always-on flight recorder keeping the last N events per hierarchy (0 = off)")
 	flightDump := fs.String("flight-dump", "", "with -flight: write violation forensic bundles (JSON + Perfetto trace) into this directory")
-	fs.Parse(args) //nolint:errcheck
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package has printed the error and the usage
+	}
 
 	logger, err := newLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
@@ -158,8 +173,8 @@ func run(args []string) (rc int) {
 		return 2
 	}
 	// One Session owns this run's observability wiring end to end; nothing
-	// is process-global, so an embedding caller (or the benchmark service)
-	// can run many sessions concurrently.
+	// is process-global, so an embedding caller can run many sessions
+	// concurrently.
 	sess := experiments.NewSession()
 	sess.SetLogger(logger)
 
@@ -181,6 +196,14 @@ func run(args []string) (rc int) {
 	}
 	if *flightDump != "" && *flightEvents <= 0 {
 		fmt.Fprintln(os.Stderr, "wabench: -flight-dump requires -flight N")
+		return 2
+	}
+	if *flightDump != "" && *checkMode == "off" && *serveAddr == "" {
+		fmt.Fprintln(os.Stderr, "wabench: -flight-dump needs a monitor to trip it: add -check warn|strict or -serve")
+		return 2
+	}
+	if *jsonOut && fs.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "wabench: -json runs a fixed phase suite; it takes no section arguments")
 		return 2
 	}
 	// Exactly one writer may own stdout; catching the contradiction here
@@ -218,14 +241,6 @@ func run(args []string) (rc int) {
 		return runCompare(fs.Arg(0), fs.Arg(1), *compareNsRatio, *compareEvEps)
 	}
 
-	if *serviceAddr != "" {
-		if *jsonOut || *benchJSON != "" || *serveAddr != "" || fs.NArg() > 0 {
-			fmt.Fprintln(os.Stderr, "wabench: -service is a standalone mode; it cannot combine with -json, -benchjson, -serve, or section arguments")
-			return 2
-		}
-		return runService(*serviceAddr, *serviceWorkers, *serviceQueue, logger)
-	}
-
 	var hw costmodel.HW
 	switch *hwKind {
 	case "dram":
@@ -241,15 +256,16 @@ func run(args []string) (rc int) {
 		return runBenchJSON(*benchJSON, *quick, *flightEvents)
 	}
 
-	sections := fs.Args()
-	if len(sections) == 0 {
-		sections = []string{"all"}
+	opts := experiments.Options{Quick: *quick, HW: hw, Sockets: *sockets, Placement: placement}
+	names := fs.Args()
+	if len(names) == 0 {
+		names = []string{"all"}
 	}
-	want := map[string]bool{}
-	for _, s := range sections {
-		want[s] = true
+	sections, err := experiments.SelectSections(names, opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wabench: %v\n", err)
+		return 2
 	}
-	on := func(name string) bool { return want["all"] || want[name] }
 
 	if *streamTo != "" {
 		var w io.Writer = os.Stdout
@@ -399,51 +415,15 @@ func run(args []string) (rc int) {
 			logger.Error("encoding JSON report", "err", err)
 			return 1
 		}
-		return conformanceVerdict(mon, *checkMode, logger)
+		return conformanceVerdict(sess, mon, *checkMode, logger)
 	}
 
-	runSec := func(name string, f func() string) {
-		if !on(name) {
-			return
-		}
+	for _, sec := range sections {
 		start := time.Now()
-		out := f()
-		fmt.Print(out)
-		fmt.Printf("[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Print(sec.Run(sess, opts))
+		fmt.Printf("[%s done in %v]\n\n", sec.Name, time.Since(start).Round(time.Millisecond))
 	}
-
-	runSec("sec2", sess.Sec2Report)
-	runSec("sec3", func() string { return experiments.FormatSec3(sess.Sec3(*quick)) })
-	runSec("sec4", func() string { return experiments.FormatSec4(sess.Sec4(*quick)) })
-	runSec("sec5", func() string { return experiments.FormatSec5(sess.Sec5(*quick)) })
-	runSec("fig2", func() string { return experiments.FormatPanels(sess.Fig2(*quick)) })
-	runSec("fig5", func() string { return experiments.FormatPanels(sess.Fig5(*quick)) })
-	runSec("realcache", func() string {
-		wa, co := sess.RealCacheCrossCheck()
-		return fmt.Sprintf("== Set-associative CLOCK3 cross-check (250 x 128 x 250, 16-way)\n"+
-			"WA order victims.M = %d, CO order victims.M = %d (ordering preserved: %v)\n",
-			wa, co, wa < co)
-	})
-	runSec("table1", func() string {
-		return experiments.FormatTable1(sess.Table1(*quick), hw, 1<<14, 1<<10, 2, 8)
-	})
-	runSec("table2", func() string {
-		return experiments.FormatTable2(sess.Table2(*quick), hw, 1<<20, 256, 4)
-	})
-	runSec("lu", func() string { return experiments.FormatLU(sess.LU(*quick), hw) })
-	runSec("krylov", func() string { return experiments.FormatKrylov(sess.Krylov(*quick)) })
-	runSec("sec9", func() string { return sess.Sec9Report(*quick) })
-	runSec("smp", func() string { return sess.SMPReport(*quick) })
-	runSec("multilevel", func() string { return experiments.FormatMultiLevel(sess.MultiLevel(*quick)) })
-	runSec("omega", func() string { return experiments.FormatOmega(sess.Omega(*quick)) })
-	// Gated under "all" so a default run's output (and every counter behind
-	// it) stays byte-identical to the pre-socket machine; explicit `numa`
-	// always runs, clamped to at least two sockets inside the section.
-	if want["numa"] || (want["all"] && *sockets >= 2) {
-		runSec("numa", func() string { return experiments.FormatNUMA(sess.NUMA(*quick, *sockets, placement)) })
-	}
-
-	return conformanceVerdict(mon, *checkMode, logger)
+	return conformanceVerdict(sess, mon, *checkMode, logger)
 }
 
 // dumpBundle writes one forensic bundle into dir as violation-<id>.json plus
@@ -478,15 +458,15 @@ func dumpBundle(dir string, b *flight.Bundle, logger *slog.Logger) {
 	write(stem+".trace.json", b.WriteTrace)
 }
 
-// conformanceVerdict closes the monitor after the run and turns its
-// violations into the process outcome: silent under "off", reported under
-// "warn", reported and nonzero under "strict". It is the last sequential
-// step of both output modes.
-func conformanceVerdict(mon *monitor.Monitor, mode string, logger *slog.Logger) int {
+// conformanceVerdict closes the run's last phase (Session.Finish) and turns
+// the monitor's violations into the process outcome: silent under "off",
+// reported under "warn", reported and nonzero under "strict". It is the last
+// sequential step of both output modes.
+func conformanceVerdict(sess *experiments.Session, mon *monitor.Monitor, mode string, logger *slog.Logger) int {
+	viol := sess.Finish()
 	if mon == nil {
 		return 0
 	}
-	viol := mon.Finish()
 	if mode == "off" {
 		return 0
 	}

@@ -15,13 +15,13 @@ import (
 // After a collection, which empties any pool, a run allocates the same bytes
 // as the run before it, and nowhere near an operand store: the plan, the
 // hierarchy and the tracer with its block come to about 6.5 KB, while the
-// three operands would be 768 KiB. Only the first run may grow the zero
-// store. "The same" allows 1%: on a loaded host the runtime's own goroutines
-// now and then allocate a few dozen bytes inside the window.
+// three operands would be 768 KiB. That holds from the first run on, since
+// the operands come from the zero arena. "The same" allows 1%: on a loaded
+// host the runtime's own goroutines now and then allocate a few dozen bytes
+// inside the window.
 func TestMatMulTraceAllocatesNoOperandStore(t *testing.T) {
 	tr := allocTrace()
 	var sink access.SinkFunc = func(uint64, bool) {}
-	tr.Run(sink)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // fewer goroutines to allocate inside the window
 	const store = (256*64 + 64*256 + 256*256) * 8
 	var first uint64
@@ -42,5 +42,8 @@ func TestMatMulTraceAllocatesNoOperandStore(t *testing.T) {
 		if b >= store/32 {
 			t.Errorf("run %d allocated %d B, want well under one operand store (%d B)", run, b, store)
 		}
+	}
+	if n := len(zeroArena) + 1; len(zeros(n)) != n { // too large for the arena
+		t.Errorf("zeros(%d) returns %d elements", n, len(zeros(n)))
 	}
 }

@@ -43,8 +43,8 @@ func allocTrace() *MatMulTrace {
 		TraceLevel{Block: 8, ContractionInner: false})
 }
 
-// A traced run carves its operands from the shared zero store and its views
-// stay on the stack, so what it allocates is the plan, the hierarchy and the
+// A traced run carves its operands from the zero arena and its views stay
+// on the stack, so what it allocates is the plan, the hierarchy and the
 // tracer: 17 objects however many block steps the trace takes.
 func TestMatMulTraceAllocs(t *testing.T) {
 	tr := allocTrace()
@@ -55,9 +55,9 @@ func TestMatMulTraceAllocs(t *testing.T) {
 }
 
 // Runs on several goroutines at once carve operands of several sizes from
-// the one zero store, and the first runs grow it; under the race detector, a
-// run that wrote its operands, or grew the store unguarded, would race with
-// the others. Each run emits the same stream as a lone one.
+// the one zero arena; under the race detector, a run that wrote its
+// operands would race with the others. Each run emits the same stream as a
+// lone one.
 func TestMatMulTraceConcurrentRuns(t *testing.T) {
 	traces := []*MatMulTrace{
 		NewMatMulTrace(32, 16, 32, 64, TraceLevel{Block: 8, ContractionInner: true}),

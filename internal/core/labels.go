@@ -12,8 +12,8 @@ import (
 // steady-state label path allocates nothing (the zero-alloc half of the
 // batched engine's hot-path contract; the labels are shared across Plans).
 var (
-	panelLabels = machine.NewSpanLabels(func(i int) string { return "panel " + strconv.Itoa(i) })
-	kLabels     = machine.NewSpanLabels(func(k int) string { return "k=" + strconv.Itoa(k) })
+	panelLabels  = machine.NewSpanLabels(func(i int) string { return "panel " + strconv.Itoa(i) })
+	kLabels      = machine.NewSpanLabels(func(k int) string { return "k=" + strconv.Itoa(k) })
 	cBlockLabels = machine.NewSpanLabels2(func(i, j int) string {
 		return "C[" + strconv.Itoa(i) + "," + strconv.Itoa(j) + "]"
 	})

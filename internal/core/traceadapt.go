@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"writeavoid/internal/access"
 	"writeavoid/internal/machine"
@@ -99,24 +98,20 @@ func (t *MatMulTrace) Run(sink access.Sink) {
 	gemmLevel(p, p.topInterface(), c, a, b, modeAddAB)
 }
 
-// zeroStore backs the operands of every trace façade. A traced plan emits
+// zeroArena backs the operands of the trace façades. A traced plan emits
 // addresses in place of arithmetic, so its operands only have to exist: no
-// run writes them, and runs on any goroutine share one store, which only
-// grows. Like a pool, it is package state because the runs that share it
-// have nothing else in common.
-var zeroStore struct {
-	sync.Mutex
-	d []float64
-}
+// run writes them, and runs on any goroutine share the arena. As a
+// pointer-free package array it lives in BSS: no heap allocation, and pages
+// nothing touches never become resident. It holds every Figure 2 and 5
+// point, so a process's first trace allocates what every later one does.
+var zeroArena [1 << 21]float64
 
-// zeros returns n elements of the shared zero store.
+// zeros returns n zero elements, from the arena when they fit.
 func zeros(n int) []float64 {
-	zeroStore.Lock()
-	defer zeroStore.Unlock()
-	if len(zeroStore.d) < n {
-		zeroStore.d = make([]float64, n)
+	if n <= len(zeroArena) {
+		return zeroArena[:n:n]
 	}
-	return zeroStore.d[:n:n]
+	return make([]float64, n)
 }
 
 // carve cuts a tight r-by-c root matrix off the front of *d. Its capacity

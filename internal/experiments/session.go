@@ -15,16 +15,15 @@ import (
 
 // Session carries one run's observability wiring: the experiments construct
 // their hierarchies internally, so live observability is threaded through a
-// Session value rather than process-global hooks — two concurrent runs (the
-// benchmark service executes many at once) each own a Session and never see
-// each other's recorders. wabench installs stream recorders, a profiler, a
-// conformance monitor and/or an HTTP server on its Session; each section
-// calls mark at entry (a phase boundary on every installed sink), every
-// serial hierarchy a section builds passes through observe (which attaches
-// the sinks as recorders), cache-simulated sections report their finished
-// cache.Stats through statsCheck, and dist-backed sections hand their
-// finished machines to distDone for per-rank publication and aggregate-stream
-// flushes. Sections backed by raw cache simulators or by concurrent machines
+// Session value rather than process-global hooks — two concurrent runs each
+// own a Session and never see each other's recorders. wabench installs
+// stream recorders, a profiler, a conformance monitor and/or an HTTP server
+// on its Session; each section calls mark at entry (a phase boundary on
+// every installed sink), every serial hierarchy a section builds passes
+// through observe (which attaches the sinks as recorders), cache-simulated
+// sections report their finished cache.Stats through statsCheck, and
+// dist-backed sections hand their finished machines to distDone for
+// per-rank publication and aggregate-stream flushes. Sections backed by raw cache simulators or by concurrent machines
 // contribute marks but no hierarchy events; a StreamRecorder is not safe for
 // concurrent use, so dist runs reach the wire via dist.AggregateStream
 // instead.
@@ -169,6 +168,23 @@ func (s *Session) mark(name string) {
 		s.server.MarkPhase(name)
 		s.publishSpans()
 	}
+}
+
+// Finish closes the run's last phase in mark's order, flight recorder
+// before monitor, so that a violation in that phase freezes the delta its
+// check evaluated, and returns every violation the monitor recorded over the
+// run (nil without one). Call after the last section.
+func (s *Session) Finish() []monitor.Violation {
+	if s == nil {
+		return nil
+	}
+	if s.fr != nil {
+		s.fr.Finish()
+	}
+	if s.mon == nil {
+		return nil
+	}
+	return s.mon.Finish()
 }
 
 // publishSpans renders the profiler's main span tree and pushes it to the

@@ -288,8 +288,8 @@ func SortWriteEfficient(h *machine.Hierarchy, m int, data []float64) ([]float64,
 		return out, nil
 	}
 
-	k := m / 2     // candidate heap capacity
-	c := m - k     // scan chunk size; peak residency k + c = m
+	k := m / 2 // candidate heap capacity
+	c := m - k // scan chunk size; peak residency k + c = m
 	res := make([]float64, 0, n)
 	threshold := cand{math.Inf(-1), -1}
 	hp := candHeap(make([]cand, 0, k))

@@ -175,6 +175,17 @@ func (r *Recorder) Phase(name string) {
 	r.mu.Unlock()
 }
 
+// Finish closes the running phase without opening another, mirroring
+// monitor.Monitor.Finish: called just before the monitor's Finish, it makes
+// the last closed delta the run's last phase, the one that Finish evaluates.
+// Run goroutine only.
+func (r *Recorder) Finish() {
+	r.sources.Sync()
+	r.mu.Lock()
+	r.closePhaseLocked()
+	r.mu.Unlock()
+}
+
 func (r *Recorder) closePhaseLocked() {
 	if r.events == 0 {
 		return

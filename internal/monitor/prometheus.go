@@ -91,15 +91,6 @@ var families = []familyDef{
 	{"wa_sse_sent_total", "counter", "SSE messages delivered to subscriber queues."},
 	{"wa_sse_dropped_total", "counter", "SSE messages dropped on full client queues."},
 	{"wa_sse_queue_depth", "histogram", "Per-client queue depth observed at each SSE enqueue."},
-	{"wa_service_submitted_total", "counter", "Run submissions accepted by the benchmark service (queued or coalesced; excludes shed)."},
-	{"wa_service_executions_total", "counter", "Workload executions actually performed by the worker pool."},
-	{"wa_service_completed_total", "counter", "Runs that finished successfully."},
-	{"wa_service_failed_total", "counter", "Runs that finished with an error."},
-	{"wa_service_shed_total", "counter", "Submissions rejected with 429 because the queue was full."},
-	{"wa_service_coalesced_total", "counter", "Submissions attached to an identical in-flight run (single-flight)."},
-	{"wa_service_cache_hits_total", "counter", "Submissions answered from the per-config result cache."},
-	{"wa_service_queue_depth", "gauge", "Jobs waiting in the service queue."},
-	{"wa_service_running", "gauge", "Jobs currently executing on the worker pool."},
 	{"wa_go_goroutines", "gauge", "Live goroutines in the serving process (runtime/metrics)."},
 	{"wa_go_gomaxprocs", "gauge", "GOMAXPROCS of the serving process."},
 	{"wa_go_heap_objects_bytes", "gauge", "Bytes of live heap objects (runtime/metrics)."},

@@ -42,7 +42,6 @@ type Server struct {
 	mon       *Monitor
 	snapFn    func() machine.Snapshot
 	violFn    func() []Violation
-	sampleFns []func() []Sample
 	ranks     map[string]func() []machine.Snapshot
 	cacheSt   map[string]cache.Stats
 	spansJSON []byte
@@ -110,17 +109,6 @@ func NewServer() *Server {
 func (s *Server) handle(pattern, path, desc string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, h)
 	s.routes = append(s.routes, routeEntry{pattern: pattern, path: path, desc: desc})
-}
-
-// Mount registers an additional endpoint on the server's mux and index page
-// — how the benchmark service grafts its /runs API onto the observability
-// server without owning the mux. Safe concurrently (unlike the construction-
-// time handle calls, mounts can arrive after Start); panics if the pattern is
-// already registered, same as any duplicate mux registration.
-func (s *Server) Mount(pattern, path, desc string, h http.HandlerFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handle(pattern, path, desc, h)
 }
 
 // Routes lists every registered endpoint path (index display form, in
@@ -248,27 +236,6 @@ func (s *Server) SetHistograms(h *HistogramRecorder) {
 	s.mu.Unlock()
 }
 
-// Sample is one externally contributed /metrics sample: a declared wa_*
-// family name, optional labels in render order, and the value. The exposition
-// writer rejects undeclared families, so contributors must stick to the
-// families list in prometheus.go.
-type Sample struct {
-	Family string
-	Labels [][2]string
-	Value  float64
-}
-
-// AddSampleSource registers a pull-based /metrics contributor: fn is called
-// on every scrape, from the HTTP goroutine, so it must be safe for concurrent
-// use (atomic counters, or its own lock). The benchmark service feeds its
-// wa_service_* families through one of these.
-func (s *Server) AddSampleSource(fn func() []Sample) {
-	s.mu.Lock()
-	s.sampleFns = append(s.sampleFns, fn)
-	s.markAttachedLocked()
-	s.mu.Unlock()
-}
-
 // RankSource registers a live per-rank snapshot source under a run name
 // (dist.Machine.RankSnapshots is safe to pass directly — shards are read
 // atomically).
@@ -359,8 +326,8 @@ const closeTimeout = 2 * time.Second
 // then the broker's done signal unblocks every parked /events handler — SSE
 // connections are never "idle" in http.Server's sense, so without this the
 // drain would wait the full deadline on them — and only then does Shutdown
-// wait for the remaining handlers (a /metrics scrape mid-body, a POST /runs
-// mid-read) to complete. Handlers still running at the deadline are severed
+// wait for the remaining handlers (a /metrics scrape mid-body, a POST
+// /flight/capture mid-read) to complete. Handlers still running at the deadline are severed
 // with srv.Close. Safe without Start, and idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -435,7 +402,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	mon, snapFn, violFn, hr := s.mon, s.snapFn, s.violFn, s.hists
 	fr, bundleCount := s.flight, len(s.bundles)
-	sampleFns := append([]func() []Sample(nil), s.sampleFns...)
 	rankNames := make([]string, 0, len(s.ranks))
 	for name := range s.ranks {
 		rankNames = append(rankNames, name)
@@ -488,15 +454,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			metricSample{family: "wa_flight_captures_total", value: float64(st.Captures)},
 			metricSample{family: "wa_flight_bundles_total", value: float64(bundleCount)},
 		)
-	}
-	for _, fn := range sampleFns {
-		for _, sm := range fn() {
-			ms := metricSample{family: sm.Family, value: sm.Value}
-			for _, l := range sm.Labels {
-				ms.labels = append(ms.labels, labelPair{l[0], l[1]})
-			}
-			samples = append(samples, ms)
-		}
 	}
 	samples = append(samples,
 		metricSample{family: "wa_sse_clients", value: float64(s.broker.Clients())},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -50,7 +49,7 @@ func TestCloseDrainsInFlightRequests(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s.Mount("/slow", "/slow", "test endpoint that finishes after Close begins", func(w http.ResponseWriter, _ *http.Request) {
+	s.handle("/slow", "/slow", "test endpoint that finishes after Close begins", func(w http.ResponseWriter, _ *http.Request) {
 		close(started)
 		<-release
 		fmt.Fprint(w, "complete")
@@ -108,65 +107,4 @@ func TestCloseDrainsInFlightRequests(t *testing.T) {
 	if string(body) != "complete" {
 		t.Fatalf("in-flight response truncated: %q", body)
 	}
-}
-
-// Mounted endpoints join the index's route list, keeping the mux and the
-// index page in agreement for service-added routes too.
-func TestMountRegistersRoute(t *testing.T) {
-	s := NewServer()
-	s.Mount("/extra", "/extra", "mounted test endpoint", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprint(w, "extra")
-	})
-	found := false
-	for _, p := range s.Routes() {
-		if p == "/extra" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("mounted route missing from Routes()")
-	}
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/extra", nil))
-	if rec.Code != 200 || rec.Body.String() != "extra" {
-		t.Fatalf("mounted handler: %d %q", rec.Code, rec.Body.String())
-	}
-}
-
-// External sample sources surface on /metrics as declared families and the
-// exposition still validates.
-func TestAddSampleSource(t *testing.T) {
-	s := NewServer()
-	s.AddSampleSource(func() []Sample {
-		return []Sample{
-			{Family: "wa_service_shed_total", Value: 3},
-			{Family: "wa_service_queue_depth", Labels: [][2]string{{"pool", "default"}}, Value: 2},
-		}
-	})
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/metrics = %d", rec.Code)
-	}
-	body := rec.Body.String()
-	for _, want := range []string{
-		"wa_service_shed_total 3",
-		`wa_service_queue_depth{pool="default"} 2`,
-	} {
-		if !contains(body, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-	if _, err := ValidateExposition([]byte(body)); err != nil {
-		t.Fatalf("exposition with service samples does not validate: %v", err)
-	}
-}
-
-func contains(haystack, needle string) bool {
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		if haystack[i:i+len(needle)] == needle {
-			return true
-		}
-	}
-	return false
 }

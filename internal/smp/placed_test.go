@@ -65,7 +65,7 @@ func TestRunParallelPlacedFlatIsIdentity(t *testing.T) {
 	sched := BreadthFirst(tasks, 3)
 
 	for _, plan := range []SocketPlan{
-		{}, // zero plan
+		{},                                   // zero plan
 		{Topo: machine.Topology{Sockets: 2}}, // sockets but no Home
 		{Topo: machine.Topology{Sockets: 1}, // Home but one socket
 			Home: func(addr uint64) int { return 1 }},
