@@ -15,7 +15,6 @@
 package extsort
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -51,6 +50,9 @@ func sortMerge(h *machine.Hierarchy, m, buf int, data []float64) ([]float64, err
 	n := len(data)
 	if m < 32 {
 		return nil, fmt.Errorf("extsort: fast memory %d too small (need >= 32 words)", m)
+	}
+	if err := checkNaN(data); err != nil {
+		return nil, err
 	}
 	out := append([]float64(nil), data...)
 	if n <= 1 {
@@ -95,6 +97,7 @@ func sortMerge(h *machine.Hierarchy, m, buf int, data []float64) ([]float64, err
 	scratch := make([]float64, n)
 	dst := scratch
 	other := out
+	mg := merger{cur: make([]cursor, 0, fanout), hp: make(mergeHeap, 0, fanout)}
 	for len(runs) > 1 {
 		var next []run
 		for g := 0; g < len(runs); g += fanout {
@@ -103,7 +106,7 @@ func sortMerge(h *machine.Hierarchy, m, buf int, data []float64) ([]float64, err
 				next = append(next, runs[g])
 				continue
 			}
-			mergeRuns(h, dst, runs[g:ge], buf)
+			mg.merge(h, dst, runs[g:ge], buf)
 			next = append(next, run{runs[g].lo, runs[ge-1].hi, dst})
 		}
 		runs = next
@@ -113,33 +116,53 @@ func sortMerge(h *machine.Hierarchy, m, buf int, data []float64) ([]float64, err
 	return runs[0].src, nil
 }
 
-// mergeRuns merges the given runs (each knowing which array its words live
-// in) into dst over the group's index range, charging buffered traffic:
-// every word is loaded once (in buf-word blocks) and stored once (in
-// buf-word blocks). Refills always load exactly the words remaining in the
-// run (capped at buf), so a cursor's buffer drains to zero exactly when the
-// run is exhausted — no residual words to discard.
-func mergeRuns(h *machine.Hierarchy, dst []float64, runs []run, buf int) {
-	cur := make([]cursor, len(runs))
-	hp := &mergeHeap{cur: cur}
+// checkNaN rejects an input holding a NaN, naming the first. NaN compares
+// false with everything, so it has no place in an ascending order: the
+// merge would pass it through wherever its run put it, and the selection
+// schedule would never select it and run out of candidates.
+func checkNaN(data []float64) error {
+	for i, v := range data {
+		if math.IsNaN(v) {
+			return fmt.Errorf("extsort: data[%d] is NaN; NaN has no place in a sorted order", i)
+		}
+	}
+	return nil
+}
+
+// merger holds a merge's cursors and heap, reused by every group of a sort.
+type merger struct {
+	cur []cursor
+	hp  mergeHeap
+}
+
+// merge merges the given runs (each knowing which array its words live in)
+// into dst over the group's index range, charging buffered traffic: every
+// word is loaded once (in buf-word blocks) and stored once (in buf-word
+// blocks). Refills always load exactly the words remaining in the run
+// (capped at buf), so a cursor's buffer drains to zero exactly when the run
+// is exhausted — no residual words to discard.
+func (mg *merger) merge(h *machine.Hierarchy, dst []float64, runs []run, buf int) {
+	cur := mg.cur[:0]
+	hp := mg.hp[:0]
 	for i, r := range runs {
-		cur[i] = cursor{src: r.src, pos: r.lo, hi: r.hi}
+		cur = append(cur, cursor{src: r.src, pos: r.lo, hi: r.hi})
 		if r.lo < r.hi {
 			first := min(buf, r.hi-r.lo)
 			h.Load(0, int64(first))
 			cur[i].buffered = first
-			heap.Push(hp, mergeItem{run: i, idx: r.lo})
+			hp.push(mergeItem{v: r.src[r.lo], run: i})
 		}
 	}
+	lg := int64(intmath.Log2Ceil(len(runs)))
 	outBase := runs[0].lo
 	pending := 0 // words accumulated in the fast-memory output buffer
-	for hp.Len() > 0 {
-		it := heap.Pop(hp).(mergeItem)
+	for len(hp) > 0 {
+		it := hp.pop()
 		c := &cur[it.run]
-		dst[outBase] = c.src[it.idx]
+		dst[outBase] = it.v
 		outBase++
 		pending++
-		h.Flops(int64(intmath.Log2Ceil(len(runs))))
+		h.Flops(lg)
 		if pending == buf {
 			h.Store(0, int64(buf))
 			pending = 0
@@ -152,12 +175,13 @@ func mergeRuns(h *machine.Hierarchy, dst []float64, runs []run, buf int) {
 				h.Load(0, int64(refill))
 				c.buffered = refill
 			}
-			heap.Push(hp, mergeItem{run: it.run, idx: c.pos})
+			hp.push(mergeItem{v: c.src[c.pos], run: it.run})
 		}
 	}
 	if pending > 0 {
 		h.Store(0, int64(pending))
 	}
+	mg.cur, mg.hp = cur, hp
 }
 
 // cursor tracks one run's read position during a merge: which array its
@@ -169,26 +193,51 @@ type cursor struct {
 	buffered int
 }
 
+// mergeItem is one run's head: its value, kept in the item so comparisons
+// never reach into the run, and the run it came from.
 type mergeItem struct {
-	run, idx int
+	v   float64
+	run int
 }
 
-type mergeHeap struct {
-	cur   []cursor
-	items []mergeItem
+// mergeHeap is a min-heap of run heads by value. push and pop sift exactly
+// as container/heap's Push and Pop do, so heads that compare equal (+0 and
+// -0 among them) leave in the same order as they did through that package.
+type mergeHeap []mergeItem
+
+func (h *mergeHeap) push(it mergeItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(q[j].v < q[i].v) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
 }
 
-func (h *mergeHeap) at(i int) float64 { it := h.items[i]; return h.cur[it.run].src[it.idx] }
-
-func (h *mergeHeap) Len() int           { return len(h.items) }
-func (h *mergeHeap) Less(i, j int) bool { return h.at(i) < h.at(j) }
-func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.items
-	x := old[len(old)-1]
-	h.items = old[:len(old)-1]
-	return x
+func (h *mergeHeap) pop() mergeItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].v < q[j].v {
+			j = j2
+		}
+		if !(q[j].v < q[i].v) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // PredictTraffic returns the exact slow-memory word traffic of Sort on an
@@ -251,18 +300,50 @@ func candLess(a, b cand) bool {
 }
 
 // candHeap is a max-heap of candidates: the root is the largest, so a
-// full heap of the k smallest eligible elements evicts from the top.
+// full heap of the k smallest eligible elements evicts from the top. push,
+// pop and down sift exactly as container/heap's Push, Pop and Fix do.
 type candHeap []cand
 
-func (h candHeap) Len() int            { return len(h) }
-func (h candHeap) Less(i, j int) bool  { return candLess(h[j], h[i]) }
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(cand)) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+func (h *candHeap) push(x cand) {
+	*h = append(*h, x)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !candLess(q[i], q[j]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *candHeap) pop() cand {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	q[:n].down(0)
+	*h = q[:n]
+	return q[n]
+}
+
+// down sifts q[i] toward the leaves: container/heap's Fix of a root whose
+// value only shrank.
+func (q candHeap) down(i int) {
+	n := len(q)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if j2 := j + 1; j2 < n && candLess(q[j], q[j2]) {
+			j = j2
+		}
+		if !candLess(q[i], q[j]) {
+			return
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
 }
 
 // SortWriteEfficient sorts data ascending with O(n) slow-memory stores: each
@@ -275,6 +356,9 @@ func SortWriteEfficient(h *machine.Hierarchy, m int, data []float64) ([]float64,
 	n := len(data)
 	if m < 32 {
 		return nil, fmt.Errorf("extsort: fast memory %d too small (need >= 32 words)", m)
+	}
+	if err := checkNaN(data); err != nil {
+		return nil, err
 	}
 	if n <= 1 {
 		return append([]float64(nil), data...), nil
@@ -292,7 +376,8 @@ func SortWriteEfficient(h *machine.Hierarchy, m int, data []float64) ([]float64,
 	c := m - k // scan chunk size; peak residency k + c = m
 	res := make([]float64, 0, n)
 	threshold := cand{math.Inf(-1), -1}
-	hp := candHeap(make([]cand, 0, k))
+	hp := make(candHeap, 0, k)
+	tmp := make([]cand, k)
 	for len(res) < n {
 		hp = hp[:0]
 		for lo := 0; lo < n; lo += c {
@@ -306,12 +391,12 @@ func SortWriteEfficient(h *machine.Hierarchy, m int, data []float64) ([]float64,
 					continue // already output in an earlier round
 				}
 				if len(hp) < k {
-					heap.Push(&hp, x)
+					hp.push(x)
 					kept++
 				} else if candLess(x, hp[0]) {
 					h.Discard(0, 1) // the evicted former candidate
 					hp[0] = x
-					heap.Fix(&hp, 0)
+					hp.down(0)
 					kept++
 				}
 			}
@@ -323,14 +408,13 @@ func SortWriteEfficient(h *machine.Hierarchy, m int, data []float64) ([]float64,
 			}
 		}
 		hk := len(hp)
-		tmp := make([]cand, hk)
 		for i := hk - 1; i >= 0; i-- {
-			tmp[i] = heap.Pop(&hp).(cand)
+			tmp[i] = hp.pop()
 		}
 		if hk > 1 {
 			h.Flops(int64(hk) * intmath.Log2Ceil(hk))
 		}
-		for _, cd := range tmp {
+		for _, cd := range tmp[:hk] {
 			res = append(res, cd.v)
 		}
 		threshold = tmp[hk-1]

@@ -10,15 +10,20 @@ import (
 )
 
 // FuzzSortOmega drives all three sort entry points from a fuzzed
-// (seed, n, m, ω) tuple: outputs must match the reference sort, realized
-// traffic must match the predictions word for word, and the strict
-// occupancy model must not panic — an occupancy bug surfaces as a crash.
+// (seed, n, m, ω, nanAt) tuple: outputs must match the reference sort,
+// realized traffic must match the predictions word for word, and the strict
+// occupancy model must not panic — an occupancy bug surfaces as a crash. A
+// non-negative nanAt puts a NaN at nanAt mod n, and every entry point must
+// then refuse the input, naming that index, without charging the machine.
 func FuzzSortOmega(f *testing.F) {
-	f.Add(uint64(1), uint16(100), uint16(64), float64(1))
-	f.Add(uint64(2), uint16(4096), uint16(64), float64(8))
-	f.Add(uint64(3), uint16(0), uint16(32), float64(100))
-	f.Add(uint64(4), uint16(33), uint16(32), float64(2.5))
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw, mRaw uint16, omega float64) {
+	f.Add(uint64(1), uint16(100), uint16(64), float64(1), int16(-1))
+	f.Add(uint64(2), uint16(4096), uint16(64), float64(8), int16(-1))
+	f.Add(uint64(3), uint16(0), uint16(32), float64(100), int16(-1))
+	f.Add(uint64(4), uint16(33), uint16(32), float64(2.5), int16(-1))
+	f.Add(uint64(5), uint16(100), uint16(0), float64(64), int16(40))
+	f.Add(uint64(6), uint16(300), uint16(0), float64(1), int16(299))
+	f.Add(uint64(7), uint16(1), uint16(0), float64(1), int16(0))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, mRaw uint16, omega float64, nanAt int16) {
 		n := int(nRaw % 5000)
 		m := 32 + int(mRaw%500)
 		if math.IsNaN(omega) || omega < 1 || omega > 1e6 {
@@ -31,6 +36,12 @@ func FuzzSortOmega(f *testing.F) {
 		data := make([]float64, n)
 		for i := range data {
 			data[i] = rng.Float64()*2e6 - 1e6
+		}
+		if nanAt >= 0 && n > 0 {
+			at := int(nanAt) % n
+			data[at] = math.NaN()
+			checkRejectsNaN(t, data, m, omega, at)
+			return
 		}
 		want := append([]float64(nil), data...)
 		sort.Float64s(want)

@@ -192,6 +192,8 @@ type Operator interface {
 	// basisBlocks computes, block by block, the 2s+1 basis columns
 	// restricted to the block (idx maps block-local positions to global
 	// mesh indices), charging only the ghost-inflated reads of p and r.
+	// idx and cols are valid only until fn returns: the next block
+	// overwrites them.
 	basisBlocks(p, r []float64, s int, rec basisRecurrence, block int, t *Traffic, flops *int64, fn func(idx []int, cols [][]float64))
 }
 
@@ -230,6 +232,14 @@ func CACG(op Operator, b, x0 []float64, outers int, cfg CACGConfig, t *Traffic) 
 	t.End()
 
 	rec := newRecurrence(op, s, cfg.Basis)
+	var basis [][]float64
+	if cfg.Mode == CACGStored {
+		basis = make([][]float64, 2*s+1)
+		store := make([]float64, len(basis)*n)
+		for c := range basis {
+			basis[c] = store[c*n : (c+1)*n]
+		}
+	}
 	mark := t.Marking()
 	iters := 0
 	for o := 0; o < outers; o++ {
@@ -240,7 +250,7 @@ func CACG(op Operator, b, x0 []float64, outers int, cfg CACGConfig, t *Traffic) 
 		case CACGStored:
 			// Basis written to and read back from slow memory.
 			t.Begin("basis")
-			basis := buildBasisFull(op, p, r, s, rec, t, &flops)
+			buildBasisFull(basis, a, p, r, s, rec, t, &flops)
 			t.End()
 			t.Begin("gram")
 			g := gramFull(basis, t, &flops)
@@ -294,49 +304,34 @@ func dotPlain(a, b []float64) float64 {
 	return s
 }
 
-// buildBasisFull computes the monomial basis columns
-// V = [p, Ap, ..., A^s p, r, Ar, ..., A^(s-1) r] with whole-vector SpMVs,
-// writing each of the 2s+1 columns to slow memory.
-func buildBasisFull(op Operator, p, r []float64, s int, rec basisRecurrence, t *Traffic, flops *int64) [][]float64 {
-	n := op.Size()
-	a := op.Matrix()
+// buildBasisFull computes the basis columns
+// V = [p, rho_1(A) p, ..., rho_s(A) p, r, ..., rho_(s-1)(A) r] into the 2s+1
+// vectors of basis with whole-vector SpMVs by a, writing each column to slow
+// memory.
+func buildBasisFull(basis [][]float64, a *CSR, p, r []float64, s int, rec basisRecurrence, t *Traffic, flops *int64) {
+	fullPowers(basis[:s+1], a, p, rec, t, flops)
+	fullPowers(basis[s+1:], a, r, rec, t, flops)
+}
+
+// fullPowers copies src into cols[0] and computes cols[j] =
+// (A - theta_(j-1)) cols[j-1] / sigma for the rest.
+func fullPowers(cols [][]float64, a *CSR, src []float64, rec basisRecurrence, t *Traffic, flops *int64) {
+	n := a.N
 	inv := 1 / rec.sigma
-	basis := make([][]float64, 0, 2*s+1)
-	cur := append([]float64(nil), p...)
+	copy(cols[0], src)
 	t.R(n)
 	t.W(n)
-	basis = append(basis, cur)
-	for j := 0; j < s; j++ {
-		next := make([]float64, n)
+	for j := 1; j < len(cols); j++ {
+		cur, next := cols[j-1], cols[j]
 		a.MulVec(next, cur)
-		theta := rec.thetas[j]
+		theta := rec.thetas[j-1]
 		for i := range next {
 			next[i] = (next[i] - theta*cur[i]) * inv
 		}
 		t.R(a.NNZ() + n)
 		t.W(n)
 		*flops += int64(2*a.NNZ() + 2*n)
-		basis = append(basis, next)
-		cur = next
 	}
-	cur = append([]float64(nil), r...)
-	t.R(n)
-	t.W(n)
-	basis = append(basis, cur)
-	for j := 0; j < s-1; j++ {
-		next := make([]float64, n)
-		a.MulVec(next, cur)
-		theta := rec.thetas[j]
-		for i := range next {
-			next[i] = (next[i] - theta*cur[i]) * inv
-		}
-		t.R(a.NNZ() + n)
-		t.W(n)
-		*flops += int64(2*a.NNZ() + 2*n)
-		basis = append(basis, next)
-		cur = next
-	}
-	return basis
 }
 
 // gramFull reads the stored basis back and forms G.
@@ -446,64 +441,52 @@ func recoverStreaming(op Operator, p, r, x []float64, ph, rh, xh []float64, s in
 // basisBlocks computes, for each row block [lo,hi), the 2s+1 basis columns
 // restricted to the block (using ghost zones of width s*b read from slow
 // memory) and hands them to fn. Nothing is written to slow memory here; the
-// traffic charged is the block reads of p and r including ghosts.
+// traffic charged is the block reads of p and r including ghosts. Every
+// column is the centered window of its own interval buffer, and the buffers
+// are allocated once and reused by every block.
 func (ring Ring) basisBlocks(p, r []float64, s int, rec basisRecurrence, block int, t *Traffic, flops *int64, fn func(idx []int, cols [][]float64)) {
 	n := ring.N
 	bw := ring.B
+	block = min(block, n)
+	ghost := s * bw
+	inv := 1 / rec.sigma
+	span := block + 2*ghost // the widest interval: a full block's sources
+	store := make([]float64, (2*s+1)*span)
+	cols := make([][]float64, 2*s+1)
+	idx := make([]int, block)
 	for lo := 0; lo < n; lo += block {
 		hi := min(n, lo+block)
 		w := hi - lo
-		ghost := s * bw
-		// Expanded source interval [lo-ghost, hi+ghost).
-		src := make([]float64, w+2*ghost)
-		cols := make([][]float64, 0, 2*s+1)
-
-		// P-side: powers of A applied to p.
-		ring.Gather(src, p, lo-ghost)
-		t.R(len(src))
-		cols = append(cols, trim(src, ghost, w))
-		inv := 1 / rec.sigma
-		cur := src
-		for j := 1; j <= s; j++ {
-			nw := w + 2*(ghost-j*bw)
-			next := make([]float64, nw)
-			ring.Apply(next, cur[:nw+2*bw])
-			theta := rec.thetas[j-1]
-			for i := range next {
-				next[i] = (next[i] - theta*cur[i+bw]) * inv
+		c := 0 // next column; column c lives in store[c*span:]
+		// P-side: powers applied to p; R-side: one fewer applied to r.
+		for side, v := range [2][]float64{p, r} {
+			// Expanded source interval [lo-ghost, hi+ghost).
+			src := store[c*span : c*span+w+2*ghost]
+			ring.Gather(src, v, lo-ghost)
+			t.R(len(src))
+			cols[c] = src[ghost : ghost+w]
+			c++
+			cur := src
+			for j := 1; j <= s-side; j++ {
+				nw := w + 2*(ghost-j*bw)
+				next := store[c*span : c*span+nw]
+				ring.Apply(next, cur[:nw+2*bw])
+				theta := rec.thetas[j-1]
+				for i := range next {
+					next[i] = (next[i] - theta*cur[i+bw]) * inv
+				}
+				*flops += int64(nw * (4*bw + 3))
+				cols[c] = next[ghost-j*bw : ghost-j*bw+w]
+				c++
+				cur = next
 			}
-			*flops += int64(nw * (4*bw + 3))
-			cols = append(cols, trim(next, ghost-j*bw, w))
-			cur = next
 		}
-		// R-side: powers applied to r (one fewer).
-		src2 := make([]float64, w+2*ghost)
-		ring.Gather(src2, r, lo-ghost)
-		t.R(len(src2))
-		cols = append(cols, trim(src2, ghost, w))
-		cur = src2
-		for j := 1; j <= s-1; j++ {
-			nw := w + 2*(ghost-j*bw)
-			next := make([]float64, nw)
-			ring.Apply(next, cur[:nw+2*bw])
-			theta := rec.thetas[j-1]
-			for i := range next {
-				next[i] = (next[i] - theta*cur[i+bw]) * inv
-			}
-			*flops += int64(nw * (4*bw + 3))
-			cols = append(cols, trim(next, ghost-j*bw, w))
-			cur = next
-		}
-		idx := make([]int, w)
-		for i := range idx {
+		for i := range w {
 			idx[i] = lo + i
 		}
-		fn(idx, cols)
+		fn(idx[:w], cols)
 	}
 }
-
-// trim slices the centered w-wide window out of an expanded interval.
-func trim(v []float64, off, w int) []float64 { return v[off : off+w] }
 
 // innerIterations runs the s coefficient-space CG steps of Algorithm 7.
 // The basis recurrence x*rho_j = sigma*rho_{j+1} + theta_j*rho_j makes H a

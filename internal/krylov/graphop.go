@@ -20,7 +20,7 @@ type GraphOperator struct {
 
 // NewGraphOperator wraps m, computing Gershgorin spectrum bounds. It errors
 // if any diagonal entry is missing (the expansion assumes self-dependency)
-// or if the pattern is visibly asymmetric on a sample of rows.
+// or if the pattern is asymmetric: a stored (i, j) without a stored (j, i).
 func NewGraphOperator(m *CSR) (*GraphOperator, error) {
 	lo, hi := 0.0, 0.0
 	first := true
@@ -29,6 +29,9 @@ func NewGraphOperator(m *CSR) (*GraphOperator, error) {
 		var radius float64
 		hasDiag := false
 		for idx := m.RowPtr[i]; idx < m.RowPtr[i+1]; idx++ {
+			if j := m.Col[idx]; !m.stored(j, i) {
+				return nil, fmt.Errorf("krylov: pattern not symmetric: (%d,%d) is stored but (%d,%d) is not", i, j, j, i)
+			}
 			if m.Col[idx] == i {
 				diag = m.Val[idx]
 				hasDiag = true
@@ -52,6 +55,16 @@ func NewGraphOperator(m *CSR) (*GraphOperator, error) {
 		first = false
 	}
 	return &GraphOperator{m: m, lo: lo, hi: hi, mark: make([]int32, m.N)}, nil
+}
+
+// stored reports whether row i stores column j.
+func (m *CSR) stored(i, j int) bool {
+	for idx := m.RowPtr[i]; idx < m.RowPtr[i+1]; idx++ {
+		if m.Col[idx] == j {
+			return true
+		}
+	}
+	return false
 }
 
 // Size implements Operator.

@@ -2,6 +2,7 @@ package krylov
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -25,6 +26,25 @@ func TestGraphOperatorRejectsMissingDiagonal(t *testing.T) {
 	m := &CSR{N: 2, RowPtr: []int{0, 1, 2}, Col: []int{1, 0}, Val: []float64{1, 1}}
 	if _, err := NewGraphOperator(m); err == nil {
 		t.Fatal("want missing-diagonal error")
+	}
+}
+
+// A stored (i, j) without a stored (j, i) is rejected, naming the first such
+// entry in row order; the diagonal alone does not make a pattern symmetric.
+func TestGraphOperatorRejectsAsymmetricPattern(t *testing.T) {
+	// Rows 0..2, all diagonals stored; (0,2) and (1,2) lack (2,0) and (2,1).
+	m := &CSR{N: 3, RowPtr: []int{0, 2, 4, 5}, Col: []int{0, 2, 1, 2, 2}, Val: []float64{4, 1, 4, 1, 4}}
+	_, err := NewGraphOperator(m)
+	if err == nil {
+		t.Fatal("want asymmetric-pattern error")
+	}
+	if want := "(0,2) is stored but (2,0) is not"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
+	}
+	// Adding the mirrored entries makes it acceptable.
+	m = &CSR{N: 3, RowPtr: []int{0, 2, 4, 7}, Col: []int{0, 2, 1, 2, 0, 1, 2}, Val: []float64{4, 1, 4, 1, 1, 1, 4}}
+	if _, err := NewGraphOperator(m); err != nil {
+		t.Fatalf("symmetric pattern rejected: %v", err)
 	}
 }
 

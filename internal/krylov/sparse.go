@@ -87,7 +87,8 @@ func (r Ring) SpectrumBounds() (lo, hi float64) {
 
 // CSR materializes the stencil as a general sparse matrix.
 func (r Ring) CSR() *CSR {
-	m := &CSR{N: r.N, RowPtr: make([]int, r.N+1)}
+	nnz := r.N * (2*r.B + 1)
+	m := &CSR{N: r.N, RowPtr: make([]int, r.N+1), Col: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
 	for i := 0; i < r.N; i++ {
 		for off := -r.B; off <= r.B; off++ {
 			j := ((i+off)%r.N + r.N) % r.N

@@ -26,7 +26,8 @@ func (t Torus) Size() int { return t.K * t.K }
 // Matrix materializes the CSR form (implements Operator).
 func (t Torus) Matrix() *CSR {
 	n := t.K * t.K
-	m := &CSR{N: n, RowPtr: make([]int, n+1)}
+	nnz := n * (2*t.B + 1) * (2*t.B + 1)
+	m := &CSR{N: n, RowPtr: make([]int, n+1), Col: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
 	for i := 0; i < n; i++ {
 		ix, iy := i%t.K, i/t.K
 		for dy := -t.B; dy <= t.B; dy++ {
@@ -106,81 +107,74 @@ func (t Torus) applyBox(dst, src []float64, h, w int) {
 // points on every side, read from slow memory, and the powers are computed
 // locally with the halo shrinking by b per application. The redundant halo
 // reads are exactly the paper's "ghost zone" surface-to-volume overhead.
+//
+// One source buffer, two power buffers and the column windows are
+// allocated per call and reused by every tile. Each power is the halo
+// window of the next one, so applyBox reads it in place; the column handed
+// to fn is its centered tile, copied densely.
 func (t Torus) basisBlocks(p, r []float64, s int, rec basisRecurrence, block int, traffic *Traffic, flops *int64, fn func(idx []int, cols [][]float64)) {
 	k := t.K
 	bw := t.B
-	if block > k {
-		block = k
-	}
+	block = min(block, k)
 	inv := 1 / rec.sigma
 	ghost := s * bw
-
-	powersOf := func(src []float64, y0, x0, h, w, steps int) [][]float64 {
-		// src covers (h+2*ghost) x (w+2*ghost); produce steps+1 columns
-		// of the centered h x w window.
-		cols := make([][]float64, 0, steps+1)
-		cols = append(cols, trimBox(src, ghost, ghost, h, w, w+2*ghost))
-		cur := src
-		cg := ghost // current halo of cur
-		for j := 1; j <= steps; j++ {
-			ng := ghost - j*bw
-			nh, nw := h+2*ng, w+2*ng
-			next := make([]float64, nh*nw)
-			t.applyBox(next, viewBox(cur, cg-ng-bw, cg-ng-bw, nh+2*bw, nw+2*bw, w+2*cg), nh, nw)
-			theta := rec.thetas[j-1]
-			// Shift by theta*cur on the matching window, then scale.
-			curWin := trimBox(cur, cg-ng, cg-ng, nh, nw, w+2*cg)
-			for i := range next {
-				next[i] = (next[i] - theta*curWin[i]) * inv
-			}
-			*flops += int64(nh * nw * ((2*bw+1)*(2*bw+1) + 2))
-			cols = append(cols, trimBox(next, ng, ng, h, w, nw))
-			cur = next
-			cg = ng
-		}
-		return cols
-	}
+	se := block + 2*ghost // a full tile's source edge
+	pe := se - 2*bw       // its first power's edge, the largest
+	src := make([]float64, se*se)
+	pow := [2][]float64{make([]float64, pe*pe), make([]float64, pe*pe)}
+	tile := block * block
+	store := make([]float64, (2*s+1)*tile)
+	cols := make([][]float64, 2*s+1)
+	idx := make([]int, tile)
 
 	for y0 := 0; y0 < k; y0 += block {
 		h := min(block, k-y0)
 		for x0 := 0; x0 < k; x0 += block {
 			w := min(block, k-x0)
+			for c := range cols {
+				cols[c] = store[c*tile : c*tile+h*w]
+			}
 			eh, ew := h+2*ghost, w+2*ghost
-
-			srcP := make([]float64, eh*ew)
-			t.gatherBox(srcP, p, y0-ghost, x0-ghost, eh, ew)
-			traffic.R(eh * ew)
-			colsP := powersOf(srcP, y0, x0, h, w, s)
-
-			srcR := make([]float64, eh*ew)
-			t.gatherBox(srcR, r, y0-ghost, x0-ghost, eh, ew)
-			traffic.R(eh * ew)
-			colsR := powersOf(srcR, y0, x0, h, w, s-1)
-
-			cols := append(colsP, colsR...)
-			idx := make([]int, h*w)
+			for side, v := range [2][]float64{p, r} {
+				// P-side: s powers of p; R-side: s-1 powers of r.
+				out := cols[side*(s+1):]
+				t.gatherBox(src[:eh*ew], v, y0-ghost, x0-ghost, eh, ew)
+				traffic.R(eh * ew)
+				copyBox(out[0], src, ghost, ghost, h, w, ew)
+				cur, cw := src, ew // cur's row width: w+2*(its halo)
+				for j := 1; j <= s-side; j++ {
+					ng := ghost - j*bw
+					nh, nw := h+2*ng, w+2*ng
+					next := pow[j%2][:nh*nw]
+					t.applyBox(next, cur, nh, nw)
+					theta := rec.thetas[j-1]
+					// Shift by theta*cur on next's window of cur, then scale.
+					for iy := 0; iy < nh; iy++ {
+						row := next[iy*nw : (iy+1)*nw]
+						win := cur[(iy+bw)*cw+bw:]
+						for ix := range row {
+							row[ix] = (row[ix] - theta*win[ix]) * inv
+						}
+					}
+					*flops += int64(nh * nw * ((2*bw+1)*(2*bw+1) + 2))
+					copyBox(out[j], next, ng, ng, h, w, nw)
+					cur, cw = next, nw
+				}
+			}
 			for iy := 0; iy < h; iy++ {
 				for ix := 0; ix < w; ix++ {
 					idx[iy*w+ix] = (y0+iy)*k + (x0 + ix)
 				}
 			}
-			fn(idx, cols)
+			fn(idx[:h*w], cols)
 		}
 	}
 }
 
-// trimBox extracts the (h x w) window at offset (oy,ox) from a row-major
-// array of row width stride, copied into a fresh dense slice.
-func trimBox(src []float64, oy, ox, h, w, stride int) []float64 {
-	out := make([]float64, h*w)
+// copyBox copies the (h x w) window at offset (oy,ox) of a row-major array
+// of row width stride into the dense dst.
+func copyBox(dst, src []float64, oy, ox, h, w, stride int) {
 	for iy := 0; iy < h; iy++ {
-		copy(out[iy*w:(iy+1)*w], src[(oy+iy)*stride+ox:(oy+iy)*stride+ox+w])
+		copy(dst[iy*w:(iy+1)*w], src[(oy+iy)*stride+ox:(oy+iy)*stride+ox+w])
 	}
-	return out
-}
-
-// viewBox is like trimBox (the cache-simulated machine would index in
-// place; the copy keeps the Go code simple and the counts unchanged).
-func viewBox(src []float64, oy, ox, h, w, stride int) []float64 {
-	return trimBox(src, oy, ox, h, w, stride)
 }

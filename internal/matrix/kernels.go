@@ -9,6 +9,10 @@ import (
 // write-avoiding blocked algorithms are validated against, and they double as
 // the "fits entirely in fast memory" base-case kernels of internal/core.
 
+// The four matmul kernels run i, j, k loops with k innermost, each C(i,j)
+// summing its terms in k order, over row slices of the operands: one bounds
+// check per term at most, where At/Set pairs cost two.
+
 // MulAdd computes C += A*B with classical triple loops (k innermost).
 func MulAdd(c, a, b *Dense) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
@@ -16,12 +20,13 @@ func MulAdd(c, a, b *Dense) {
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	for i := 0; i < c.Rows; i++ {
-		for j := 0; j < c.Cols; j++ {
-			s := c.At(i, j)
-			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+		ci, ai := c.row(i), a.row(i)
+		for j := range ci {
+			s := ci[j]
+			for k, aik := range ai {
+				s += aik * b.Data[k*b.Stride+j]
 			}
-			c.Set(i, j, s)
+			ci[j] = s
 		}
 	}
 }
@@ -32,12 +37,13 @@ func MulSub(c, a, b *Dense) {
 		panic("matrix: MulSub shape mismatch")
 	}
 	for i := 0; i < c.Rows; i++ {
-		for j := 0; j < c.Cols; j++ {
-			s := c.At(i, j)
-			for k := 0; k < a.Cols; k++ {
-				s -= a.At(i, k) * b.At(k, j)
+		ci, ai := c.row(i), a.row(i)
+		for j := range ci {
+			s := ci[j]
+			for k, aik := range ai {
+				s -= aik * b.Data[k*b.Stride+j]
 			}
-			c.Set(i, j, s)
+			ci[j] = s
 		}
 	}
 }
@@ -55,13 +61,7 @@ func MulSubTrans(c, a, b *Dense) {
 		panic("matrix: MulSubTrans shape mismatch")
 	}
 	for i := 0; i < c.Rows; i++ {
-		for j := 0; j < c.Cols; j++ {
-			s := c.At(i, j)
-			for k := 0; k < a.Cols; k++ {
-				s -= a.At(i, k) * b.At(j, k)
-			}
-			c.Set(i, j, s)
-		}
+		subDots(c.row(i), a.row(i), b)
 	}
 }
 
@@ -74,13 +74,20 @@ func MulSubTransLower(c, a, b *Dense) {
 		panic("matrix: MulSubTransLower shape mismatch")
 	}
 	for i := 0; i < c.Rows; i++ {
-		for j := 0; j <= i; j++ {
-			s := c.At(i, j)
-			for k := 0; k < a.Cols; k++ {
-				s -= a.At(i, k) * b.At(j, k)
-			}
-			c.Set(i, j, s)
+		subDots(c.row(i)[:i+1], a.row(i), b)
+	}
+}
+
+// subDots computes ci[j] −= ai·B(j,:) for every j of ci, the row dot
+// products of the transposed kernels.
+func subDots(ci, ai []float64, b *Dense) {
+	for j := range ci {
+		bj := b.row(j)[:len(ai)]
+		s := ci[j]
+		for k, aik := range ai {
+			s -= aik * bj[k]
 		}
+		ci[j] = s
 	}
 }
 

@@ -64,6 +64,9 @@ func (m *Dense) Set(i, j int, v float64) {
 	m.Data[i*m.Stride+j] = v
 }
 
+// row returns row i of the view as a slice of its Cols elements.
+func (m *Dense) row(i int) []float64 { return m.Data[i*m.Stride:][:m.Cols] }
+
 // indexError is the panic value of an out-of-range At or Set. Its message is
 // built only when printed, which keeps both methods cheap enough to inline
 // into every kernel loop.

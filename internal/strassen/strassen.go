@@ -19,6 +19,15 @@ import (
 // memory. Intermediate sums and the seven products are materialized in slow
 // memory, as any out-of-core Strassen must once n^2 exceeds m.
 func Multiply(h *machine.Hierarchy, m int64, a, b *matrix.Dense) (*matrix.Dense, error) {
+	return multiply(h, m, a, b, rec)
+}
+
+// step is one recursion scheme: Strassen's rec or winogradRec.
+type step func(h *machine.Hierarchy, m int64, base int, st stack, c, a, b *matrix.Dense)
+
+// multiply checks the operands, picks the base-case size for m and runs the
+// recursion with one scratch stack for the whole call.
+func multiply(h *machine.Hierarchy, m int64, a, b *matrix.Dense, run step) (*matrix.Dense, error) {
 	n := a.Rows
 	if a.Cols != n || b.Rows != n || b.Cols != n {
 		return nil, fmt.Errorf("strassen: need square operands, got %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -31,20 +40,57 @@ func Multiply(h *machine.Hierarchy, m int64, a, b *matrix.Dense) (*matrix.Dense,
 		base *= 2
 	}
 	c := matrix.New(n, n)
-	rec(h, m, base, c, a, b)
+	run(h, m, base, newStack(n, base), c, a, b)
 	return c, nil
 }
 
-func rec(h *machine.Hierarchy, m int64, base int, c, a, b *matrix.Dense) {
+// temps is how many half-size temporaries one recursion level holds: 10
+// encoding sums and 7 products for Strassen, 8 sums, 7 products and 2
+// decoding partial sums for Winograd.
+const temps = 17
+
+// stack is the scratch of one multiplication. A level above the base case
+// takes its temps half-size temporaries off the bottom and passes the rest
+// to its seven products, which run one after another and so reuse the same
+// words: the stack holds one level's temporaries per depth. Every
+// temporary is written in full before it is read, so none is zeroed.
+type stack []float64
+
+func newStack(n, base int) stack {
+	words := 0
+	for ; n > base; n /= 2 {
+		words += temps * (n / 2) * (n / 2)
+	}
+	return make(stack, words)
+}
+
+// take carves len(t) tight half x half matrices off the bottom of st into t
+// and returns the rest of the stack.
+func (st stack) take(t []matrix.Dense, half int) stack {
+	hh := half * half
+	for i := range t {
+		t[i] = matrix.Dense{Rows: half, Cols: half, Stride: half, Data: st[i*hh : (i+1)*hh]}
+	}
+	return st[len(t)*hh:]
+}
+
+// leaf is the base case both recursions share: the classical kernel on
+// blocks resident in fast memory.
+func leaf(h *machine.Hierarchy, c, a, b *matrix.Dense) {
+	n := a.Rows
+	h.Load(0, 2*int64(n)*int64(n))
+	h.Init(0, int64(n)*int64(n))
+	c.Zero()
+	matrix.MulAdd(c, a, b)
+	h.Flops(2 * int64(n) * int64(n) * int64(n))
+	h.Store(0, int64(n)*int64(n))
+	h.Discard(0, 2*int64(n)*int64(n))
+}
+
+func rec(h *machine.Hierarchy, m int64, base int, st stack, c, a, b *matrix.Dense) {
 	n := a.Rows
 	if n <= base {
-		h.Load(0, 2*int64(n)*int64(n))
-		h.Init(0, int64(n)*int64(n))
-		c.Zero()
-		matrix.MulAdd(c, a, b)
-		h.Flops(2 * int64(n) * int64(n) * int64(n))
-		h.Store(0, int64(n)*int64(n))
-		h.Discard(0, 2*int64(n)*int64(n))
+		leaf(h, c, a, b)
 		return
 	}
 	half := n / 2
@@ -53,10 +99,11 @@ func rec(h *machine.Hierarchy, m int64, base int, c, a, b *matrix.Dense) {
 	b11, b12, b21, b22 := q(b, 0, 0), q(b, 0, 1), q(b, 1, 0), q(b, 1, 1)
 	c11, c12, c21, c22 := q(c, 0, 0), q(c, 0, 1), q(c, 1, 0), q(c, 1, 1)
 
-	tmp := func() *matrix.Dense { return matrix.New(half, half) }
+	var t [temps]matrix.Dense
+	st = st.take(t[:], half)
 	// Encoding sums (all written to slow memory as streams).
-	s1, s2, s3, s4, s5 := tmp(), tmp(), tmp(), tmp(), tmp()
-	t1, t2, t3, t4, t5 := tmp(), tmp(), tmp(), tmp(), tmp()
+	s1, s2, s3, s4, s5 := &t[0], &t[1], &t[2], &t[3], &t[4]
+	t1, t2, t3, t4, t5 := &t[5], &t[6], &t[7], &t[8], &t[9]
 	streamBinary(h, m, s1, a11, a22, +1) // S1 = A11+A22
 	streamBinary(h, m, s2, a21, a22, +1) // S2 = A21+A22
 	streamBinary(h, m, s3, a11, a12, +1) // S3 = A11+A12
@@ -68,14 +115,14 @@ func rec(h *machine.Hierarchy, m int64, base int, c, a, b *matrix.Dense) {
 	streamBinary(h, m, t4, b11, b12, +1) // T4 = B11+B12
 	streamBinary(h, m, t5, b21, b22, +1) // T5 = B21+B22
 
-	m1, m2, m3, m4, m5, m6, m7 := tmp(), tmp(), tmp(), tmp(), tmp(), tmp(), tmp()
-	rec(h, m, base, m1, s1, t1)  // M1 = (A11+A22)(B11+B22)
-	rec(h, m, base, m2, s2, b11) // M2 = (A21+A22)B11
-	rec(h, m, base, m3, a11, t2) // M3 = A11(B12-B22)
-	rec(h, m, base, m4, a22, t3) // M4 = A22(B21-B11)
-	rec(h, m, base, m5, s3, b22) // M5 = (A11+A12)B22
-	rec(h, m, base, m6, s4, t4)  // M6 = (A21-A11)(B11+B12)
-	rec(h, m, base, m7, s5, t5)  // M7 = (A12-A22)(B21+B22)
+	m1, m2, m3, m4, m5, m6, m7 := &t[10], &t[11], &t[12], &t[13], &t[14], &t[15], &t[16]
+	rec(h, m, base, st, m1, s1, t1)  // M1 = (A11+A22)(B11+B22)
+	rec(h, m, base, st, m2, s2, b11) // M2 = (A21+A22)B11
+	rec(h, m, base, st, m3, a11, t2) // M3 = A11(B12-B22)
+	rec(h, m, base, st, m4, a22, t3) // M4 = A22(B21-B11)
+	rec(h, m, base, st, m5, s3, b22) // M5 = (A11+A12)B22
+	rec(h, m, base, st, m6, s4, t4)  // M6 = (A21-A11)(B11+B12)
+	rec(h, m, base, st, m7, s5, t5)  // M7 = (A12-A22)(B21+B22)
 
 	// Decoding (the paper's Dec_C subgraph).
 	streamBinary(h, m, c11, m1, m4, +1) // C11 = M1+M4
@@ -88,21 +135,32 @@ func rec(h *machine.Hierarchy, m int64, base int, c, a, b *matrix.Dense) {
 	streamAccum(h, m, c22, m6, +1)      //     + M6
 }
 
+// streamChunk is the words a stream moves per chunk: three chunks (two
+// operands and the result) fill fast memory.
+func streamChunk(m int64) int { return max(1, int(m/3)) }
+
 // streamBinary computes dst = x + sign*y elementwise, streaming chunks
-// through fast memory: per chunk of c words, 2c loads and c stores.
+// through fast memory: per chunk of c words, 2c loads and c stores. A chunk
+// is c consecutive elements in row-major order, worked row piece by row
+// piece.
 func streamBinary(h *machine.Hierarchy, m int64, dst, x, y *matrix.Dense, sign float64) {
-	chunk := int(m / 3)
-	if chunk < 1 {
-		chunk = 1
-	}
-	total := dst.Rows * dst.Cols
+	chunk := streamChunk(m)
+	cols := dst.Cols
+	total := dst.Rows * cols
 	for off := 0; off < total; off += chunk {
 		cw := min(chunk, total-off)
 		h.Load(0, 2*int64(cw))
 		h.Init(0, int64(cw))
-		for e := off; e < off+cw; e++ {
-			i, j := e/dst.Cols, e%dst.Cols
-			dst.Set(i, j, x.At(i, j)+sign*y.At(i, j))
+		for e := off; e < off+cw; {
+			i, j := e/cols, e%cols
+			w := min(cols-j, off+cw-e)
+			d := dst.Data[i*dst.Stride+j:][:w]
+			xs := x.Data[i*x.Stride+j:][:w]
+			ys := y.Data[i*y.Stride+j:][:w]
+			for k := range d {
+				d[k] = xs[k] + sign*ys[k]
+			}
+			e += w
 		}
 		h.Flops(int64(cw))
 		h.Store(0, int64(cw))
@@ -113,17 +171,21 @@ func streamBinary(h *machine.Hierarchy, m int64, dst, x, y *matrix.Dense, sign f
 // streamAccum computes dst += sign*y elementwise with the same streaming
 // traffic pattern (dst is both read and written).
 func streamAccum(h *machine.Hierarchy, m int64, dst, y *matrix.Dense, sign float64) {
-	chunk := int(m / 3)
-	if chunk < 1 {
-		chunk = 1
-	}
-	total := dst.Rows * dst.Cols
+	chunk := streamChunk(m)
+	cols := dst.Cols
+	total := dst.Rows * cols
 	for off := 0; off < total; off += chunk {
 		cw := min(chunk, total-off)
 		h.Load(0, 2*int64(cw))
-		for e := off; e < off+cw; e++ {
-			i, j := e/dst.Cols, e%dst.Cols
-			dst.Set(i, j, dst.At(i, j)+sign*y.At(i, j))
+		for e := off; e < off+cw; {
+			i, j := e/cols, e%cols
+			w := min(cols-j, off+cw-e)
+			d := dst.Data[i*dst.Stride+j:][:w]
+			ys := y.Data[i*y.Stride+j:][:w]
+			for k := range d {
+				d[k] += sign * ys[k]
+			}
+			e += w
 		}
 		h.Flops(int64(cw))
 		h.Store(0, int64(cw))

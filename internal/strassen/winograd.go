@@ -1,8 +1,6 @@
 package strassen
 
 import (
-	"fmt"
-
 	"writeavoid/internal/machine"
 	"writeavoid/internal/matrix"
 )
@@ -13,32 +11,13 @@ import (
 // Corollary 3 discussion: the constant in front of the unavoidable
 // Omega(n^omega0 / M^(omega0/2-1)) writes shrinks, the asymptotics do not.
 func MultiplyWinograd(h *machine.Hierarchy, m int64, a, b *matrix.Dense) (*matrix.Dense, error) {
-	n := a.Rows
-	if a.Cols != n || b.Rows != n || b.Cols != n {
-		return nil, fmt.Errorf("strassen: need square operands, got %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	if n&(n-1) != 0 {
-		return nil, fmt.Errorf("strassen: n=%d not a power of two", n)
-	}
-	base := 1
-	for int64(3*(base*2)*(base*2)) <= m {
-		base *= 2
-	}
-	c := matrix.New(n, n)
-	winogradRec(h, m, base, c, a, b)
-	return c, nil
+	return multiply(h, m, a, b, winogradRec)
 }
 
-func winogradRec(h *machine.Hierarchy, m int64, base int, c, a, b *matrix.Dense) {
+func winogradRec(h *machine.Hierarchy, m int64, base int, st stack, c, a, b *matrix.Dense) {
 	n := a.Rows
 	if n <= base {
-		h.Load(0, 2*int64(n)*int64(n))
-		h.Init(0, int64(n)*int64(n))
-		c.Zero()
-		matrix.MulAdd(c, a, b)
-		h.Flops(2 * int64(n) * int64(n) * int64(n))
-		h.Store(0, int64(n)*int64(n))
-		h.Discard(0, 2*int64(n)*int64(n))
+		leaf(h, c, a, b)
 		return
 	}
 	half := n / 2
@@ -47,10 +26,11 @@ func winogradRec(h *machine.Hierarchy, m int64, base int, c, a, b *matrix.Dense)
 	b11, b12, b21, b22 := q(b, 0, 0), q(b, 0, 1), q(b, 1, 0), q(b, 1, 1)
 	c11, c12, c21, c22 := q(c, 0, 0), q(c, 0, 1), q(c, 1, 0), q(c, 1, 1)
 
-	tmp := func() *matrix.Dense { return matrix.New(half, half) }
+	var t [temps]matrix.Dense
+	st = st.take(t[:], half)
 	// Winograd's 8 encoding sums (vs Strassen's 10).
-	s1, s2, s3, s4 := tmp(), tmp(), tmp(), tmp()
-	t1, t2, t3, t4 := tmp(), tmp(), tmp(), tmp()
+	s1, s2, s3, s4 := &t[0], &t[1], &t[2], &t[3]
+	t1, t2, t3, t4 := &t[4], &t[5], &t[6], &t[7]
 	streamBinary(h, m, s1, a21, a22, +1) // S1 = A21+A22
 	streamBinary(h, m, s2, s1, a11, -1)  // S2 = S1-A11
 	streamBinary(h, m, s3, a11, a21, -1) // S3 = A11-A21
@@ -60,17 +40,17 @@ func winogradRec(h *machine.Hierarchy, m int64, base int, c, a, b *matrix.Dense)
 	streamBinary(h, m, t3, b22, b12, -1) // T3 = B22-B12
 	streamBinary(h, m, t4, t2, b21, -1)  // T4 = T2-B21
 
-	p1, p2, p3, p4, p5, p6, p7 := tmp(), tmp(), tmp(), tmp(), tmp(), tmp(), tmp()
-	winogradRec(h, m, base, p1, a11, b11) // P1 = A11*B11
-	winogradRec(h, m, base, p2, a12, b21) // P2 = A12*B21
-	winogradRec(h, m, base, p3, s4, b22)  // P3 = S4*B22
-	winogradRec(h, m, base, p4, a22, t4)  // P4 = A22*T4
-	winogradRec(h, m, base, p5, s1, t1)   // P5 = S1*T1
-	winogradRec(h, m, base, p6, s2, t2)   // P6 = S2*T2
-	winogradRec(h, m, base, p7, s3, t3)   // P7 = S3*T3
+	p1, p2, p3, p4, p5, p6, p7 := &t[8], &t[9], &t[10], &t[11], &t[12], &t[13], &t[14]
+	winogradRec(h, m, base, st, p1, a11, b11) // P1 = A11*B11
+	winogradRec(h, m, base, st, p2, a12, b21) // P2 = A12*B21
+	winogradRec(h, m, base, st, p3, s4, b22)  // P3 = S4*B22
+	winogradRec(h, m, base, st, p4, a22, t4)  // P4 = A22*T4
+	winogradRec(h, m, base, st, p5, s1, t1)   // P5 = S1*T1
+	winogradRec(h, m, base, st, p6, s2, t2)   // P6 = S2*T2
+	winogradRec(h, m, base, st, p7, s3, t3)   // P7 = S3*T3
 
 	// Winograd's 7 decoding sums (vs Strassen's 8).
-	u2, u3 := tmp(), tmp()
+	u2, u3 := &t[15], &t[16]
 	streamBinary(h, m, c11, p1, p2, +1) // C11 = P1+P2
 	streamBinary(h, m, u2, p1, p6, +1)  // U2 = P1+P6
 	streamBinary(h, m, u3, u2, p7, +1)  // U3 = U2+P7
