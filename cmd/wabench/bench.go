@@ -4,9 +4,10 @@ package main
 // workloads (the same bodies bench_test.go runs under `go test -bench`),
 // producing a machine-readable JSON artifact without needing the test
 // binary. Each workload reports wall time per op plus the machine events it
-// drove per op, counted by a monitor attached both directly (raw-substrate
-// kernels) and through the experiments hooks (section drivers) — so the
-// artifact pairs "how fast" with "how much simulated memory activity".
+// drove per op, counted by a monitor on the op's Session, which raw-substrate
+// kernels reach through Session.Observe and section drivers through the
+// experiments hooks — so the artifact pairs "how fast" with "how much
+// simulated memory activity".
 
 import (
 	"encoding/json"
@@ -41,13 +42,13 @@ type BenchReport struct {
 	Results []BenchResult `json:"results"`
 }
 
-// benchWorkload is one timed unit: run executes a single op, recording any
-// hierarchy it builds into rec (section drivers reach the same recorder
-// through the session's monitor hook instead). Every timed run gets a fresh
-// Session, so no recorder state leaks between workloads or iterations.
+// benchWorkload is one timed unit: run executes a single op, attaching any
+// hierarchy it builds through sess.Observe (section drivers reach the same
+// sinks through the experiments hooks). Every workload gets a fresh Session,
+// so no sink state leaks between workloads.
 type benchWorkload struct {
 	name string
-	run  func(sess *experiments.Session, rec machine.Recorder) error
+	run  func(sess *experiments.Session) error
 }
 
 // benchWorkloads mirrors ten benchmarks of bench_test.go — the five section
@@ -56,62 +57,60 @@ type benchWorkload struct {
 func benchWorkloads() []benchWorkload {
 	rng := rand.New(rand.NewPCG(1, 2))
 	return []benchWorkload{
-		{"Fig2", func(sess *experiments.Session, _ machine.Recorder) error {
+		{"Fig2", func(sess *experiments.Session) error {
 			sess.Fig2(true)
 			return nil
 		}},
-		{"Table1", func(sess *experiments.Session, _ machine.Recorder) error {
+		{"Table1", func(sess *experiments.Session) error {
 			sess.Table1(true)
 			return nil
 		}},
-		{"Sec4Kernels", func(sess *experiments.Session, _ machine.Recorder) error {
+		{"Sec4Kernels", func(sess *experiments.Session) error {
 			sess.Sec4(true)
 			return nil
 		}},
-		{"Sec7LU", func(sess *experiments.Session, _ machine.Recorder) error {
+		{"Sec7LU", func(sess *experiments.Session) error {
 			sess.LU(true)
 			return nil
 		}},
-		{"Sec8Krylov", func(sess *experiments.Session, _ machine.Recorder) error {
+		{"Sec8Krylov", func(sess *experiments.Session) error {
 			sess.Krylov(true)
 			return nil
 		}},
-		{"WAMatMulCompute", func(_ *experiments.Session, rec machine.Recorder) error {
+		{"WAMatMulCompute", func(sess *experiments.Session) error {
 			n := 128
 			a := matrix.Random(n, n, 1)
 			b := matrix.Random(n, n, 2)
 			p := core.TwoLevelPlan(3*16*16, 16, core.OrderWA)
-			p.H.Attach(rec)
+			sess.Observe(p.H)
 			return core.MatMul(p, matrix.New(n, n), a, b)
 		}},
-		{"CacheSimFALRU", func(_ *experiments.Session, _ machine.Recorder) error {
+		{"CacheSimFALRU", func(*experiments.Session) error {
 			c := cache.NewFALRU(128*1024, 64)
 			for i := 0; i < 1<<16; i++ {
 				c.Access(uint64(i*64)%(1<<22), i&7 == 0)
 			}
 			return nil
 		}},
-		{"FFTExternal", func(_ *experiments.Session, rec machine.Recorder) error {
+		{"FFTExternal", func(sess *experiments.Session) error {
 			x := make([]complex128, 4096)
 			for i := range x {
 				x[i] = complex(float64(i%7), float64(i%3))
 			}
-			h := machine.TwoLevel(64)
-			h.Attach(rec)
+			h := sess.Observe(machine.TwoLevel(64))
 			fft.External(h, 64, x)
 			return nil
 		}},
-		{"ExternalSort", func(_ *experiments.Session, rec machine.Recorder) error {
+		{"ExternalSort", func(sess *experiments.Session) error {
 			data := make([]float64, 1<<14)
 			for i := range data {
 				data[i] = float64((i * 2654435761) % 99991)
 			}
-			h := machine.TwoLevel(256)
-			h.Attach(rec)
+			h := sess.Observe(machine.TwoLevel(256))
 			_, err := extsort.Sort(h, 256, data)
 			return err
 		}},
-		{"ScheduleSimulation", func(_ *experiments.Session, _ machine.Recorder) error {
+		{"ScheduleSimulation", func(*experiments.Session) error {
 			g := fft.BuildCDAG(64)
 			order := cdag.RandomTopoOrder(g, rng)
 			_, err := cdag.Schedule(g, order, 16, rng)
@@ -120,13 +119,24 @@ func benchWorkloads() []benchWorkload {
 	}
 }
 
+// benchSession is one workload's wiring: a fresh Session whose monitor
+// counts the events, with the shared flight ring (nil: none) reading the
+// monitor's ledger beside it.
+func benchSession(m *monitor.Monitor, fr *flight.Recorder) *experiments.Session {
+	sess := experiments.NewSession()
+	sess.SetMonitor(m)
+	if fr != nil {
+		sess.SetFlight(fr)
+	}
+	return sess
+}
+
 // runBenchJSON times every workload (one warmup op, then at least three ops
 // and at least minDur of wall time) and writes the JSON report to path. With
-// flightN > 0 a flight recorder of that capacity rides every workload — teed
-// next to the monitor on raw kernels, attached through the experiments hooks
-// on section drivers — so comparing a flight run against a no-flight
-// baseline prices the recorder's steady-state overhead; events/op is counted
-// by the monitor alone and stays identical either way.
+// flightN > 0 a flight recorder of that capacity rides every workload on the
+// session's ledger, so comparing a flight run against a no-flight baseline
+// prices the recorder's steady-state overhead; events/op is counted by the
+// monitor alone and stays identical either way.
 func runBenchJSON(path string, quick bool, flightN int) int {
 	minDur := time.Second
 	if quick {
@@ -138,42 +148,25 @@ func runBenchJSON(path string, quick bool, flightN int) int {
 	if flightN > 0 {
 		fr = flight.New(flightN, machine.GenericLevels(3))
 	}
-	// attach tees the flight recorder next to the per-workload counter.
-	attach := func(m machine.Recorder) machine.Recorder {
-		if fr == nil {
-			return m
-		}
-		return machine.Tee(m, fr)
-	}
-	// session builds the per-run wiring: a fresh Session per monitor, the
-	// shared flight ring riding along when -flight is on.
-	session := func(m *monitor.Monitor) *experiments.Session {
-		sess := experiments.NewSession()
-		sess.SetMonitor(m)
-		if fr != nil {
-			sess.SetFlight(fr)
-		}
-		return sess
-	}
 
 	rep := BenchReport{Quick: quick}
 	for _, w := range benchWorkloads() {
-		// The monitor doubles as the event counter: it is a Recorder, the
-		// experiments hooks accept it, and TotalEvents is exactly the
-		// counter-bearing event count.
+		// The monitor doubles as the event counter: TotalEvents is exactly
+		// the counter-bearing event count of every hierarchy the session
+		// observed.
 		warm := monitor.New(machine.GenericLevels(3), nil)
-		if err := w.run(session(warm), attach(warm)); err != nil {
+		if err := w.run(benchSession(warm, fr)); err != nil {
 			fmt.Fprintf(os.Stderr, "wabench: bench %s: %v\n", w.name, err)
 			return 1
 		}
 
 		m := monitor.New(machine.GenericLevels(3), nil)
-		sess := session(m)
+		sess := benchSession(m, fr)
 		iters := 0
 		start := time.Now()
 		var elapsed time.Duration
 		for iters < minIters || (elapsed < minDur && iters < maxIters) {
-			if err := w.run(sess, attach(m)); err != nil {
+			if err := w.run(sess); err != nil {
 				fmt.Fprintf(os.Stderr, "wabench: bench %s: %v\n", w.name, err)
 				return 1
 			}

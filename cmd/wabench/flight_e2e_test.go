@@ -145,3 +145,25 @@ func TestFlightFlagWiring(t *testing.T) {
 		t.Fatalf("-flight-dump without -flight exited %d, want 2", rc)
 	}
 }
+
+// Under -benchjson -flight a raw kernel attaches its hierarchy through the
+// session, whose ledger reports the flight ring's span interest: the ring
+// holds the kernel's span marks on top of the events the monitor counts.
+func TestBenchFlightRingHoldsRawKernelSpans(t *testing.T) {
+	for _, w := range benchWorkloads() {
+		if w.name != "WAMatMulCompute" {
+			continue
+		}
+		m := monitor.New(machine.GenericLevels(3), nil)
+		fr := flight.New(64, machine.GenericLevels(3))
+		if err := w.run(benchSession(m, fr)); err != nil {
+			t.Fatal(err)
+		}
+		events, ring := m.TotalEvents(), fr.Stats().TotalEvents
+		if events == 0 || ring <= events {
+			t.Fatalf("ring took %d events for the monitor's %d; want the span marks too", ring, events)
+		}
+		return
+	}
+	t.Fatal("no WAMatMulCompute workload")
+}

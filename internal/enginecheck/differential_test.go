@@ -1,17 +1,24 @@
 package enginecheck
 
 import (
+	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
+	"time"
 
 	"writeavoid/internal/access"
 	"writeavoid/internal/core"
+	"writeavoid/internal/experiments"
 	"writeavoid/internal/extsort"
 	"writeavoid/internal/fft"
+	"writeavoid/internal/flight"
 	"writeavoid/internal/machine"
 	"writeavoid/internal/matrix"
+	"writeavoid/internal/monitor"
 	"writeavoid/internal/nbody"
 	"writeavoid/internal/pmm"
+	"writeavoid/internal/profile"
 	"writeavoid/internal/smp"
 )
 
@@ -261,5 +268,85 @@ func TestDist2SocketIdentical(t *testing.T) {
 	}
 	if remote == 0 {
 		t.Fatal("2-socket run classified no traffic remote; comparison is vacuous")
+	}
+}
+
+// TestSessionAllSinksIdentical is the engine differential for a fully
+// observed Session: two streams, the profiler, the monitor with a violation
+// hook freezing the flight ring, the histograms and the flight recorder all
+// read the session's one ledger, over three kernels on hierarchies of two
+// depths. Under the per-event engine (batch capacity 1, so every event
+// reaches the ledger as it is emitted) and the batched one, every stream
+// byte, span, trace byte, violation, histogram bucket and flight window
+// must be identical.
+func TestSessionAllSinksIdentical(t *testing.T) {
+	run := func(ref bool) string {
+		lv := levels3()
+		sess := experiments.NewSession()
+		reg := monitor.NewRegistry()
+		reg.Register(monitor.Theorem1(1))
+		reg.Register(monitor.OutputFloor("matmul", 1<<40))
+		mon := monitor.New(lv, reg)
+		sess.SetMonitor(mon)
+		var s7, s1000 bytes.Buffer
+		sA, sB := machine.NewStreamRecorder(&s7, lv, 7), machine.NewStreamRecorder(&s1000, lv, 1000)
+		sess.AddStream(sA)
+		sess.AddStream(sB)
+		prof := profile.NewProfiler(lv)
+		sess.SetProfile(prof)
+		fr := flight.New(64, lv)
+		sess.SetFlight(fr)
+		hists := monitor.NewHistogramRecorder(lv)
+		hists.SetClock(func() time.Time { return time.Unix(0, 0) })
+		sess.SetHistograms(hists)
+		var caps []string
+		mon.SetViolationHook(func(v monitor.Violation) {
+			caps = append(caps, canonJSON(sess.FlightCapture(v).Window))
+		})
+		observe := func(levels []machine.Level) *machine.Hierarchy {
+			h := machine.New(false, levels...)
+			if ref {
+				h.SetBatchCapacity(1)
+			}
+			return sess.Observe(h)
+		}
+
+		sess.Mark("matmul")
+		a, b := matrix.Random(32, 32, 1), matrix.Random(32, 32, 2)
+		if err := core.MatMul(&core.Plan{H: observe(lv), BlockSizes: []int{4, 16}, Order: core.OrderWA}, matrix.New(32, 32), a, b); err != nil {
+			t.Fatal(err)
+		}
+		sess.Mark("lu")
+		if err := core.LU(&core.Plan{H: observe(levels2()), BlockSizes: []int{8}, Order: core.OrderWA}, matrix.RandomSPD(32, 3)); err != nil {
+			t.Fatal(err)
+		}
+		sess.Mark("sort")
+		data := make([]float64, 2048)
+		for i := range data {
+			data[i] = float64((i * 7919) % 2048)
+		}
+		if _, err := extsort.Sort(observe(levels2()), 128, data); err != nil {
+			t.Fatal(err)
+		}
+		viol := sess.Finish()
+		hists.Finish()
+		for _, s := range []*machine.StreamRecorder{sA, sB} {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var trace bytes.Buffer
+		if err := prof.WriteTrace(&trace); err != nil {
+			t.Fatal(err)
+		}
+		if len(viol) == 0 || len(caps) == 0 {
+			t.Fatal("no violation froze the ring; the comparison is vacuous")
+		}
+		return strings.Join([]string{s7.String(), s1000.String(), renderSpans(prof.Main.Roots()),
+			trace.String(), prof.Summary(), canonJSON(viol), canonJSON(hists.Histograms()),
+			strings.Join(caps, "\n"), canonJSON(fr.Capture("final")), canonJSON(mon.Snapshot())}, "\n--\n")
+	}
+	if refRun, gotRun := run(true), run(false); refRun != gotRun {
+		t.Fatalf("a fully observed session diverges between engines:\nreference:\n%s\nbatched:\n%s", refRun, gotRun)
 	}
 }

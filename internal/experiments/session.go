@@ -20,17 +20,28 @@ import (
 // stream recorders, a profiler, a conformance monitor and/or an HTTP server
 // on its Session; each section calls mark at entry (a phase boundary on
 // every installed sink), every serial hierarchy a section builds passes
-// through observe (which attaches the sinks as recorders), cache-simulated
-// sections report their finished cache.Stats through statsCheck, and
-// dist-backed sections hand their finished machines to distDone for
-// per-rank publication and aggregate-stream flushes. Sections backed by raw cache simulators or by concurrent machines
-// contribute marks but no hierarchy events; a StreamRecorder is not safe for
-// concurrent use, so dist runs reach the wire via dist.AggregateStream
-// instead.
+// through observe, cache-simulated sections report their finished
+// cache.Stats through statsCheck, and dist-backed sections hand their
+// finished machines to distDone for per-rank publication and
+// aggregate-stream flushes. Sections backed by raw cache simulators or by
+// concurrent machines contribute marks but no hierarchy events.
+//
+// The installed sinks share one machine.Ledger, the run's only counter fold
+// (the first installed sink's ledger, so its seed geometry is the run's):
+// observe attaches that ledger and nothing else, and each sink reads it.
+// The ledger closes each phase once and hands every sink the same delta —
+// the monitor's checks, the histograms, the flight recorder's last closed
+// phase, the streams' records — so no sink has to close its phase before
+// another for a violation bundle to freeze the delta the check evaluated.
+// The profiler's main span tree hangs below it with a fold of its own (it
+// also takes krylov's direct Traffic charges, which no hierarchy emits).
+// Install sinks before the first observed hierarchy: a ledger reports its
+// touch and span interest when it is attached.
 //
 // The zero value is a valid no-sink session: every section runs with nothing
 // attached, and a nil *Session behaves the same way.
 type Session struct {
+	led     *machine.Ledger
 	streams []*machine.StreamRecorder
 	prof    *profile.Profiler
 	mon     *monitor.Monitor
@@ -38,12 +49,9 @@ type Session struct {
 	hists   *monitor.HistogramRecorder
 	runLog  *slog.Logger
 
-	// The flight recorder rides the same wiring as the other sinks: observe
-	// attaches it to every hierarchy, mark closes its phase BEFORE the
-	// monitor's (so when a phase check raises a Violation, the flight
-	// recorder's last closed PhaseDelta is word-for-word the delta the check
-	// evaluated), and dist-backed sections get a per-rank flight.Group teed
-	// alongside the profiler group so a violation can freeze every rank's
+	// The flight recorder's ring is fed by the ledger like the other sinks;
+	// dist-backed sections get a per-rank flight.Group beside the profiler
+	// group, on one ledger per rank, so a violation can freeze every rank's
 	// ring too.
 	fr         *flight.Recorder
 	flightDist *flight.Group
@@ -52,38 +60,89 @@ type Session struct {
 // NewSession returns an empty session with no sinks installed.
 func NewSession() *Session { return &Session{} }
 
+// follower is a sink that reads a ledger: its own until it follows another.
+type follower interface {
+	Ledger() *machine.Ledger
+	Follow(*machine.Ledger)
+}
+
+// join makes a newly installed sink read the session's ledger, or makes the
+// sink's own ledger the session's when it is the first.
+func (s *Session) join(f follower) {
+	if s.led == nil {
+		s.led = f.Ledger()
+	} else if f.Ledger() != s.led {
+		f.Follow(s.led)
+	}
+}
+
 // SetStream installs rec as the only stream recorder (nil: removes them all).
 // The caller keeps ownership: it must Close the recorder after the
 // experiments finish to flush the final record.
 func (s *Session) SetStream(rec *machine.StreamRecorder) {
+	for _, old := range s.streams {
+		old.Unfollow()
+	}
 	s.streams = nil
 	if rec != nil {
-		s.streams = []*machine.StreamRecorder{rec}
+		s.AddStream(rec)
 	}
 }
 
 // AddStream installs one more stream recorder alongside any already set —
 // how wabench streams to a file and to the HTTP event bridge at once.
-func (s *Session) AddStream(rec *machine.StreamRecorder) { s.streams = append(s.streams, rec) }
+func (s *Session) AddStream(rec *machine.StreamRecorder) {
+	s.join(rec)
+	s.streams = append(s.streams, rec)
+}
 
 // SetProfile installs (or, with nil, removes) the attribution profiler. The
 // caller keeps ownership and renders the trace/summary after the run.
-func (s *Session) SetProfile(p *profile.Profiler) { s.prof = p }
+func (s *Session) SetProfile(p *profile.Profiler) {
+	if s.prof != nil {
+		s.led.Unchain(s.prof.Main.Ledger())
+	}
+	s.prof = p
+	if p == nil {
+		return
+	}
+	main := p.Main.Ledger()
+	if s.led == nil {
+		s.led = machine.NewLedger(main.Levels())
+	}
+	s.led.Chain(main)
+}
 
-// SetMonitor installs (or removes) the theory-conformance monitor: observed
-// hierarchies feed it, marks become its phase evaluations, and cache-backed
+// SetMonitor installs (or removes) the theory-conformance monitor: it reads
+// the session's ledger, marks become its phase evaluations, and cache-backed
 // sections route stats checks through it.
-func (s *Session) SetMonitor(m *monitor.Monitor) { s.mon = m }
+func (s *Session) SetMonitor(m *monitor.Monitor) {
+	if s.mon != nil {
+		s.mon.Unfollow()
+	}
+	s.mon = m
+	if m != nil {
+		s.join(m)
+	}
+}
 
 // SetServer installs (or removes) the live HTTP server: marks broadcast
 // phase events, dist sections publish per-rank snapshots, cache sections
 // publish stats, and the profiler's span tree is pushed at each boundary.
 func (s *Session) SetServer(srv *monitor.Server) { s.server = srv }
 
-// SetHistograms installs (or removes) the distribution recorder: observed
-// hierarchies feed it, marks close its phases, and every floor-type conform
+// SetHistograms installs (or removes) the distribution recorder: it reads
+// the session's ledger, marks close its phases, and every floor-type conform
 // check contributes a floor-slack observation.
-func (s *Session) SetHistograms(h *monitor.HistogramRecorder) { s.hists = h }
+func (s *Session) SetHistograms(h *monitor.HistogramRecorder) {
+	if s.hists != nil {
+		s.hists.Unfollow()
+	}
+	s.hists = h
+	if h != nil {
+		s.join(h)
+	}
+}
 
 // SetLogger installs the structured run logger that dist-backed sections
 // hand to their machines (dist.Config.Logger); nil removes it. Counters are
@@ -94,10 +153,15 @@ func (s *Session) SetLogger(l *slog.Logger) { s.runLog = l }
 // The caller keeps ownership; wabench reads it back through the server's
 // /flight endpoint and through FlightCapture on violations.
 func (s *Session) SetFlight(f *flight.Recorder) {
+	if s.fr != nil {
+		s.fr.Unfollow()
+	}
 	s.fr = f
 	if f == nil {
 		s.flightDist = nil
+		return
 	}
+	s.join(f)
 }
 
 // runLogger returns the installed run logger, or nil.
@@ -108,29 +172,19 @@ func (s *Session) runLogger() *slog.Logger {
 	return s.runLog
 }
 
-// Observe attaches every installed sink to a freshly built hierarchy and
+// Observe attaches the session's ledger to a freshly built hierarchy and
 // returns it unchanged. Exported for drivers outside this package that want
 // the same wiring (wabench's -json phase suite).
 func (s *Session) Observe(h *machine.Hierarchy) *machine.Hierarchy { return s.observe(h) }
 
+// observe attaches the ledger — the one recorder every installed sink reads
+// — or nothing when no sink is installed.
 func (s *Session) observe(h *machine.Hierarchy) *machine.Hierarchy {
-	if s == nil {
+	if s == nil || s.led == nil {
 		return h
 	}
-	for _, rec := range s.streams {
-		h.Attach(rec)
-	}
-	if s.prof != nil {
-		s.prof.Observe(h)
-	}
-	if s.fr != nil {
-		h.Attach(s.fr)
-	}
-	if s.mon != nil {
-		h.Attach(s.mon)
-	}
-	if s.hists != nil {
-		h.Attach(s.hists)
+	if len(s.streams) > 0 || s.prof != nil || s.fr != nil || s.mon != nil || s.hists != nil {
+		h.Attach(s.led)
 	}
 	return h
 }
@@ -138,31 +192,21 @@ func (s *Session) observe(h *machine.Hierarchy) *machine.Hierarchy {
 // Mark is the exported phase boundary (see mark).
 func (s *Session) Mark(name string) { s.mark(name) }
 
-// mark labels subsequent events with a new phase on every sink: streams
-// flush pending deltas, the profiler opens a top-level span, the monitor
-// evaluates the closed phase's predictions, and the server broadcasts the
-// boundary and receives a fresh span-tree rendering.
+// mark labels subsequent events with a new phase on every sink: the ledger
+// closes the phase once (streams flush their pending deltas, the monitor
+// evaluates the closed phase's predictions, the histograms observe it, the
+// flight recorder's last closed phase becomes it), the profiler opens a
+// top-level span, and the server broadcasts the boundary and receives a
+// fresh span-tree rendering.
 func (s *Session) mark(name string) {
 	if s == nil {
 		return
 	}
-	for _, rec := range s.streams {
-		rec.Phase(name)
+	if s.led != nil {
+		s.led.Phase(name)
 	}
 	if s.prof != nil {
 		s.prof.Mark(name)
-	}
-	// The flight recorder's phase closes before the monitor's so that when a
-	// phase check violates (and its hook freezes the ring), the frozen
-	// window's Closed delta is exactly the delta the check evaluated.
-	if s.fr != nil {
-		s.fr.Phase(name)
-	}
-	if s.mon != nil {
-		s.mon.Phase(name)
-	}
-	if s.hists != nil {
-		s.hists.Phase(name)
 	}
 	if s.server != nil {
 		s.server.MarkPhase(name)
@@ -170,16 +214,16 @@ func (s *Session) mark(name string) {
 	}
 }
 
-// Finish closes the run's last phase in mark's order, flight recorder
-// before monitor, so that a violation in that phase freezes the delta its
-// check evaluated, and returns every violation the monitor recorded over the
-// run (nil without one). Call after the last section.
+// Finish closes the run's last phase on the ledger, so that every sink sees
+// it (a violation in that phase freezes the delta its check evaluated), and
+// returns every violation the monitor recorded over the run (nil without
+// one). Call after the last section.
 func (s *Session) Finish() []monitor.Violation {
 	if s == nil {
 		return nil
 	}
-	if s.fr != nil {
-		s.fr.Finish()
+	if s.led != nil {
+		s.led.Finish()
 	}
 	if s.mon == nil {
 		return nil
@@ -199,34 +243,37 @@ func (s *Session) publishSpans() {
 	}
 }
 
-// distObserve returns a per-processor observer: a named recorder group on
-// the installed profiler, a per-rank flight.Group on the installed flight
-// recorder (kept as the latest dist group, so a violation capture can freeze
-// the run's rank rings), both teed when both are installed, or nil when
-// neither is.
+// distObserve returns a per-processor observer: each rank gets one ledger,
+// the rank's only fold besides the machine's own shard, read by a span tree
+// in a named group of the installed profiler and by a ring in a per-rank
+// flight.Group of the installed flight recorder (kept as the latest dist
+// group, so a violation capture can freeze the run's rank rings). It is nil
+// when neither is installed.
 func (s *Session) distObserve(name string) dist.Observer {
 	if s == nil {
 		return nil
 	}
-	var pg, fg dist.Observer
+	var pg *profile.ProcGroup
+	var fg *flight.Group
 	if s.prof != nil {
-		pg = s.prof.Group(name).Recorder
+		pg = s.prof.Group(name)
 	}
 	if s.fr != nil {
-		g := flight.NewGroup(name, s.fr.Stats().Capacity, nil)
-		s.flightDist = g
-		fg = g.Recorder
+		fg = flight.NewGroup(name, s.fr.Stats().Capacity, nil)
+		s.flightDist = fg
 	}
-	switch {
-	case pg == nil && fg == nil:
+	if pg == nil && fg == nil {
 		return nil
-	case fg == nil:
-		return pg
-	case pg == nil:
-		return fg
 	}
 	return func(rank int) machine.Recorder {
-		return machine.Tee(pg(rank), fg(rank))
+		l := machine.NewLedger(nil)
+		if pg != nil {
+			pg.Follow(rank, l)
+		}
+		if fg != nil {
+			fg.Follow(rank, l)
+		}
+		return l
 	}
 }
 

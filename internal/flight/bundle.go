@@ -42,13 +42,10 @@ func Decode(seq int64, e machine.Event) EventRecord {
 }
 
 // PhaseDelta is one closed phase: its label, its counter-bearing event
-// count, and the exact Snapshot delta of the events recorded under it —
-// with matching marks, the very value the monitor's phase checks evaluated.
-type PhaseDelta struct {
-	Kernel string           `json:"kernel"`
-	Events int64            `json:"events"`
-	Delta  machine.Snapshot `json:"delta"`
-}
+// count, and the exact Snapshot delta of the events recorded under it — on
+// a ledger shared with the monitor, the very value its phase checks
+// evaluated.
+type PhaseDelta = machine.PhaseDelta
 
 // Window is one immutable freeze of a recorder's state: the decoded event
 // tail (oldest first), the open span stack, the phase context, and the drop
@@ -157,8 +154,9 @@ func NewGroup(name string, capacity int, levels []machine.Level) *Group {
 	return &Group{Name: name, capacity: capacity, levels: levels, recs: map[int]*Recorder{}}
 }
 
-// Recorder returns rank's flight recorder, creating it on first use. Safe
-// for concurrent use (dist ranks construct concurrently).
+// Recorder returns rank's flight recorder, creating it on first use with a
+// private ledger. Safe for concurrent use (dist ranks construct
+// concurrently).
 func (g *Group) Recorder(rank int) machine.Recorder {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -168,6 +166,18 @@ func (g *Group) Recorder(rank int) machine.Recorder {
 		g.recs[rank] = r
 	}
 	return r
+}
+
+// Follow gives rank a flight recorder whose ring is fed by l, the rank's
+// ledger (experiments.Session shares it with the rank's span tree, so the
+// rank's events are folded once for both), replacing any recorder the rank
+// had. Safe for concurrent use.
+func (g *Group) Follow(rank int, l *machine.Ledger) {
+	r := newRing(g.capacity, nil)
+	r.Follow(l)
+	g.mu.Lock()
+	g.recs[rank] = r
+	g.mu.Unlock()
 }
 
 // Ranks returns the ranks with recorders, sorted.

@@ -5,15 +5,23 @@
 // operator asks) the machine's recent history can be frozen into an
 // immutable forensic bundle instead of being gone with the counters.
 //
-// The Recorder rides the batched engine natively: RecordBatch copies a
-// block into the ring under one lock acquisition, span marks maintain the
-// stack in place, and the counter-bearing events fold into a
-// machine.GrowingCounters exactly the way monitor.Monitor folds them — so
-// the phase delta a frozen bundle carries is word-for-word the delta the
-// monitor's check evaluated, provided Phase is driven with the same marks
-// (experiments.Mark does both, flight first). Steady state allocates
-// nothing per event: the ring storage, the stack backing array, and the
-// counters are all preallocated or grow-once.
+// The Recorder folds no counters of its own. It reads a machine.Ledger: a
+// private one when built with New and attached on its own, or a run's
+// shared one (Follow), which experiments.Session gives its monitor, streams
+// and histograms too. The ledger hands the ring every block it folds, and
+// the phase context a capture freezes — the running label, the last closed
+// phase's delta, the cumulative snapshot — is the ledger's. Because the
+// ledger closes each phase once for all of its readers, the delta a frozen
+// bundle carries is word-for-word the delta the monitor's check evaluated,
+// whichever sink closed the phase and in whatever order the marks run.
+//
+// Ring layout: each event is kept in a 24-byte slot that holds no pointers
+// (Words, Addr, a 32-bit Arg, and the kind, flags and a label index packed
+// into one word); span labels live in a small table beside the ring,
+// compacted when it outgrows the labels the ring still holds. A 4096-event
+// ring is 96 KiB that the garbage collector never scans, and steady state
+// allocates nothing per event. Arg is an interface or level index, which
+// always fits 32 bits.
 //
 // Exactness invariants, pinned by the package tests:
 //
@@ -22,9 +30,9 @@
 //     identically-interested recorder. Batching never changes which events
 //     the black box holds, only when they arrived.
 //   - The last closed phase's Delta equals cum.Sub(prev) over exactly the
-//     events recorded under that phase label — the same telescoping-group
-//     arithmetic (and, with the default touchless interest, the same event
-//     set) as the monitor's check input.
+//     events recorded under that phase label — the monitor's check input,
+//     since (with the default touchless interest) both read the same
+//     ledger view.
 //   - Capture never loses the drop count: TotalEvents - len(Events) events
 //     were overwritten, and the bundle says so rather than pretending the
 //     window is complete.
@@ -41,31 +49,47 @@ import (
 // tens of KB per hierarchy.
 const DefaultEvents = 1024
 
+// slot is one ring event, 24 bytes and pointer-free so the ring is never
+// scanned. meta packs the kind (low 4 bits), the write and remote flags
+// (bits 4 and 5) and the label index (the upper 26 bits; 0 is the empty
+// label).
+type slot struct {
+	words int64
+	addr  uint64
+	arg   int32
+	meta  uint32
+}
+
+const (
+	kindBits   = 4
+	flagWrite  = 1 << kindBits
+	flagRemote = 2 << kindBits
+	labelShift = kindBits + 2
+	// maxLabels bounds the label table; it is compacted well before.
+	maxLabels = 1 << (32 - labelShift)
+)
+
 // Recorder is the flight recorder: a machine.Recorder/BatchRecorder keeping
-// the last N events in a ring plus the open span stack and the running
-// phase context. It is internally locked — smp.RunParallel delivers batches
-// from many goroutines at once, and captures may come from HTTP handlers —
-// with one lock round-trip per batch, not per event. Like monitor.Monitor
-// it embeds a dirty-source set that only the run goroutine drives
-// (Phase/Capture); concurrent readers use Peek, which accepts batch
-// granularity instead of syncing.
+// the last N events in a ring plus the open span stack, over the phase
+// context of the ledger it reads. It is internally locked — smp.RunParallel
+// delivers batches from many goroutines at once, and captures may come from
+// HTTP handlers — with one lock round-trip per batch, not per event. Capture
+// syncs the ledger's batch sources, so it belongs to the run goroutine;
+// concurrent readers use Peek, which accepts batch granularity instead.
 type Recorder struct {
-	// sources tracks hierarchies holding buffered events for this recorder;
-	// driven only from the run goroutine (Phase, Capture).
-	sources machine.Sources
+	led *machine.Ledger
 
 	mu    sync.Mutex
-	ring  []machine.Event // fixed capacity len(ring) == cap
-	pos   int             // next write index
-	n     int             // occupancy, <= len(ring)
-	seq   int64           // events ever appended (ring sequence numbers)
-	stack []string        // open span labels, innermost last
+	ring  []slot // fixed capacity len(ring) == cap
+	pos   int    // next write index
+	n     int    // occupancy, <= len(ring)
+	seq   int64  // events ever appended (ring sequence numbers)
+	stack []string
 
-	g      *machine.GrowingCounters
-	prev   machine.Snapshot // basis of the running phase delta
-	phase  string           // running phase label
-	events int64            // counter-bearing events in the running phase
-	closed *PhaseDelta      // last closed event-carrying phase
+	names   []string          // label table; names[0] == ""
+	index   map[string]uint32 // label -> names index
+	last    string            // the most recent label and its index
+	lastIdx uint32
 
 	captures int64
 	touch    bool
@@ -82,23 +106,40 @@ type Option func(*Recorder)
 func WithTouch() Option { return func(r *Recorder) { r.touch = true } }
 
 // New builds a flight recorder whose ring holds capacity events (values < 1
-// get DefaultEvents), seeded with the given counter geometry (nil grows on
-// demand like the monitor's).
+// get DefaultEvents), reading a private ledger seeded with the given counter
+// geometry (nil grows on demand like the monitor's).
 func New(capacity int, levels []machine.Level, opts ...Option) *Recorder {
+	r := newRing(capacity, opts)
+	r.Follow(machine.NewLedger(levels))
+	return r
+}
+
+func newRing(capacity int, opts []Option) *Recorder {
 	if capacity < 1 {
 		capacity = DefaultEvents
 	}
-	r := &Recorder{
-		ring:  make([]machine.Event, capacity),
-		stack: make([]string, 0, 16),
-		g:     machine.NewGrowingCounters(levels),
-	}
-	r.prev = r.g.Snapshot()
+	r := &Recorder{ring: make([]slot, capacity), names: []string{""}}
 	for _, o := range opts {
 		o(r)
 	}
 	return r
 }
+
+// Follow makes the recorder read l from now on: l feeds the ring, and its
+// phase context is what captures freeze.
+func (r *Recorder) Follow(l *machine.Ledger) {
+	if r.led != nil {
+		r.led.RemoveTap(r)
+	}
+	r.led = l
+	l.AddTap(r)
+}
+
+// Unfollow stops the ledger feeding the ring.
+func (r *Recorder) Unfollow() { r.led.RemoveTap(r) }
+
+// Ledger returns the ledger the recorder reads.
+func (r *Recorder) Ledger() *machine.Ledger { return r.led }
 
 // WantsSpans opts into EvBegin/EvEnd so the ring holds the marks and the
 // stack tracks them.
@@ -107,32 +148,59 @@ func (r *Recorder) WantsSpans() bool { return true }
 // WantsTouch reports the configured touch interest (see WithTouch).
 func (r *Recorder) WantsTouch() bool { return r.touch }
 
-// SourceDirty and SourceClean track hierarchies with buffered events (run
-// goroutine only; see the sources field).
-func (r *Recorder) SourceDirty(f machine.Flusher) { r.sources.SourceDirty(f) }
-func (r *Recorder) SourceClean(f machine.Flusher) { r.sources.SourceClean(f) }
+// SourceDirty and SourceClean hand batch-source tracking to the ledger (run
+// goroutine only).
+func (r *Recorder) SourceDirty(f machine.Flusher) { r.led.SourceDirty(f) }
+func (r *Recorder) SourceClean(f machine.Flusher) { r.led.SourceClean(f) }
 
-// Record appends one event.
-func (r *Recorder) Record(e machine.Event) {
-	r.mu.Lock()
-	r.record(e)
-	r.mu.Unlock()
-}
+// Record folds one event into the recorder's ledger, which appends it to
+// the ring.
+func (r *Recorder) Record(e machine.Event) { r.led.Record(e) }
 
-// RecordBatch appends a block of events under one lock acquisition — the
-// steady-state fast path: a ring slot copy, a stack push/pop, and a counter
-// fold per event, no allocation.
-func (r *Recorder) RecordBatch(events []machine.Event) {
+// RecordBatch folds a block into the recorder's ledger, which appends it to
+// the ring under one lock acquisition — the steady-state fast path: a slot
+// copy and a stack push/pop per event, no allocation.
+func (r *Recorder) RecordBatch(events []machine.Event) { r.led.RecordBatch(events) }
+
+// TapBatch appends a block the ledger folded to the ring.
+func (r *Recorder) TapBatch(events []machine.Event) {
 	r.mu.Lock()
 	for i := range events {
-		r.record(events[i])
+		e := &events[i]
+		switch e.Kind {
+		case machine.EvTouch, machine.EvRange:
+			if !r.touch {
+				continue
+			}
+		case machine.EvBegin:
+			r.stack = append(r.stack, e.Label)
+		case machine.EvEnd:
+			// Pop-if-nonempty: under concurrent direct delivery (smp workers
+			// recording straight into a shared flight recorder) cross-worker
+			// interleaving makes the stack best-effort; it must stay bounded
+			// and race-free, not meaningful.
+			if len(r.stack) > 0 {
+				r.stack = r.stack[:len(r.stack)-1]
+			}
+		}
+		r.append(e)
 	}
 	r.mu.Unlock()
 }
 
-// record is the per-event body; callers hold mu.
-func (r *Recorder) record(e machine.Event) {
-	r.ring[r.pos] = e
+// append writes one event into the next slot; callers hold mu.
+func (r *Recorder) append(e *machine.Event) {
+	s := slot{words: e.Words, addr: e.Addr, arg: int32(e.Arg), meta: uint32(e.Kind)}
+	if e.Write {
+		s.meta |= flagWrite
+	}
+	if e.Remote {
+		s.meta |= flagRemote
+	}
+	if e.Label != "" {
+		s.meta |= r.labelIndex(e.Label) << labelShift
+	}
+	r.ring[r.pos] = s
 	r.pos++
 	if r.pos == len(r.ring) {
 		r.pos = 0
@@ -141,104 +209,121 @@ func (r *Recorder) record(e machine.Event) {
 		r.n++
 	}
 	r.seq++
-	switch e.Kind {
-	case machine.EvBegin:
-		r.stack = append(r.stack, e.Label)
-	case machine.EvEnd:
-		// Pop-if-nonempty: under concurrent direct delivery (smp workers
-		// recording straight into a shared flight recorder) cross-worker
-		// interleaving makes the stack best-effort; it must stay bounded
-		// and race-free, not meaningful.
-		if len(r.stack) > 0 {
-			r.stack = r.stack[:len(r.stack)-1]
+}
+
+// labelIndex interns a label into the table. The table is compacted to the
+// labels the ring still holds once it outgrows twice the ring, so it stays
+// bounded however many distinct labels a run formats.
+func (r *Recorder) labelIndex(label string) uint32 {
+	if label == r.last && r.lastIdx != 0 {
+		return r.lastIdx
+	}
+	i, ok := r.index[label]
+	if !ok {
+		if len(r.names) > min(2*len(r.ring)+16, maxLabels/2) {
+			r.compactLabels()
 		}
-	case machine.EvRange:
-		// annotation only: in the ring, not in the counters
-	default:
-		r.g.Record(e)
-		r.events++
+		if r.index == nil {
+			r.index = make(map[string]uint32)
+		}
+		i = uint32(len(r.names))
+		r.names = append(r.names, label)
+		r.index[label] = i
+	}
+	r.last, r.lastIdx = label, i
+	return i
+}
+
+// compactLabels rebuilds the label table from the slots still in the ring.
+func (r *Recorder) compactLabels() {
+	old := r.names
+	r.names = []string{""}
+	r.index = make(map[string]uint32)
+	for k := range r.ring[:r.n] {
+		s := &r.ring[k]
+		j := s.meta >> labelShift
+		if j == 0 {
+			continue
+		}
+		label := old[j]
+		i, ok := r.index[label]
+		if !ok {
+			i = uint32(len(r.names))
+			r.names = append(r.names, label)
+			r.index[label] = i
+		}
+		s.meta = s.meta&(1<<labelShift-1) | i<<labelShift
+	}
+	r.last, r.lastIdx = "", 0
+}
+
+// decode renders one slot as the record a captured window holds; callers
+// hold mu.
+func (r *Recorder) decode(seq int64, s *slot) EventRecord {
+	return EventRecord{
+		Seq:    seq,
+		Kind:   machine.EventKind(s.meta & (1<<kindBits - 1)).String(),
+		Arg:    int(s.arg),
+		Words:  s.words,
+		Addr:   s.addr,
+		Write:  s.meta&flagWrite != 0,
+		Remote: s.meta&flagRemote != 0,
+		Label:  r.names[s.meta>>labelShift],
 	}
 }
 
-// Phase closes the running phase and labels subsequent events with name,
-// mirroring monitor.Monitor.Phase exactly: buffered events are synced in
-// first, and a phase that carried no counter-bearing events closes silently
-// (the last closed delta keeps pointing at the last phase that did). Drive
-// it with the same marks as the monitor, flight first, and the last closed
-// delta is always the delta the monitor is about to evaluate. Run goroutine
-// only.
-func (r *Recorder) Phase(name string) {
-	r.sources.Sync()
-	r.mu.Lock()
-	r.closePhaseLocked()
-	r.phase = name
-	r.mu.Unlock()
-}
+// Phase closes the running phase on the recorder's ledger and labels
+// subsequent events with name: buffered events are synced in first, and a
+// phase that carried no counter-bearing events closes silently (the last
+// closed delta keeps pointing at the last phase that did). On a shared
+// ledger this is every reader's phase mark. Run goroutine only.
+func (r *Recorder) Phase(name string) { r.led.Phase(name) }
 
-// Finish closes the running phase without opening another, mirroring
-// monitor.Monitor.Finish: called just before the monitor's Finish, it makes
-// the last closed delta the run's last phase, the one that Finish evaluates.
-// Run goroutine only.
-func (r *Recorder) Finish() {
-	r.sources.Sync()
-	r.mu.Lock()
-	r.closePhaseLocked()
-	r.mu.Unlock()
-}
-
-func (r *Recorder) closePhaseLocked() {
-	if r.events == 0 {
-		return
-	}
-	cum := r.g.Snapshot()
-	r.closed = &PhaseDelta{
-		Kernel: r.phase,
-		Events: r.events,
-		Delta:  cum.Sub(r.prev),
-	}
-	r.prev = cum
-	r.events = 0
-}
+// Finish closes the running phase on the recorder's ledger without opening
+// another. Run goroutine only.
+func (r *Recorder) Finish() { r.led.Finish() }
 
 // Capture syncs buffered events in and freezes the current ring state into
 // an immutable Window. Run goroutine only (it syncs); concurrent readers
 // use Peek.
 func (r *Recorder) Capture(reason string) *Window {
-	r.sources.Sync()
+	r.led.Sync()
 	return r.Peek(reason)
 }
 
 // Peek freezes the ring state without syncing hierarchy buffers: safe from
 // any goroutine, at batch rather than event granularity (the same
-// momentary-snapshot semantics the monitor's live reads have).
+// momentary-snapshot semantics the monitor's live reads have). The ring is
+// read under the ledger's lock, so the window's events, span stack and
+// counts agree with its phase, closed delta and cumulative snapshot.
 func (r *Recorder) Peek(reason string) *Window {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	w := &Window{Reason: reason}
+	st := r.led.State(r.touch, func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.fillLocked(w)
+	})
+	w.Phase, w.Closed, w.Cumulative = st.Phase, st.Closed, st.Cumulative
+	return w
+}
+
+// fillLocked copies the ring's events, span stack and counts into w and
+// counts the capture; callers hold mu.
+func (r *Recorder) fillLocked(w *Window) {
 	r.captures++
-	w := &Window{
-		Reason:      reason,
-		Phase:       r.phase,
-		SpanStack:   append([]string(nil), r.stack...),
-		TotalEvents: r.seq,
-		Dropped:     r.seq - int64(r.n),
-		FirstSeq:    r.seq - int64(r.n) + 1,
-		Cumulative:  r.g.Snapshot(),
-		Events:      make([]EventRecord, 0, r.n),
-	}
-	if r.closed != nil {
-		c := *r.closed
-		w.Closed = &c
-	}
+	w.SpanStack = append([]string(nil), r.stack...)
+	w.TotalEvents = r.seq
+	w.Dropped = r.seq - int64(r.n)
+	w.FirstSeq = r.seq - int64(r.n) + 1
+	w.Events = make([]EventRecord, 0, r.n)
 	// Oldest event lives at pos when the ring wrapped, at 0 otherwise.
 	start := 0
 	if r.n == len(r.ring) {
 		start = r.pos
 	}
 	for i := 0; i < r.n; i++ {
-		e := r.ring[(start+i)%len(r.ring)]
-		w.Events = append(w.Events, Decode(w.FirstSeq+int64(i), e))
+		w.Events = append(w.Events, r.decode(w.FirstSeq+int64(i), &r.ring[(start+i)%len(r.ring)]))
 	}
-	return w
 }
 
 // Stats is the recorder's live accounting — what the wa_flight_* metric

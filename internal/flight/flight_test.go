@@ -1,6 +1,7 @@
 package flight_test
 
 import (
+	"fmt"
 	"testing"
 
 	"writeavoid/internal/flight"
@@ -256,5 +257,61 @@ func TestConcurrentRunParallelAndPeek(t *testing.T) {
 	if snap.Cumulative.TouchReads+snap.Cumulative.TouchWrites != res.AccessesRun {
 		t.Fatalf("touch tally %d+%d != accesses %d",
 			snap.Cumulative.TouchReads, snap.Cumulative.TouchWrites, res.AccessesRun)
+	}
+}
+
+// Peek reads the ring under the ledger's lock, so a window probed while the
+// run goroutine records agrees with the counters it is frozen beside: the
+// cumulative loads are exactly the ring's events, the running phase is the
+// one the ring's last block was recorded under (or the next, opened before
+// its first event), and the closed phase is the one before it.
+func TestPeekWindowAgreesWithItsCounters(t *testing.T) {
+	const block, blocks = 8, 100000
+	fr := flight.New(64, machine.GenericLevels(2))
+	batch := make([]machine.Event, block)
+	for i := range batch {
+		batch[i] = machine.Event{Kind: machine.EvLoad, Words: 1}
+	}
+	label := func(k int64) string {
+		if k == 0 {
+			return ""
+		}
+		return fmt.Sprintf("p%d", k)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := int64(1); k <= blocks; k++ {
+			fr.Phase(label(k))
+			fr.RecordBatch(batch)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		w := fr.Peek("probe")
+		var loads int64
+		for _, ifc := range w.Cumulative.Interfaces {
+			loads += ifc.LoadWords
+		}
+		if loads != w.TotalEvents {
+			t.Fatalf("window holds %d events beside %d cumulative loads", w.TotalEvents, loads)
+		}
+		k := w.TotalEvents / block
+		at := k
+		if w.Phase == label(k+1) {
+			at = k + 1
+		} else if w.Phase != label(k) {
+			t.Fatalf("window of %d blocks runs under %q", k, w.Phase)
+		}
+		switch {
+		case at < 2 && w.Closed != nil:
+			t.Fatalf("phase %q has closed %q before any phase closed", w.Phase, w.Closed.Kernel)
+		case at >= 2 && (w.Closed == nil || w.Closed.Kernel != label(at-1)):
+			t.Fatalf("phase %q beside closed %+v, want %q", w.Phase, w.Closed, label(at-1))
+		}
 	}
 }

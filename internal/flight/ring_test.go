@@ -1,0 +1,71 @@
+package flight
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"writeavoid/internal/machine"
+)
+
+// hasPointers reports whether values of t hold any pointer the garbage
+// collector would scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map, reflect.Interface,
+		reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// The ring's slot holds no pointers and fits 32 bytes, so a ring is a
+// block the collector never scans.
+func TestSlotIsCompactAndPointerFree(t *testing.T) {
+	st := reflect.TypeOf(slot{})
+	if hasPointers(st) {
+		t.Fatal("ring slot holds a pointer")
+	}
+	if st.Size() > 32 {
+		t.Fatalf("ring slot is %d bytes, want at most 32", st.Size())
+	}
+	if max := machine.EvRange; max >= 1<<kindBits {
+		t.Fatalf("event kind %d does not fit the slot's %d kind bits", max, kindBits)
+	}
+}
+
+// A small ring fed far more distinct labels than it holds keeps its label
+// table bounded through compaction, and every window still decodes each
+// event — label, flags and all — exactly as recorded.
+func TestLabelTableCompactsAndDecodesExactly(t *testing.T) {
+	const capN = 8
+	r := New(capN, nil)
+	var all []machine.Event
+	for i := 0; i < 500; i++ {
+		e := machine.Event{Kind: machine.EvBegin, Label: fmt.Sprintf("s%d", i%97+i/7)}
+		if i%3 == 0 {
+			e = machine.Event{Kind: machine.EvStore, Arg: i % 2, Words: int64(i), Addr: uint64(i) << 20,
+				Write: i%2 == 0, Remote: i%5 == 0, Label: fmt.Sprintf("x%d", i)}
+		}
+		r.Record(e)
+		all = append(all, e)
+		if len(r.names) > 2*capN+17 {
+			t.Fatalf("after %d events the label table holds %d labels for an %d-event ring", i+1, len(r.names), capN)
+		}
+		w := r.Peek("probe")
+		tail := all[len(all)-len(w.Events):]
+		for k, got := range w.Events {
+			if want := Decode(w.FirstSeq+int64(k), tail[k]); got != want {
+				t.Fatalf("after %d events, window event %d = %+v, want %+v", i+1, k, got, want)
+			}
+		}
+	}
+}

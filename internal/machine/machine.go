@@ -308,6 +308,7 @@ func (h *Hierarchy) Flush() {
 		return
 	}
 	h.flushing = true
+	var plain []Event // the block without touches, built at most once
 	filtered := false
 	for i := range h.recs {
 		a := &h.recs[i]
@@ -316,18 +317,11 @@ func (h *Hierarchy) Flush() {
 			continue
 		}
 		if !filtered {
-			h.scratch = h.scratch[:0]
-			for j := range h.batch {
-				switch h.batch[j].Kind {
-				case EvTouch, EvRange:
-				default:
-					h.scratch = append(h.scratch, h.batch[j])
-				}
-			}
+			plain = h.stripTouches()
 			filtered = true
 		}
-		if len(h.scratch) > 0 {
-			a.deliver(h.scratch)
+		if len(plain) > 0 {
+			a.deliver(plain)
 		}
 	}
 	h.batch = h.batch[:0]
@@ -337,6 +331,32 @@ func (h *Hierarchy) Flush() {
 		}
 	}
 	h.flushing = false
+}
+
+// stripTouches returns the buffered block without its EvTouch/EvRange
+// events: the block itself when it holds none (the common case, so nothing
+// is copied), else a copy in the scratch buffer, sized once to the batch
+// capacity.
+func (h *Hierarchy) stripTouches() []Event {
+	j := 0
+	for j < len(h.batch) && h.batch[j].Kind != EvTouch && h.batch[j].Kind != EvRange {
+		j++
+	}
+	if j == len(h.batch) {
+		return h.batch
+	}
+	if h.scratch == nil {
+		h.scratch = make([]Event, 0, h.batchCap)
+	}
+	h.scratch = append(h.scratch[:0], h.batch[:j]...)
+	for _, e := range h.batch[j:] {
+		switch e.Kind {
+		case EvTouch, EvRange:
+		default:
+			h.scratch = append(h.scratch, e)
+		}
+	}
+	return h.scratch
 }
 
 // SetBatchCapacity resizes the event buffer (minimum 1: every event flushes

@@ -61,7 +61,11 @@ type InterfaceSnapshot struct {
 // set has levels. This is how merged sharded counters (dist.Machine) and
 // stream-recorder counters become the same wire format a Hierarchy snapshot
 // uses.
-func SnapshotOf(levels []Level, c *CounterSet) Snapshot {
+func SnapshotOf(levels []Level, c *CounterSet) Snapshot { return snapshotOf(levels, nil, c) }
+
+// snapshotOf is SnapshotOf with the interface names given (between[i] names
+// interface i), or built from the level names when between is nil.
+func snapshotOf(levels []Level, between []string, c *CounterSet) Snapshot {
 	if len(levels) != len(c.Lvl) {
 		panic("machine: SnapshotOf level count mismatch")
 	}
@@ -72,6 +76,7 @@ func SnapshotOf(levels []Level, c *CounterSet) Snapshot {
 		RemoteTouchReads:  c.RemoteTouchReads,
 		RemoteTouchWrites: c.RemoteTouchWrites,
 	}
+	s.Levels = make([]LevelSnapshot, len(levels))
 	for i, lv := range levels {
 		lc := c.Lvl[i]
 		ls := LevelSnapshot{
@@ -94,13 +99,22 @@ func SnapshotOf(levels []Level, c *CounterSet) Snapshot {
 			ls.WritesTo += c.Iface[i-1].StoreWords
 			ls.ReadsFrom += c.Iface[i-1].LoadWords
 		}
-		s.Levels = append(s.Levels, ls)
+		s.Levels[i] = ls
+	}
+	if len(c.Iface) > 0 {
+		s.Interfaces = make([]InterfaceSnapshot, len(c.Iface))
 	}
 	for i := range c.Iface {
 		ic := c.Iface[i]
 		writesFast := ic.LoadWords + c.Lvl[i].InitWords
-		s.Interfaces = append(s.Interfaces, InterfaceSnapshot{
-			Between:          levels[i].Name + "<->" + levels[i+1].Name,
+		name := ""
+		if between != nil {
+			name = between[i]
+		} else {
+			name = levels[i].Name + "<->" + levels[i+1].Name
+		}
+		s.Interfaces[i] = InterfaceSnapshot{
+			Between:          name,
 			LoadWords:        ic.LoadWords,
 			LoadMsgs:         ic.LoadMsgs,
 			StoreWords:       ic.StoreWords,
@@ -109,7 +123,7 @@ func SnapshotOf(levels []Level, c *CounterSet) Snapshot {
 			RemoteStoreWords: ic.RemoteStoreWords,
 			Traffic:          ic.LoadWords + ic.StoreWords,
 			Theorem1Holds:    2*writesFast >= ic.LoadWords+ic.StoreWords,
-		})
+		}
 	}
 	return s
 }

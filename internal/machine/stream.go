@@ -101,28 +101,30 @@ func (sw *StreamWriter) Seq() int64 { return sw.seq }
 // Err returns the first write error, if any.
 func (sw *StreamWriter) Err() error { return sw.err }
 
-// StreamRecorder is a Recorder that counts events into its own CounterSet
-// and flushes StreamRecords to a writer every Every events and on explicit
-// Phase marks. Attach it to a Hierarchy (or several, sequentially — the
-// counters accumulate across all attached sources, which is how wabench
-// streams a whole multi-section run as one trajectory) and Close it when the
-// run ends to emit the final cumulative record.
+// StreamRecorder flushes StreamRecords to a writer every Every events and
+// on phase marks. It folds nothing itself: it reads a Ledger, which cuts its
+// records at the exact N-th event and at every Phase, so it costs the fold
+// of no extra counter set. Built on its own it reads a private ledger;
+// Follow makes it read a shared one (experiments.Session does, so all of a
+// run's sinks share one fold). Attach it to a Hierarchy (or several,
+// sequentially — the counters accumulate across all attached sources, which
+// is how wabench streams a whole multi-section run as one trajectory) and
+// Close it when the run ends to emit the final cumulative record.
 //
-// The recorder grows its geometry on demand: observing an event for a level
-// or interface beyond the current level list extends it with generically
+// The geometry grows on demand: observing an event for a level or
+// interface beyond the current level list extends it with generically
 // named levels ("L2", "L3", ...), so one stream can watch hierarchies of
 // different depths. Like every Recorder, it is driven synchronously and is
 // not safe for concurrent use; concurrent machines stream through
 // dist.Machine's aggregate stream instead.
 type StreamRecorder struct {
-	Sources
-	sw     *StreamWriter
-	g      *GrowingCounters
-	every  int64
-	phase  string
-	events int64 // events since the last flush
-	total  int64 // events since the start
-	closed bool
+	led   *Ledger
+	sw    *StreamWriter
+	every int64
+	// start and base are the ledger's event totals (touches included) when
+	// the stream joined it and at its last record; the ledger moves base.
+	start, base int64
+	closed      bool
 }
 
 // GenericLevels returns n placeholder levels named "L0".."Ln-1", for streams
@@ -143,12 +145,33 @@ func NewStreamRecorder(w io.Writer, levels []Level, every int64) *StreamRecorder
 	if len(levels) < 2 {
 		panic("machine: a stream recorder needs at least two levels")
 	}
-	return &StreamRecorder{
-		sw:    NewStreamWriter(w),
-		g:     NewGrowingCounters(levels),
-		every: every,
+	s := &StreamRecorder{sw: NewStreamWriter(w), every: every}
+	s.Follow(NewLedger(levels))
+	return s
+}
+
+// Follow makes the stream read l from now on: l cuts its records, and its
+// Phase marks are the stream's. Call before l folds the events the stream
+// should cover; events l folded earlier are in the cumulative snapshots but
+// not in any record's event count.
+func (s *StreamRecorder) Follow(l *Ledger) {
+	if s.led != nil {
+		s.led.removeStream(s)
+	}
+	s.led = l
+	l.addStream(s)
+}
+
+// Unfollow detaches the stream from its ledger; it emits no more records
+// until it follows one again.
+func (s *StreamRecorder) Unfollow() {
+	if s.led != nil {
+		s.led.removeStream(s)
 	}
 }
+
+// Ledger returns the ledger the stream reads.
+func (s *StreamRecorder) Ledger() *Ledger { return s.led }
 
 // StreamTo attaches a new StreamRecorder with this hierarchy's geometry to
 // the hierarchy and returns it. The caller owns the recorder: call Phase to
@@ -159,70 +182,42 @@ func (h *Hierarchy) StreamTo(w io.Writer, every int64) *StreamRecorder {
 	return s
 }
 
-// Record accumulates one event and flushes a record when the periodic
-// threshold is reached. Span marks and range annotations carry no counter
-// deltas and are not counted as events; phase labels on the stream stay
-// under the caller's explicit Phase control (span attribution is the
-// profile.SpanRecorder's job).
-func (s *StreamRecorder) Record(e Event) {
-	switch e.Kind {
-	case EvBegin, EvEnd, EvRange:
-		return
-	}
-	s.g.Record(e)
-	s.events++
-	s.total++
-	if s.every > 0 && s.events >= s.every {
-		s.flush(false)
-	}
-}
+// Record folds one event into the stream's ledger; span marks and range
+// annotations carry no counter deltas and are not counted as events.
+func (s *StreamRecorder) Record(e Event) { s.led.Record(e) }
 
-// RecordBatch consumes a block of events. Flush cadence is pinned to the
-// per-event engine's: the every-N threshold is checked after each event of
-// the block, so an Every smaller than the batch capacity still emits one
-// record per N events, with exactly the same deltas, from inside the block.
-// Batching moves the moment records are written — delivery happens at the
-// hierarchy's flush boundaries — but never which events each record covers.
-func (s *StreamRecorder) RecordBatch(events []Event) {
-	for i := range events {
-		e := &events[i]
-		switch e.Kind {
-		case EvBegin, EvEnd, EvRange:
-			continue
-		}
-		s.g.Record(*e)
-		s.events++
-		s.total++
-		if s.every > 0 && s.events >= s.every {
-			s.flush(false)
-		}
-	}
-}
+// RecordBatch folds a block into the stream's ledger. The every-N
+// threshold is checked after each event of the block, so an Every smaller
+// than the batch capacity still emits one record per N events, with exactly
+// the per-event engine's deltas, from inside the block.
+func (s *StreamRecorder) RecordBatch(events []Event) { s.led.RecordBatch(events) }
+
+// SourceDirty and SourceClean hand batch-source tracking to the ledger,
+// whose Sync the stream's read and mark methods call.
+func (s *StreamRecorder) SourceDirty(f Flusher) { s.led.SourceDirty(f) }
+func (s *StreamRecorder) SourceClean(f Flusher) { s.led.SourceClean(f) }
 
 // WantsTouch subscribes the stream to the per-element touch stream so traced
 // runs expose read/write touch trajectories too.
 func (s *StreamRecorder) WantsTouch() bool { return true }
 
-// Phase syncs any batch-buffered events out of the attached hierarchies (no
-// event emitted before the mark is ever deferred past it), flushes the
-// pending delta under the current phase label, then switches subsequent
-// events to the new label. Consecutive marks with no intervening events do
-// not emit empty records.
-func (s *StreamRecorder) Phase(name string) {
-	s.Sync()
-	if s.events > 0 {
-		s.flush(false)
-	}
-	s.phase = name
-}
+// Phase marks a phase boundary on the stream's ledger: buffered events are
+// synced in first (no event emitted before the mark is ever deferred past
+// it), the pending delta is flushed under the current phase label, and
+// subsequent events take the new label. Consecutive marks with no
+// intervening events do not emit empty records.
+func (s *StreamRecorder) Phase(name string) { s.led.Phase(name) }
 
 // Flush syncs buffered events and emits a record for any pending ones under
 // the current phase.
 func (s *StreamRecorder) Flush() {
-	s.Sync()
-	if s.events > 0 {
-		s.flush(false)
+	s.led.Sync()
+	s.led.mu.Lock()
+	if !s.closed && s.led.totalAll > s.base {
+		s.led.emitLocked(s, false)
+		s.led.rearmLocked()
 	}
+	s.led.unlock()
 }
 
 // Close syncs and flushes pending events and emits the final cumulative
@@ -230,9 +225,12 @@ func (s *StreamRecorder) Flush() {
 // stream's lifetime.
 func (s *StreamRecorder) Close() error {
 	if !s.closed {
-		s.Sync()
+		s.led.Sync()
+		s.led.mu.Lock()
+		s.led.emitLocked(s, true)
 		s.closed = true
-		s.flush(true)
+		s.led.rearmLocked()
+		s.led.unlock()
 	}
 	return s.sw.Err()
 }
@@ -243,18 +241,13 @@ func (s *StreamRecorder) Err() error { return s.sw.Err() }
 // Counters exposes the stream's cumulative counter set (the post-hoc totals
 // the final record reports), syncing buffered events first.
 func (s *StreamRecorder) Counters() *CounterSet {
-	s.Sync()
-	return s.g.Counters()
+	s.led.Sync()
+	return s.led.Counters()
 }
 
 // Snapshot returns the stream's current cumulative snapshot, syncing buffered
 // events first.
 func (s *StreamRecorder) Snapshot() Snapshot {
-	s.Sync()
-	return s.g.Snapshot()
-}
-
-func (s *StreamRecorder) flush(final bool) {
-	_ = s.sw.Emit(s.phase, s.events, s.total, s.g.Snapshot(), final)
-	s.events = 0
+	s.led.Sync()
+	return s.led.Snapshot(true)
 }

@@ -81,13 +81,15 @@ func (e *indexError) Error() string {
 }
 
 // Block returns the r-by-c submatrix view whose top-left corner is (i,j).
-// The view aliases m's storage. Block inlines, so a view that does not
+// The view aliases m's storage; an empty view (r or c zero) may sit on any
+// edge, down to the corner just past the last element. Block inlines, so a view that does not
 // outlive its caller stays on the caller's stack.
 func (m *Dense) Block(i, j, r, c int) *Dense {
-	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
+	if i|j|r|c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(&blockError{i, j, r, c, m.Rows, m.Cols})
 	}
-	return &Dense{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[i*m.Stride+j:]}
+	// Only a view with no rows can start past the storage (at row Rows).
+	return &Dense{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[min(i*m.Stride+j, len(m.Data)):]}
 }
 
 // blockError is the panic value of an out-of-range Block, formatted only

@@ -82,6 +82,63 @@ func TestBlockOutOfRangePanics(t *testing.T) {
 	New(4, 4).Block(2, 2, 3, 1)
 }
 
+// Every in-range empty block is an r-by-c view on the parent's stride, on
+// any edge and on sub-views whose storage ends early; out-of-range blocks,
+// empty or not, panic with the package's blockError.
+func TestBlockEdges(t *testing.T) {
+	sub := func() *Dense { return New(4, 4).Block(2, 2, 2, 2) } // storage ends at its last element
+	for _, tc := range []struct {
+		name       string
+		m          func() *Dense
+		i, j, r, c int
+		ok         bool
+	}{
+		{"below the last row", func() *Dense { return New(2, 3) }, 2, 1, 0, 2, true},
+		{"below, left column", func() *Dense { return New(2, 3) }, 2, 0, 0, 3, true},
+		{"past the last element", func() *Dense { return New(2, 3) }, 2, 3, 0, 0, true},
+		{"right of the last column", func() *Dense { return New(2, 3) }, 0, 3, 2, 0, true},
+		{"right, last row", func() *Dense { return New(2, 3) }, 1, 3, 1, 0, true},
+		{"empty inside", func() *Dense { return New(2, 3) }, 1, 1, 0, 0, true},
+		{"sub-view below", sub, 2, 0, 0, 2, true},
+		{"sub-view below, inner column", sub, 2, 1, 0, 1, true},
+		{"sub-view corner", sub, 2, 2, 0, 0, true},
+		{"sub-view right", sub, 0, 2, 2, 0, true},
+		{"sub-view last element", sub, 1, 1, 1, 1, true},
+		{"empty matrix", func() *Dense { return New(0, 0) }, 0, 0, 0, 0, true},
+		{"row past the end", func() *Dense { return New(2, 3) }, 3, 0, 0, 1, false},
+		{"column past the end", func() *Dense { return New(2, 3) }, 0, 4, 1, 0, false},
+		{"negative row", func() *Dense { return New(2, 3) }, -1, 0, 0, 0, false},
+		{"negative count", func() *Dense { return New(2, 3) }, 0, 0, -1, 0, false},
+		{"too wide from the bottom", func() *Dense { return New(2, 3) }, 2, 1, 0, 3, false},
+		{"sub-view too deep", sub, 2, 0, 1, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m()
+			defer func() {
+				e := recover()
+				if _, isBlock := e.(*blockError); tc.ok && e != nil || !tc.ok && !isBlock {
+					t.Fatalf("Block(%d,%d,%d,%d) of %dx%d: panic %v", tc.i, tc.j, tc.r, tc.c, m.Rows, m.Cols, e)
+				}
+			}()
+			v := m.Block(tc.i, tc.j, tc.r, tc.c)
+			if v.Rows != tc.r || v.Cols != tc.c || v.Stride != m.Stride {
+				t.Fatalf("view %dx%d stride %d, want %dx%d stride %d", v.Rows, v.Cols, v.Stride, tc.r, tc.c, m.Stride)
+			}
+			for i := 0; i < v.Rows; i++ {
+				if got := len(v.row(i)); got != v.Cols {
+					t.Fatalf("row %d has %d elements, want %d", i, got, v.Cols)
+				}
+			}
+			if v.Rows > 0 && v.Cols > 0 {
+				v.Set(v.Rows-1, v.Cols-1, 7)
+				if m.At(tc.i+v.Rows-1, tc.j+v.Cols-1) != 7 {
+					t.Fatal("view does not alias its parent")
+				}
+			}
+		})
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	m := Random(4, 5, 1)
 	c := m.Clone()

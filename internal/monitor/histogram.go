@@ -148,9 +148,9 @@ type FamilyHistogram struct {
 	Snap   HistogramSnapshot
 }
 
-// HistogramRecorder is a machine.Recorder/BatchRecorder that turns the exact
-// per-phase Snapshot deltas of a run into distributions: at every Phase mark
-// it closes the running phase and observes
+// HistogramRecorder turns the exact per-phase Snapshot deltas of a run into
+// distributions: at every phase boundary of the machine.Ledger it reads it
+// observes, for the closed phase,
 //
 //	wa_phase_duration_seconds     the phase's wall time
 //	wa_phase_load_words           words loaded across all interfaces
@@ -158,23 +158,19 @@ type FamilyHistogram struct {
 //	wa_phase_remote_write_share   remote fraction of stored words (NUMA runs)
 //	wa_phase_floor_slack_ratio    slow writes / registered store floor
 //
-// Sums are exact by construction: phase deltas telescope (Snapshot.Sub), so
-// the `_sum` of the load/store histograms equals the cumulative counter the
-// scalar families report — the invariant the exactness tests pin.
+// Sums are exact by construction: phase deltas telescope, so the `_sum` of
+// the load/store histograms equals the cumulative counter the scalar
+// families report — the invariant the exactness tests pin.
 //
-// Like the Monitor it is internally locked (run goroutine records, HTTP
-// handlers snapshot concurrently) and batch-aware: Record/RecordBatch/Phase/
+// It folds nothing itself. Built with NewHistogramRecorder it reads a
+// private ledger, which its Record/Phase/Finish drive; Follow makes it read
+// a run's shared one. It is internally locked (the run goroutine closes
+// phases, HTTP handlers snapshot concurrently): Record/RecordBatch/Phase/
 // Finish must stay on the run goroutine, Histograms() is safe anywhere.
 type HistogramRecorder struct {
-	// sources tracks hierarchies holding batch-buffered events for this
-	// recorder; driven only from the run goroutine, like Monitor's.
-	sources machine.Sources
+	led *machine.Ledger
 
 	mu         sync.Mutex
-	g          *machine.GrowingCounters
-	prev       machine.Snapshot
-	phase      string
-	events     int64
 	phaseStart time.Time
 	now        func() time.Time
 	floors     map[string]float64
@@ -188,10 +184,9 @@ type HistogramRecorder struct {
 }
 
 // NewHistogramRecorder builds a recorder with the given seed geometry and
-// the standard ladders.
+// the standard ladders, reading a private ledger.
 func NewHistogramRecorder(levels []machine.Level) *HistogramRecorder {
 	h := &HistogramRecorder{
-		g:           machine.NewGrowingCounters(levels),
 		now:         time.Now,
 		floors:      map[string]float64{},
 		duration:    NewHistogram(SecondsBuckets),
@@ -200,10 +195,26 @@ func NewHistogramRecorder(levels []machine.Level) *HistogramRecorder {
 		remoteShare: NewHistogram(ShareBuckets),
 		slack:       NewHistogram(RatioBuckets),
 	}
-	h.prev = h.g.Snapshot()
 	h.phaseStart = h.now()
+	h.Follow(machine.NewLedger(levels))
 	return h
 }
+
+// Follow makes the recorder observe l's phases from now on instead of the
+// ledger it read before.
+func (h *HistogramRecorder) Follow(l *machine.Ledger) {
+	if h.led != nil {
+		h.led.Unobserve(h)
+	}
+	h.led = l
+	l.Observe(h)
+}
+
+// Unfollow stops the recorder observing its ledger's phases.
+func (h *HistogramRecorder) Unfollow() { h.led.Unobserve(h) }
+
+// Ledger returns the ledger the recorder reads.
+func (h *HistogramRecorder) Ledger() *machine.Ledger { return h.led }
 
 // SetClock replaces the wall clock (tests pin durations with a fake one).
 // Call before recording starts.
@@ -241,73 +252,47 @@ func (h *HistogramRecorder) ObserveFloorSlack(kernel string, observed, floor flo
 	h.slack.Observe(observed / floor)
 }
 
-// Record accumulates one event under the current phase.
-func (h *HistogramRecorder) Record(e machine.Event) {
-	switch e.Kind {
-	case machine.EvBegin, machine.EvEnd, machine.EvRange:
-		return
-	}
-	h.sources.Sync()
-	h.mu.Lock()
-	h.g.Record(e)
-	h.events++
-	h.mu.Unlock()
-}
+// Record folds one event into the recorder's ledger.
+func (h *HistogramRecorder) Record(e machine.Event) { h.led.Record(e) }
 
-// RecordBatch accumulates a block of events under one lock acquisition.
-func (h *HistogramRecorder) RecordBatch(events []machine.Event) {
-	h.mu.Lock()
-	for i := range events {
-		e := &events[i]
-		switch e.Kind {
-		case machine.EvBegin, machine.EvEnd, machine.EvRange:
-			continue
-		}
-		h.g.Record(*e)
-		h.events++
-	}
-	h.mu.Unlock()
-}
+// RecordBatch folds a block into the recorder's ledger under one lock
+// acquisition.
+func (h *HistogramRecorder) RecordBatch(events []machine.Event) { h.led.RecordBatch(events) }
 
-// SourceDirty and SourceClean track hierarchies with buffered events (run
+// SourceDirty and SourceClean hand batch-source tracking to the ledger (run
 // goroutine only, mirroring Monitor).
-func (h *HistogramRecorder) SourceDirty(f machine.Flusher) { h.sources.SourceDirty(f) }
-func (h *HistogramRecorder) SourceClean(f machine.Flusher) { h.sources.SourceClean(f) }
+func (h *HistogramRecorder) SourceDirty(f machine.Flusher) { h.led.SourceDirty(f) }
+func (h *HistogramRecorder) SourceClean(f machine.Flusher) { h.led.SourceClean(f) }
 
-// Phase closes the running phase — observing its delta into the histograms
-// if it carried any events — and labels subsequent events with name.
-// Mirrors Monitor.Phase so the wabench section marks drive both identically.
-func (h *HistogramRecorder) Phase(name string) {
-	h.sources.Sync()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.closePhaseLocked()
-	h.phase = name
-}
+// Phase closes the running phase on the recorder's ledger — observing its
+// delta into the histograms if it carried any events — and labels
+// subsequent events with name.
+func (h *HistogramRecorder) Phase(name string) { h.led.Phase(name) }
 
 // Finish closes the final phase and freezes the recorder. Idempotent; call
 // from the run goroutine.
 func (h *HistogramRecorder) Finish() {
-	h.sources.Sync()
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.finished {
-		h.closePhaseLocked()
-		h.finished = true
+	first := !h.finished
+	h.finished = true
+	h.mu.Unlock()
+	if first {
+		h.led.Finish()
 	}
 }
 
-func (h *HistogramRecorder) closePhaseLocked() {
+// PhaseClosed observes one closed phase (the ledger calls it at every
+// boundary; nil: the phase carried no events, and only restarts the phase
+// clock).
+func (h *HistogramRecorder) PhaseClosed(p *machine.PhaseDelta) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	now := h.now()
-	if h.events == 0 {
+	if p == nil {
 		h.phaseStart = now
 		return
 	}
-	cum := h.g.Snapshot()
-	delta := cum.Sub(h.prev)
-	h.prev = cum
-	h.events = 0
-
+	delta := p.Delta
 	var loadW, storeW, remoteStoreW int64
 	for _, ifc := range delta.Interfaces {
 		loadW += ifc.LoadWords
@@ -320,7 +305,7 @@ func (h *HistogramRecorder) closePhaseLocked() {
 	if remoteStoreW > 0 && storeW > 0 {
 		h.remoteShare.Observe(float64(remoteStoreW) / float64(storeW))
 	}
-	if floor, ok := h.floors[h.phase]; ok {
+	if floor, ok := h.floors[p.Kernel]; ok {
 		if k := coarsestActive(delta); k >= 0 {
 			h.slack.Observe(float64(slowWrites(delta, k)) / floor)
 		}
@@ -330,11 +315,7 @@ func (h *HistogramRecorder) closePhaseLocked() {
 
 // Snapshot returns the recorder's cumulative counter snapshot (the running
 // phase's events included). Safe from any goroutine.
-func (h *HistogramRecorder) Snapshot() machine.Snapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.g.Snapshot()
-}
+func (h *HistogramRecorder) Snapshot() machine.Snapshot { return h.led.Snapshot(false) }
 
 // Histograms renders every phase histogram under its exported family name,
 // in the families' declaration order. Safe from any goroutine.

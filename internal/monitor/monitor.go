@@ -1,14 +1,17 @@
 // Package monitor is the online theory-conformance layer over the
 // machine.Recorder event engine: where the streaming layer reports what the
 // counters did, this package continuously asserts what the paper says they
-// *must* do. A Monitor is one more Recorder on the observed hierarchies; at
-// every phase mark it takes the exact Snapshot delta of the phase (snapshots
-// form a group under Sub, so deltas telescope) and evaluates the registered
-// per-kernel predictions — Theorem 1's fast-write inequality, the Θ(output)
-// write-avoiding floor and ceiling of Section 4, the classical n³/√M traffic
-// lower bound, Theorem 2's store fraction, and the Proposition 6.1 LRU
-// write-back counts for cache-simulated sections — emitting a structured
-// Violation for every bound that fails.
+// *must* do. A Monitor folds no counters: it reads a machine.Ledger, the one
+// counter fold of a run, and at every phase boundary the ledger hands it the
+// exact Snapshot delta of the closed phase — the same immutable delta the
+// histograms, the flight recorder and the streams of that ledger get. The
+// monitor evaluates the registered per-kernel predictions against it —
+// Theorem 1's fast-write inequality, the Θ(output) write-avoiding floor and
+// ceiling of Section 4, the classical n³/√M traffic lower bound, Theorem 2's
+// store fraction, and the Proposition 6.1 LRU write-back counts for
+// cache-simulated sections — emitting a structured Violation for every
+// bound that fails. The HistogramRecorder (histogram.go) reads a ledger the
+// same way.
 //
 // The companion Server (server.go) serves the same state live over HTTP:
 // Prometheus text metrics, JSON snapshots and span trees, an SSE bridge over
@@ -92,30 +95,19 @@ func (r *Registry) Register(p Prediction) {
 // Len returns the number of registered predictions.
 func (r *Registry) Len() int { return len(r.preds) }
 
-// Monitor is a machine.Recorder that accumulates every event (geometry
-// growing on demand, like a stream recorder) and evaluates the registry
-// against each phase's delta at Phase marks. Unlike the other recorders it
-// is internally locked: the run goroutine drives Record/Phase while HTTP
-// handlers read Snapshot and Violations concurrently. It deliberately does
-// not subscribe to the per-element touch stream — conformance checks are on
-// word counters, and the dense EvTouch stream would triple the hot path.
+// Monitor evaluates the registry against each closed phase's delta. It
+// folds nothing itself: it reads a machine.Ledger, private when the monitor
+// is built with New and used on its own (Record, Phase and Finish then
+// drive that ledger), or a run's shared one after Follow. It is internally
+// locked: the run goroutine closes phases while HTTP handlers read
+// Snapshot and Violations concurrently. It reads the ledger's touchless
+// view — conformance checks are on word counters, and the monitor never
+// subscribes to the dense EvTouch stream.
 type Monitor struct {
-	// sources tracks hierarchies holding batch-buffered events for this
-	// monitor. It is driven (and synced) only from the run goroutine —
-	// Record/RecordBatch/Phase/Finish/TotalEvents — never from the HTTP
-	// readers: a concurrent reader syncing would race with the hierarchy it
-	// flushes. Live reads (Snapshot, Violations, PeekTotalEvents) therefore
-	// keep their momentary-snapshot semantics, now at batch rather than
-	// event granularity.
-	sources machine.Sources
+	led *machine.Ledger
 
 	mu         sync.Mutex
-	g          *machine.GrowingCounters
 	reg        *Registry
-	prev       machine.Snapshot
-	phase      string
-	events     int64 // counter-bearing events in the current phase
-	total      int64
 	phases     int64 // phases that carried at least one event
 	violations []Violation
 	finished   bool
@@ -126,9 +118,9 @@ type Monitor struct {
 // on the goroutine that recorded the violation, for every violation as it
 // is appended — the flight recorder's capture trigger. The hook sees the
 // violation with its assigned ID. Phase-check violations fire on the run
-// goroutine during Phase/Finish, so a hook may freeze run-goroutine state
-// (flight captures, span renders) safely. Install before recording starts;
-// nil removes.
+// goroutine during the ledger's Phase/Finish, after the ledger recorded the
+// closed phase, so a hook may freeze run-goroutine state (flight captures,
+// span renders) safely. Install before recording starts; nil removes.
 func (m *Monitor) SetViolationHook(fn func(Violation)) {
 	m.mu.Lock()
 	m.hook = fn
@@ -163,106 +155,87 @@ func (m *Monitor) fireHook(hook func(Violation), vs []Violation) {
 }
 
 // New builds a monitor with the given seed geometry evaluating reg (nil:
-// an empty registry, so the monitor only aggregates).
+// an empty registry, so the monitor only aggregates), reading a private
+// ledger.
 func New(levels []machine.Level, reg *Registry) *Monitor {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	m := &Monitor{g: machine.NewGrowingCounters(levels), reg: reg}
-	m.prev = m.g.Snapshot()
+	m := &Monitor{reg: reg}
+	m.Follow(machine.NewLedger(levels))
 	return m
 }
 
-// Record accumulates one event under the current phase label.
-func (m *Monitor) Record(e machine.Event) {
-	switch e.Kind {
-	case machine.EvBegin, machine.EvEnd, machine.EvRange:
-		return
+// Follow makes the monitor evaluate l's phases from now on, and read its
+// totals, instead of the ledger it read before.
+func (m *Monitor) Follow(l *machine.Ledger) {
+	if m.led != nil {
+		m.led.Unobserve(m)
 	}
-	m.sources.Sync()
-	m.mu.Lock()
-	m.g.Record(e)
-	m.events++
-	m.total++
-	m.mu.Unlock()
+	m.led = l
+	l.Observe(m)
 }
 
-// RecordBatch accumulates a block of events under one lock acquisition — the
-// monitor's biggest win from batching, since the per-event path paid a
-// mutex round-trip per primitive.
-func (m *Monitor) RecordBatch(events []machine.Event) {
-	m.mu.Lock()
-	for i := range events {
-		e := &events[i]
-		switch e.Kind {
-		case machine.EvBegin, machine.EvEnd, machine.EvRange:
-			continue
-		}
-		m.g.Record(*e)
-		m.events++
-		m.total++
-	}
-	m.mu.Unlock()
-}
+// Unfollow stops the monitor evaluating its ledger's phases.
+func (m *Monitor) Unfollow() { m.led.Unobserve(m) }
 
-// SourceDirty and SourceClean track hierarchies with buffered events (run
-// goroutine only; see the sources field).
-func (m *Monitor) SourceDirty(f machine.Flusher) { m.sources.SourceDirty(f) }
-func (m *Monitor) SourceClean(f machine.Flusher) { m.sources.SourceClean(f) }
+// Ledger returns the ledger the monitor reads.
+func (m *Monitor) Ledger() *machine.Ledger { return m.led }
 
-// Phase closes the current phase: if it saw any events, its exact delta is
-// checked against every matching prediction, and subsequent events count
-// toward the new label. Events still buffered in observed hierarchies are
-// synced in first, so a phase delta covers exactly the events emitted under
-// its label — flush boundaries never split a phase. Mirrors
-// StreamRecorder.Phase so the wabench section marks drive both the same way.
-func (m *Monitor) Phase(name string) {
-	m.sources.Sync()
-	m.mu.Lock()
-	fresh := m.closePhaseLocked()
-	m.phase = name
-	hook := m.hook
-	m.mu.Unlock()
-	m.fireHook(hook, fresh)
-}
+// Record folds one event into the monitor's ledger.
+func (m *Monitor) Record(e machine.Event) { m.led.Record(e) }
+
+// RecordBatch folds a block into the monitor's ledger under one lock
+// acquisition.
+func (m *Monitor) RecordBatch(events []machine.Event) { m.led.RecordBatch(events) }
+
+// SourceDirty and SourceClean hand batch-source tracking to the ledger,
+// which syncs them at its phase marks (run goroutine only).
+func (m *Monitor) SourceDirty(f machine.Flusher) { m.led.SourceDirty(f) }
+func (m *Monitor) SourceClean(f machine.Flusher) { m.led.SourceClean(f) }
+
+// Phase closes the current phase on the monitor's ledger — checking its
+// exact delta against every matching prediction if it saw any events — and
+// labels subsequent events with name. Events still buffered in observed
+// hierarchies are synced in first, so a phase delta covers exactly the
+// events emitted under its label. On a shared ledger this is every reader's
+// phase mark.
+func (m *Monitor) Phase(name string) { m.led.Phase(name) }
 
 // Finish syncs buffered events, closes the final phase and freezes the
 // monitor, returning every violation recorded over the run. Idempotent. Call
 // from the run goroutine.
 func (m *Monitor) Finish() []Violation {
-	m.sources.Sync()
 	m.mu.Lock()
-	var fresh []Violation
-	if !m.finished {
-		fresh = m.closePhaseLocked()
-		m.finished = true
+	first := !m.finished
+	m.finished = true
+	m.mu.Unlock()
+	if first {
+		m.led.Finish()
 	}
-	out := append([]Violation(nil), m.violations...)
+	return m.Violations()
+}
+
+// PhaseClosed evaluates one closed phase (the ledger calls it at every
+// boundary; nil: the phase carried no events) and delivers fresh violations
+// to the hook after unlocking.
+func (m *Monitor) PhaseClosed(p *machine.PhaseDelta) {
+	if p == nil {
+		return
+	}
+	m.mu.Lock()
+	m.phases++
+	var found []Violation
+	for _, pr := range m.reg.preds {
+		if pr.Eval == nil || (pr.Kernel != "" && pr.Kernel != p.Kernel) {
+			continue
+		}
+		found = append(found, pr.Eval(p.Kernel, p.Delta)...)
+	}
+	fresh := m.addViolationsLocked(found)
 	hook := m.hook
 	m.mu.Unlock()
 	m.fireHook(hook, fresh)
-	return out
-}
-
-// closePhaseLocked evaluates the closed phase and returns the freshly
-// stamped violations for the caller to deliver to the hook after unlocking.
-func (m *Monitor) closePhaseLocked() []Violation {
-	if m.events == 0 {
-		return nil
-	}
-	cum := m.g.Snapshot()
-	delta := cum.Sub(m.prev)
-	m.prev = cum
-	m.events = 0
-	m.phases++
-	var found []Violation
-	for _, p := range m.reg.preds {
-		if p.Eval == nil || (p.Kernel != "" && p.Kernel != m.phase) {
-			continue
-		}
-		found = append(found, p.Eval(m.phase, delta)...)
-	}
-	return m.addViolationsLocked(found)
 }
 
 // ObserveStats evaluates the stats-based predictions registered for kernel
@@ -355,11 +328,7 @@ func (m *Monitor) ViolationsSince(since int64) []Violation {
 
 // Snapshot returns the monitor's cumulative snapshot. Safe from any
 // goroutine; this is what the HTTP /snapshot and /metrics endpoints serve.
-func (m *Monitor) Snapshot() machine.Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.g.Snapshot()
-}
+func (m *Monitor) Snapshot() machine.Snapshot { return m.led.Snapshot(false) }
 
 // Phases returns how many phases carried events so far.
 func (m *Monitor) Phases() int64 {
@@ -372,15 +341,11 @@ func (m *Monitor) Phases() int64 {
 // batch-buffered events first. Call from the run goroutine; other goroutines
 // read PeekTotalEvents.
 func (m *Monitor) TotalEvents() int64 {
-	m.sources.Sync()
+	m.led.Sync()
 	return m.PeekTotalEvents()
 }
 
 // PeekTotalEvents returns the counter-bearing events recorded so far without
 // syncing batch-buffered events: safe from any goroutine, at batch rather
 // than event granularity, like Snapshot. This is what /metrics serves.
-func (m *Monitor) PeekTotalEvents() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.total
-}
+func (m *Monitor) PeekTotalEvents() int64 { return m.led.Events(false) }

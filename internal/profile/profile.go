@@ -48,6 +48,7 @@ type Profiler struct {
 
 	mu     sync.Mutex
 	groups []*ProcGroup
+	delta  machine.CounterSet // Summary's scratch
 }
 
 // NewProfiler builds a profiler whose main recorder starts with the given
@@ -55,9 +56,6 @@ type Profiler struct {
 func NewProfiler(levels []machine.Level) *Profiler {
 	return &Profiler{Main: NewSpanRecorder(levels)}
 }
-
-// Observe attaches the main span recorder to a sequential hierarchy.
-func (p *Profiler) Observe(h *machine.Hierarchy) { h.Attach(p.Main) }
 
 // Mark closes every span open on the main recorder and opens a new
 // top-level span named name: the section boundary of a wabench run.
@@ -84,8 +82,9 @@ func (p *Profiler) Group(name string) *ProcGroup {
 }
 
 // Recorder returns processor rank's span recorder, creating it on first
-// use. It matches the dist.Observer signature, so a whole machine is wired
-// with Observe: group.Recorder. Safe for concurrent use.
+// use with a private ledger. It matches the dist.Observer signature, so a
+// whole machine is wired with Observe: group.Recorder. Safe for concurrent
+// use.
 func (g *ProcGroup) Recorder(rank int) machine.Recorder {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -95,6 +94,17 @@ func (g *ProcGroup) Recorder(rank int) machine.Recorder {
 		g.recs[rank] = r
 	}
 	return r
+}
+
+// Follow gives rank a span recorder that logs l's counters at l's span
+// marks — the rank's ledger, which experiments.Session shares with the
+// rank's flight ring so the rank's events are folded once for both —
+// replacing any recorder the rank had. Safe for concurrent use.
+func (g *ProcGroup) Follow(rank int, l *machine.Ledger) {
+	r := follow(l)
+	g.mu.Lock()
+	g.recs[rank] = r
+	g.mu.Unlock()
 }
 
 // Proc returns rank's recorder, or nil if that rank never recorded.
@@ -136,19 +146,21 @@ func (p *Profiler) WriteTrace(w io.Writer) error {
 }
 
 // Summary renders the main span tree as an aligned ASCII table: one row per
-// span with its slow-memory writes, loads, flops and (when a cost model is
-// set) attributed model time. Per-processor groups report their rank count
-// and aggregate slow writes.
+// span with its slow-memory writes, loads and flops. Per-processor groups
+// report their rank count and aggregate slow writes. It reads the
+// recorders' boundary logs directly and builds no span tree.
 func (p *Profiler) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-40s %12s %12s %12s\n", "span", "loadWords", "storeWords", "flops")
-	p.Main.Finish()
-	for _, root := range p.Main.Roots() {
-		root.Walk(func(s *Span, depth int) {
-			name := strings.Repeat("  ", depth) + s.Name
-			top := topIface(s.Delta)
-			fmt.Fprintf(&b, "%-40s %12d %12d %12d\n", clip(name, 40), top.LoadWords, top.StoreWords, s.Delta.Flops)
-		})
+	d := &p.delta
+	m := p.Main
+	m.Finish()
+	for i := range m.spans {
+		sp := &m.spans[i]
+		m.counters(d, sp.start, sp.end)
+		top := topIface(d)
+		name := strings.Repeat("  ", int(sp.depth)) + sp.name
+		fmt.Fprintf(&b, "%-40s %12d %12d %12d\n", clip(name, 40), top.LoadWords, top.StoreWords, d.FlopCount)
 	}
 	p.mu.Lock()
 	groups := append([]*ProcGroup(nil), p.groups...)
@@ -159,11 +171,10 @@ func (p *Profiler) Summary() string {
 		for _, rank := range g.Ranks() {
 			r := g.recs[rank]
 			r.Finish()
-			for _, root := range r.Roots() {
-				root.Walk(func(s *Span, _ int) {
-					spans++
-					stores += topIface(s.Delta).StoreWords
-				})
+			for i := range r.spans {
+				sp := &r.spans[i]
+				spans++
+				stores += topIface(r.counters(d, sp.start, sp.end)).StoreWords
 			}
 		}
 		fmt.Fprintf(&b, "%-40s %12s %12d %12s  (%d procs, %d spans)\n",
@@ -172,21 +183,21 @@ func (p *Profiler) Summary() string {
 	return b.String()
 }
 
-// topIface returns the snapshot's coarsest interface that saw any traffic
+// topIface returns the delta's coarsest interface that saw any traffic
 // (falling back to the true coarsest): sinks driven directly rather than
 // through a full hierarchy (the krylov Traffic counter) charge interface 0
 // even when the shared recorder's geometry is deeper, and a summary of
 // all-zero rows would hide them.
-func topIface(s machine.Snapshot) machine.InterfaceSnapshot {
-	if len(s.Interfaces) == 0 {
-		return machine.InterfaceSnapshot{}
+func topIface(d *machine.CounterSet) machine.InterfaceCounters {
+	if len(d.Iface) == 0 {
+		return machine.InterfaceCounters{}
 	}
-	for i := len(s.Interfaces) - 1; i >= 0; i-- {
-		if ifc := s.Interfaces[i]; ifc.LoadWords != 0 || ifc.StoreWords != 0 {
+	for i := len(d.Iface) - 1; i >= 0; i-- {
+		if ifc := d.Iface[i]; ifc.LoadWords != 0 || ifc.StoreWords != 0 {
 			return ifc
 		}
 	}
-	return s.Interfaces[len(s.Interfaces)-1]
+	return d.Iface[len(d.Iface)-1]
 }
 
 func clip(s string, n int) string {

@@ -17,13 +17,11 @@ type Span struct {
 	// the recorder has a model (SetCostModel); zero otherwise.
 	StartTime, EndTime float64
 	// Delta is the snapshot of exactly the events inside the span,
-	// children included: cum(End) - cum(Start), nothing sampled.
+	// children included: cum(End) - cum(Start), nothing sampled. It is
+	// zero while the span is open.
 	Delta machine.Snapshot
 	// Children are the directly nested spans, in open order.
 	Children []*Span
-
-	startSnap machine.Snapshot
-	open      bool
 }
 
 // Self returns the span's own events: Delta minus the sum of the children's
@@ -47,25 +45,42 @@ func (s *Span) walk(f func(*Span, int), depth int) {
 	}
 }
 
-// counterSample is one reading of the cumulative per-interface counters,
-// taken at every span boundary; the trace exporter renders the sequence as
-// Chrome counter tracks.
-type counterSample struct {
-	clock int64
-	time  float64
-	iface []ifaceSample
-	flops int64
+// boundary is one span boundary of the log: the clock readings there and
+// where its row of cumulative counters lies in the row log.
+type boundary struct {
+	clock         int64
+	time          float64
+	chunk, off, n int32
 }
 
-type ifaceSample struct {
-	name        string
-	load, store int64
+// The row log is a list of chunks that never move once allocated: the
+// first holds minRowChunk words, each next one twice its predecessor up to
+// maxRowChunk, so the log costs about its own size and no copying as it
+// grows.
+const (
+	minRowChunk = 256
+	maxRowChunk = 1 << 15
+)
+
+// spanRec is one span of the log, by boundary index.
+type spanRec struct {
+	name       string
+	parent     int32 // -1 for a root
+	depth      int32
+	start, end int32 // end is -1 while the span is open
 }
 
-// SpanRecorder is a machine.Recorder that accumulates every event into a
-// cumulative CounterSet (exactly like a StreamRecorder) and, on the
-// EvBegin/EvEnd marks the algorithm drivers emit, snapshots the counters
-// into a span tree.
+// SpanRecorder turns the EvBegin/EvEnd marks the algorithm drivers emit into
+// a span tree whose every span carries the exact counter delta of the events
+// inside it. It folds no counters of its own: it reads a machine.Ledger — a
+// private one when built with NewSpanRecorder, or a distributed rank's
+// ledger shared with that rank's flight ring (ProcGroup.Follow) — and, at
+// every span boundary, appends one row of the ledger's cumulative counters
+// to a flat log. Spans are kept in open order (a pre-order walk of the
+// forest) by boundary index, so a boundary allocates nothing once the logs
+// have grown. A span's Delta is built once, the first time the tree is read
+// after the span closed; the trace exporter and Summary read the log
+// directly and build no tree at all.
 //
 // Exactness invariant, extending the streaming layer's to trees and pinned
 // by tests here and in cmd/wabench: for every span, Self + Σ children.Delta
@@ -77,34 +92,43 @@ type ifaceSample struct {
 // ProcGroup.Recorder). The geometry grows on demand with generic level
 // names, so one recorder can follow hierarchies of different depths.
 type SpanRecorder struct {
-	machine.Sources
-	g       *machine.GrowingCounters
-	clock   int64
-	roots   []*Span
-	stack   []*Span
-	samples []counterSample
+	led *machine.Ledger
 
-	model    machine.CostModel
-	hasModel bool
-	time     float64
+	rows   [][]int64  // one row of cumulative counters per boundary, in chunks
+	bounds []boundary // every boundary, in order
+	spans  []spanRec  // every span, in open order
+	stack  []int32    // open spans, innermost last
 
-	finished bool
+	nodes []*Span // spans[:len(nodes)] materialized by the reads so far
+	roots []*Span
+	open  []int32 // materialized spans that were still open when read
+
+	diff machine.CounterSet // delta scratch
+	cur  []int64            // current-counters row scratch
 }
 
 // NewSpanRecorder builds a recorder seeded with the given level geometry
-// (nil or short: grows on demand, starting at two generic levels).
+// (nil or short: grows on demand, starting at two generic levels), reading
+// a private ledger.
 func NewSpanRecorder(levels []machine.Level) *SpanRecorder {
-	return &SpanRecorder{g: machine.NewGrowingCounters(levels)}
+	return follow(machine.NewLedger(levels))
 }
+
+// follow builds a recorder that logs l's counters at l's span marks.
+func follow(l *machine.Ledger) *SpanRecorder {
+	r := &SpanRecorder{led: l}
+	l.SetSpanTap(r)
+	return r
+}
+
+// Ledger returns the ledger the recorder reads.
+func (r *SpanRecorder) Ledger() *machine.Ledger { return r.led }
 
 // SetCostModel attaches alpha-beta coefficients so spans carry model time
 // (StartTime/EndTime, summed load+store with no write-buffer overlap —
 // per-span overlap would not telescope). Events at interfaces beyond the
 // model's reach charge zero.
-func (r *SpanRecorder) SetCostModel(cm machine.CostModel) {
-	r.model = cm
-	r.hasModel = true
-}
+func (r *SpanRecorder) SetCostModel(cm machine.CostModel) { r.led.SetCostModel(cm) }
 
 // WantsTouch opts the recorder into the per-element stream so traced runs
 // attribute touch counts (and EvRange extents reach heatmaps sharing the
@@ -115,52 +139,37 @@ func (r *SpanRecorder) WantsTouch() bool { return true }
 // turns on Hierarchy.Marking so drivers format span labels.
 func (r *SpanRecorder) WantsSpans() bool { return true }
 
+// SourceDirty and SourceClean hand batch-source tracking to the ledger,
+// whose Sync the recorder's read and mark methods call.
+func (r *SpanRecorder) SourceDirty(f machine.Flusher) { r.led.SourceDirty(f) }
+func (r *SpanRecorder) SourceClean(f machine.Flusher) { r.led.SourceClean(f) }
+
 // Record consumes one event: marks manage the span stack, everything else
 // advances the counters and the clock. Direct Record calls sync any events
 // still buffered in attached hierarchies first, so mixed driving (a direct
 // meter plus a batched hierarchy) keeps the per-event engine's order.
-func (r *SpanRecorder) Record(e machine.Event) {
-	r.Sync()
-	r.record1(e)
-}
+func (r *SpanRecorder) Record(e machine.Event) { r.led.Record(e) }
 
 // RecordBatch consumes a block of events in order — the hierarchy's flush
 // delivery path, which must not re-sync.
-func (r *SpanRecorder) RecordBatch(events []machine.Event) {
-	for i := range events {
-		r.record1(events[i])
-	}
-}
+func (r *SpanRecorder) RecordBatch(events []machine.Event) { r.led.RecordBatch(events) }
 
-func (r *SpanRecorder) record1(e machine.Event) {
-	switch e.Kind {
-	case machine.EvBegin:
-		r.push(e.Label)
-		return
-	case machine.EvEnd:
-		r.pop()
-		return
-	case machine.EvRange:
-		return // address annotation; carries no counter delta
-	}
-	r.g.Record(e)
-	r.clock++
-	if r.hasModel {
-		r.charge(e)
-	}
-}
+// SpanBegin and SpanEnd are the ledger's span-tap calls, made from inside
+// the fold exactly at each mark.
+func (r *SpanRecorder) SpanBegin(label string) { r.push(label) }
+func (r *SpanRecorder) SpanEnd()               { r.pop() }
 
 // Begin opens a span directly (for drivers not routed through a Hierarchy,
 // e.g. krylov's Traffic meter or wabench section marks), syncing buffered
 // events first so the boundary lands after everything already emitted.
 func (r *SpanRecorder) Begin(name string) {
-	r.Sync()
+	r.led.Sync()
 	r.push(name)
 }
 
 // End closes the innermost open span.
 func (r *SpanRecorder) End() {
-	r.Sync()
+	r.led.Sync()
 	r.pop()
 }
 
@@ -169,29 +178,46 @@ func (r *SpanRecorder) End() {
 // hierarchies are synced first — no event emitted before the mark is ever
 // attributed past it.
 func (r *SpanRecorder) Mark(name string) {
-	r.Sync()
+	r.led.Sync()
 	for len(r.stack) > 0 {
 		r.pop()
 	}
 	r.push(name)
 }
 
+// boundary logs the ledger's cumulative counters and clocks and returns the
+// boundary's index.
+func (r *SpanRecorder) boundary() int32 {
+	c := r.led.Counters()
+	n := machine.RowWidth(len(c.Lvl))
+	k := len(r.rows) - 1
+	if k < 0 || len(r.rows[k])+n > cap(r.rows[k]) {
+		size := minRowChunk
+		if k >= 0 {
+			size = min(2*cap(r.rows[k]), maxRowChunk)
+		}
+		r.rows = append(r.rows, make([]int64, 0, max(size, n)))
+		k++
+	}
+	off := len(r.rows[k])
+	r.rows[k] = c.AppendRow(r.rows[k])
+	r.bounds = append(r.bounds, boundary{
+		clock: r.led.Clock(), time: r.led.Time(),
+		chunk: int32(k), off: int32(off), n: int32(n),
+	})
+	return int32(len(r.bounds) - 1)
+}
+
 func (r *SpanRecorder) push(name string) {
-	s := &Span{
-		Name:      name,
-		Start:     r.clock,
-		StartTime: r.time,
-		startSnap: r.g.Snapshot(),
-		open:      true,
-	}
+	parent := int32(-1)
 	if n := len(r.stack); n > 0 {
-		parent := r.stack[n-1]
-		parent.Children = append(parent.Children, s)
-	} else {
-		r.roots = append(r.roots, s)
+		parent = r.stack[n-1]
 	}
-	r.stack = append(r.stack, s)
-	r.sample()
+	r.spans = append(r.spans, spanRec{
+		name: name, parent: parent, depth: int32(len(r.stack)),
+		start: r.boundary(), end: -1,
+	})
+	r.stack = append(r.stack, int32(len(r.spans)-1))
 }
 
 func (r *SpanRecorder) pop() {
@@ -199,81 +225,96 @@ func (r *SpanRecorder) pop() {
 	if n == 0 {
 		panic("profile: span End without matching Begin")
 	}
-	s := r.stack[n-1]
+	top := r.stack[n-1]
 	r.stack = r.stack[:n-1]
-	s.End = r.clock
-	s.EndTime = r.time
-	s.Delta = r.g.Snapshot().Sub(s.startSnap)
-	s.open = false
-	r.sample()
+	r.spans[top].end = r.boundary()
 }
 
-// sample records the cumulative per-interface counters at a span boundary.
-func (r *SpanRecorder) sample() {
-	cur, levels := r.g.Counters(), r.g.Levels()
-	cs := counterSample{clock: r.clock, time: r.time, flops: cur.FlopCount}
-	for i := range cur.Iface {
-		cs.iface = append(cs.iface, ifaceSample{
-			name:  levels[i].Name + "<->" + levels[i+1].Name,
-			load:  cur.Iface[i].LoadWords,
-			store: cur.Iface[i].StoreWords,
-		})
-	}
-	r.samples = append(r.samples, cs)
+// row returns boundary b's row of cumulative counters.
+func (r *SpanRecorder) row(b int32) []int64 {
+	bd := &r.bounds[b]
+	return r.rows[bd.chunk][bd.off : bd.off+bd.n]
 }
 
-// charge accumulates cost-model time for one event.
-func (r *SpanRecorder) charge(e machine.Event) {
-	switch e.Kind {
-	case machine.EvLoad:
-		if e.Arg < len(r.model.Iface) {
-			p := r.model.Iface[e.Arg]
-			r.time += p.AlphaLoad + p.BetaLoad*float64(e.Words)
-		}
-	case machine.EvStore:
-		if e.Arg < len(r.model.Iface) {
-			p := r.model.Iface[e.Arg]
-			r.time += p.AlphaStore + p.BetaStore*float64(e.Words)
-		}
-	case machine.EvFlops:
-		r.time += r.model.PerFlop * float64(e.Words)
+// counters sets c to the counter delta between two boundaries (end -1: the
+// current counters) and returns it.
+func (r *SpanRecorder) counters(c *machine.CounterSet, start, end int32) *machine.CounterSet {
+	var hi []int64
+	if end < 0 {
+		r.cur = r.led.Counters().AppendRow(r.cur[:0])
+		hi = r.cur
+	} else {
+		hi = r.row(end)
 	}
+	c.SetRowDiff(hi, r.row(start))
+	return c
+}
+
+// delta renders the counter delta between two boundaries (end -1: now).
+func (r *SpanRecorder) delta(start, end int32) machine.Snapshot {
+	return r.led.Render(r.counters(&r.diff, start, end))
 }
 
 // Finish syncs buffered events, closes any spans still open (at the current
 // clock) and freezes the tree. Idempotent; called by exporters.
 func (r *SpanRecorder) Finish() {
-	r.Sync()
+	r.led.Sync()
 	for len(r.stack) > 0 {
 		r.pop()
 	}
-	r.finished = true
 }
 
 // Roots returns the top-level spans recorded so far (buffered events synced
-// first, so closed spans carry their full deltas).
+// first, so closed spans carry their full deltas). Spans still open have a
+// zero End and Delta until a later read finds them closed.
 func (r *SpanRecorder) Roots() []*Span {
-	r.Sync()
+	r.led.Sync()
+	for i := len(r.nodes); i < len(r.spans); i++ {
+		sp := &r.spans[i]
+		b := r.bounds[sp.start]
+		n := &Span{Name: sp.name, Start: b.clock, StartTime: b.time}
+		if sp.parent < 0 {
+			r.roots = append(r.roots, n)
+		} else {
+			p := r.nodes[sp.parent]
+			p.Children = append(p.Children, n)
+		}
+		r.nodes = append(r.nodes, n)
+		r.open = append(r.open, int32(i))
+	}
+	k := 0
+	for _, i := range r.open {
+		sp := &r.spans[i]
+		if sp.end < 0 {
+			r.open[k] = i
+			k++
+			continue
+		}
+		n, b := r.nodes[i], r.bounds[sp.end]
+		n.End, n.EndTime = b.clock, b.time
+		n.Delta = r.delta(sp.start, sp.end)
+	}
+	r.open = r.open[:k]
 	return r.roots
 }
 
 // Clock returns the current event-count clock reading.
 func (r *SpanRecorder) Clock() int64 {
-	r.Sync()
-	return r.clock
+	r.led.Sync()
+	return r.led.Clock()
 }
 
 // Time returns accumulated cost-model seconds (zero without a model).
 func (r *SpanRecorder) Time() float64 {
-	r.Sync()
-	return r.time
+	r.led.Sync()
+	return r.led.Time()
 }
 
 // Snapshot returns the recorder's cumulative snapshot: the post-hoc totals
 // every delta telescopes into. Buffered events are synced first.
 func (r *SpanRecorder) Snapshot() machine.Snapshot {
-	r.Sync()
-	return r.g.Snapshot()
+	r.led.Sync()
+	return r.led.Snapshot(true)
 }
 
 // Total is Snapshot under the name the exactness invariant uses.
@@ -282,13 +323,10 @@ func (r *SpanRecorder) Total() machine.Snapshot { return r.Snapshot() }
 // Unattributed returns the events outside every root span: Total minus the
 // root deltas. With marks covering the whole run it is the zero snapshot.
 func (r *SpanRecorder) Unattributed() machine.Snapshot {
-	r.Sync()
-	out := r.g.Snapshot()
-	for _, s := range r.roots {
-		if !s.open {
-			out = out.Sub(s.Delta)
-		} else {
-			out = out.Sub(r.g.Snapshot().Sub(s.startSnap))
+	out := r.Snapshot()
+	for i := range r.spans {
+		if sp := &r.spans[i]; sp.parent < 0 {
+			out = out.Sub(r.delta(sp.start, sp.end))
 		}
 	}
 	return out

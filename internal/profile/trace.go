@@ -84,49 +84,58 @@ func (b *TraceBuilder) AddInstant(pid, tid int, name string, ts float64, args ma
 
 // AddRecorder renders one SpanRecorder as thread (pid, tid): its span tree
 // as B/E events and one counter track per interface from the recorder's
-// boundary samples. Open spans are closed first (Finish). The track name
+// boundary rows. Open spans are closed first (Finish). The track name
 // labels the thread and prefixes the counter tracks so ranks of one
-// process group stay distinguishable.
+// process group stay distinguishable. It reads the recorder's boundary log
+// directly and builds no span tree.
 func (b *TraceBuilder) AddRecorder(pid, tid int, name string, r *SpanRecorder) {
 	r.Finish()
 	b.AddThreadName(pid, tid, name)
 	ts := r.tsScale()
-	for _, root := range r.Roots() {
-		root.Walk(func(s *Span, _ int) {
-			b.events = append(b.events, traceEvent{
-				Name: s.Name, Ph: "B", Ts: ts(s.Start, s.StartTime), Pid: pid, Tid: tid,
-			})
-			b.events = append(b.events, traceEvent{
-				Name: s.Name, Ph: "E", Ts: ts(s.End, s.EndTime), Pid: pid, Tid: tid,
-				Args: spanArgs(s.Delta),
-			})
+	var c machine.CounterSet
+	for i := range r.spans {
+		sp := &r.spans[i]
+		start, end := r.bounds[sp.start], r.bounds[sp.end]
+		b.events = append(b.events, traceEvent{
+			Name: sp.name, Ph: "B", Ts: ts(start.clock, start.time), Pid: pid, Tid: tid,
+		})
+		b.events = append(b.events, traceEvent{
+			Name: sp.name, Ph: "E", Ts: ts(end.clock, end.time), Pid: pid, Tid: tid,
+			Args: spanArgs(r.counters(&c, sp.start, sp.end)),
 		})
 	}
 	// One counter track per interface, sampled at every span boundary.
-	for _, cs := range r.samples {
-		for _, ifc := range cs.iface {
-			b.AddCounter(pid, name+" "+ifc.name, ts(cs.clock, cs.time), map[string]any{
-				"loadWords":  ifc.load,
-				"storeWords": ifc.store,
+	var tracks []string
+	flops := name + " flops"
+	for i, bd := range r.bounds {
+		c.SetRow(r.row(int32(i)))
+		t := ts(bd.clock, bd.time)
+		for k := len(tracks); k < len(c.Iface); k++ {
+			tracks = append(tracks, name+" "+r.led.Between()[k])
+		}
+		for k, ifc := range c.Iface {
+			b.AddCounter(pid, tracks[k], t, map[string]any{
+				"loadWords":  ifc.LoadWords,
+				"storeWords": ifc.StoreWords,
 			})
 		}
-		b.AddCounter(pid, name+" flops", ts(cs.clock, cs.time), map[string]any{"flops": cs.flops})
+		b.AddCounter(pid, flops, t, map[string]any{"flops": c.FlopCount})
 	}
 }
 
 // tsScale chooses the recorder's timestamp mapping: cost-model seconds
 // scaled to µs when a model is attached, else the event clock 1:1.
 func (r *SpanRecorder) tsScale() func(clock int64, t float64) float64 {
-	if r.hasModel {
+	if r.led.HasCostModel() {
 		return func(_ int64, t float64) float64 { return t * 1e6 }
 	}
 	return func(clock int64, _ float64) float64 { return float64(clock) }
 }
 
-// spanArgs summarizes a span's delta for the E event's args pane.
-func spanArgs(d machine.Snapshot) map[string]any {
-	args := map[string]any{"flops": d.Flops}
-	for i, ifc := range d.Interfaces {
+// spanArgs summarizes a span's counter delta for the E event's args pane.
+func spanArgs(d *machine.CounterSet) map[string]any {
+	args := map[string]any{"flops": d.FlopCount}
+	for i, ifc := range d.Iface {
 		args[fmt.Sprintf("if%d.loadWords", i)] = ifc.LoadWords
 		args[fmt.Sprintf("if%d.storeWords", i)] = ifc.StoreWords
 	}

@@ -57,7 +57,7 @@ func TestProfilerWriteTraceLayout(t *testing.T) {
 	prof.Mark("serial")
 	const b = 4
 	p := core.TwoLevelPlan(int64(3*b*b), b, core.OrderWA)
-	prof.Observe(p.H)
+	p.H.Attach(prof.Main)
 	c := matrix.New(8, 8)
 	if err := core.MatMul(p, c, matrix.Random(8, 8, 1), matrix.Random(8, 8, 2)); err != nil {
 		t.Fatal(err)
