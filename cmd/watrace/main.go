@@ -65,7 +65,7 @@ func main() {
 	case "record":
 		os.Exit(record(os.Args[2:]))
 	case "sim":
-		sim(os.Args[2:])
+		os.Exit(sim(os.Args[2:]))
 	case "checktrace":
 		checktrace(os.Args[2:])
 	default:
@@ -181,13 +181,15 @@ func record(args []string) int {
 	return 0
 }
 
-func sim(args []string) {
+// sim replays a trace and returns the exit code: 2 for bad input, a cache
+// geometry cache.New rejects included, and 1 for a failed read or write.
+func sim(args []string) (rc int) {
 	// cache.New treats bad geometry as a programming error and panics;
 	// for the CLI it is user input, so report it politely.
 	defer func() {
 		if e := recover(); e != nil {
 			fmt.Fprintln(os.Stderr, "watrace:", e)
-			os.Exit(2)
+			rc = 2
 		}
 	}()
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
@@ -206,13 +208,28 @@ func sim(args []string) {
 
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "watrace sim: -in is required")
-		os.Exit(2)
+		return 2
 	}
 	f, err := os.Open(*in)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer f.Close()
+
+	// Build the simulator before opening any output, so that a geometry
+	// cache.New rejects leaves nothing behind. OPT is offline: it has none.
+	var c cache.Simulator
+	switch {
+	case *policy == "opt":
+	case *full:
+		c = cache.NewFALRU(*size, *line)
+	default:
+		kind, err := parsePolicy(*policy)
+		if err != nil {
+			return fail(err)
+		}
+		c = cache.New(cache.Config{SizeBytes: *size, LineBytes: *line, Assoc: *assoc, Policy: kind, Seed: 1, WriteThrough: *wt})
+	}
 
 	// -serve exposes the replay live: /metrics and /snapshot carry the
 	// simulator's cumulative stats (pushed as copies at every periodic
@@ -223,7 +240,7 @@ func sim(args []string) {
 		srv = monitor.NewServer()
 		addr, err := srv.Start(*serveAddr)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "watrace: serving observability on http://%s/\n", addr)
 		defer srv.Close()
@@ -235,7 +252,7 @@ func sim(args []string) {
 		if *streamTo != "-" {
 			sf, err := os.Create(*streamTo)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			defer sf.Close()
 			streamW = sf
@@ -260,40 +277,27 @@ func sim(args []string) {
 	tx := newTraceExport(*traceTo, *streamEvery)
 
 	var st cache.Stats
-	switch {
-	case *policy == "opt":
+	if c == nil {
 		ops, err := access.ReadTrace(f)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		st = cache.SimulateOPT(ops, *size, *line)
 		if tx != nil {
 			tx.n = int64(len(ops))
 		}
-	case *full:
-		c := cache.NewFALRU(*size, *line)
+	} else {
 		if _, err := access.StreamTrace(f, tx.tap(c, ss.wrap(c))); err != nil {
-			fatal(err)
-		}
-		c.FlushDirty()
-		st = c.Stats()
-	default:
-		kind, err := parsePolicy(*policy)
-		if err != nil {
-			fatal(err)
-		}
-		c := cache.New(cache.Config{SizeBytes: *size, LineBytes: *line, Assoc: *assoc, Policy: kind, Seed: 1, WriteThrough: *wt})
-		if _, err := access.StreamTrace(f, tx.tap(c, ss.wrap(c))); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		c.FlushDirty()
 		st = c.Stats()
 	}
 	if err := ss.close(st); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if err := tx.close(*in, *policy, st); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	fmt.Printf("accesses   %12d (%d reads, %d writes)\n", st.Accesses, st.Reads, st.Writes)
 	fmt.Printf("hits       %12d (%.2f%%)\n", st.Hits, 100*float64(st.Hits)/float64(max(st.Accesses, 1)))
@@ -303,6 +307,7 @@ func sim(args []string) {
 	if st.WriteThroughs > 0 {
 		fmt.Printf("writethru  %12d (total memory writes %d)\n", st.WriteThroughs, st.MemoryWrites())
 	}
+	return 0
 }
 
 // StatsRecord is one JSON line of a sim -stream: the delta stats of the
@@ -477,7 +482,10 @@ func parsePolicy(s string) (cache.PolicyKind, error) {
 	return 0, fmt.Errorf("unknown policy %q", s)
 }
 
-func fatal(err error) {
+func fatal(err error) { os.Exit(fail(err)) }
+
+// fail reports err and returns exit code 1.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "watrace:", err)
-	os.Exit(1)
+	return 1
 }

@@ -14,10 +14,21 @@
 // opt adds the offline Belady policy. A specialized O(1) fully-associative
 // LRU cache (FALRU) backs the Proposition 6.1/6.2 tests, which are stated for
 // fully-associative LRU.
+//
+// Cache keeps every set's ways in flat arrays (tags, dirty bits, policy
+// markers) beside one small struct per set, so New makes the same few
+// allocations whatever the number of sets, and Access makes none. The
+// policies are one switch over those arrays. A set's valid ways are always a
+// prefix (only FlushDirty invalidates, and it empties every set), so a miss
+// in a set that is not full fills the next way without a scan, and CLOCK3
+// finds its victim in at most two sweeps of the set (DESIGN.md §4.1). The
+// replaced per-set layout survives as the test reference
+// (cache_ref_test.go).
 package cache
 
 import (
 	"fmt"
+	"math/rand/v2"
 )
 
 // State is a cache line coherence state. With a single simulated core the
@@ -124,6 +135,15 @@ type Config struct {
 // Lines returns the number of lines the configuration holds.
 func (c Config) Lines() int { return c.SizeBytes / c.LineBytes }
 
+// ways returns the effective associativity: Assoc, or every line when Assoc
+// is 0 or exceeds the capacity.
+func (c Config) ways() int {
+	if c.Assoc <= 0 || c.Assoc > c.Lines() {
+		return c.Lines()
+	}
+	return c.Assoc
+}
+
 func (c Config) validate() error {
 	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache: line size %d must be a positive power of two", c.LineBytes)
@@ -134,38 +154,44 @@ func (c Config) validate() error {
 	if c.SizeBytes%c.LineBytes != 0 {
 		return fmt.Errorf("cache: size %d not a multiple of line size %d", c.SizeBytes, c.LineBytes)
 	}
-	lines := c.Lines()
-	assoc := c.Assoc
-	if assoc <= 0 || assoc > lines {
-		assoc = lines
-	}
+	lines, assoc := c.Lines(), c.ways()
 	if lines%assoc != 0 {
 		return fmt.Errorf("cache: %d lines not divisible by associativity %d", lines, assoc)
 	}
-	sets := lines / assoc
-	if sets&(sets-1) != 0 {
+	if sets := lines / assoc; sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: number of sets %d must be a power of two", sets)
+	}
+	if c.Policy < PolicyLRU || c.Policy > PolicyRandom {
+		return fmt.Errorf("cache: unknown policy %v", c.Policy)
+	}
+	if c.Policy == PolicyPLRU && assoc&(assoc-1) != 0 {
+		return fmt.Errorf("cache: PLRU requires power-of-two associativity, got %d", assoc)
 	}
 	return nil
 }
 
-// Cache is a set-associative write-back, write-allocate cache.
+// Cache is a set-associative write-back, write-allocate cache. Its ways sit
+// in flat arrays, way w of set s at index s*assoc+w, and a set's valid ways
+// are always a prefix of its range: only FlushDirty invalidates, and it
+// empties every set, so a miss in a set that is not full fills way used.
 type Cache struct {
 	cfg       Config
 	lineShift uint
 	setMask   uint64
 	assoc     int
+	tags      []uint64 // line number per way
+	dirty     []bool   // per way: Modified, else Exclusive
+	marks     []uint32 // per way: CLOCK3 marker or LRU/FIFO stamp
 	sets      []set
-	policy    policy
+	rng       *rand.Rand // PolicyRandom's victim draws
 	stats     Stats
 }
 
+// set is one set's policy state.
 type set struct {
-	tag   []uint64
-	state []State
-	meta  []uint32 // per-way policy metadata (stamps, markers, ...)
-	aux   uint32   // per-set policy metadata (clock hand, PLRU bits, counter)
-	aux2  uint32
+	clock uint32 // CLOCK3 hand, or the LRU/FIFO stamp counter
+	plru  uint32 // PLRU tree bits
+	used  uint32 // ways filled: ways [used, assoc) are invalid
 }
 
 // New builds a cache from a config; it panics on invalid geometry because a
@@ -174,28 +200,21 @@ func New(cfg Config) *Cache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	lines := cfg.Lines()
-	assoc := cfg.Assoc
-	if assoc <= 0 || assoc > lines {
-		assoc = lines
-	}
-	nsets := lines / assoc
+	lines, assoc := cfg.Lines(), cfg.ways()
 	c := &Cache{
 		cfg:     cfg,
 		assoc:   assoc,
-		setMask: uint64(nsets - 1),
-		policy:  newPolicy(cfg.Policy, cfg.Seed),
+		setMask: uint64(lines/assoc - 1),
+		tags:    make([]uint64, lines),
+		dirty:   make([]bool, lines),
+		marks:   make([]uint32, lines),
+		sets:    make([]set, lines/assoc),
 	}
 	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
 	}
-	c.sets = make([]set, nsets)
-	for i := range c.sets {
-		c.sets[i] = set{
-			tag:   make([]uint64, assoc),
-			state: make([]State, assoc),
-			meta:  make([]uint32, assoc),
-		}
+	if cfg.Policy == PolicyRandom {
+		c.rng = rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xda3e39cb94b95bdb))
 	}
 	return c
 }
@@ -215,42 +234,106 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the counters but keeps cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// Access simulates one read or write of the byte at addr. The line state and
-// victim bookkeeping live in accessTracked (shared with Hierarchy, which also
-// needs the identity of dirty victims to cascade write-backs).
-func (c *Cache) Access(addr uint64, write bool) {
-	c.accessTracked(addr, write)
+// Access simulates one read or write of the byte at addr.
+func (c *Cache) Access(addr uint64, write bool) { c.access(addr, write) }
+
+// access simulates one access and reports whether it missed and, when it
+// evicted a modified line, that line: Hierarchy passes both to the level
+// below.
+func (c *Cache) access(addr uint64, write bool) (missed bool, victim uint64, victimDirty bool) {
+	wr := b2i(write)
+	c.stats.Accesses++
+	c.stats.Writes += wr
+	c.stats.Reads += 1 - wr
+	line := addr >> c.lineShift
+	si := int(line & c.setMask)
+	s := &c.sets[si]
+	base := si * c.assoc
+	for w, t := range c.tags[base : base+int(s.used)] {
+		if t == line {
+			c.stats.Hits++
+			if write {
+				if c.cfg.WriteThrough {
+					// The memory copy is updated at once and the line
+					// stays clean.
+					c.stats.WriteThroughs++
+				} else {
+					c.dirty[base+w] = true
+				}
+			}
+			c.touch(s, base, w)
+			return false, 0, false
+		}
+	}
+	c.stats.Misses++
+	if write && c.cfg.WriteThrough {
+		// No-write-allocate: the write goes straight to memory.
+		c.stats.WriteThroughs++
+		return true, 0, false
+	}
+	w := int(s.used)
+	if w < c.assoc {
+		s.used++
+	} else {
+		w = c.victim(s, base)
+		victim, victimDirty = c.tags[base+w], c.dirty[base+w]
+		d := b2i(victimDirty)
+		c.stats.VictimsM += d
+		c.stats.VictimsE += 1 - d
+	}
+	c.stats.FillsE++
+	c.tags[base+w] = line
+	c.dirty[base+w] = write
+	c.insert(s, base, w)
+	return true, victim, victimDirty
 }
 
 // FlushDirty writes back every modified line (counting into VictimsM and
 // Flushed) and invalidates the whole cache. Experiments call it at the end of
 // a run so that the final resident dirty output counts as written, matching
 // the paper's whole-run counter readings.
-func (c *Cache) FlushDirty() {
-	for i := range c.sets {
-		s := &c.sets[i]
-		for w := 0; w < c.assoc; w++ {
-			if s.state[w] == Modified {
+func (c *Cache) FlushDirty() { c.flush(nil, 0) }
+
+// flush counts every modified line as a write-back, in set-then-way order,
+// and then empties every set. When h is not nil, each such line is also
+// written into h's level below, when there is one, as it is counted.
+func (c *Cache) flush(h *Hierarchy, below int) {
+	for si := range c.sets {
+		base := si * c.assoc
+		for i := base; i < base+int(c.sets[si].used); i++ {
+			if c.dirty[i] {
 				c.stats.VictimsM++
 				c.stats.Flushed++
+				if h != nil && below < len(h.levels) {
+					h.access(below, c.tags[i]<<c.lineShift, true)
+				}
 			}
-			s.state[w] = Invalid
-			s.meta[w] = 0
 		}
-		s.aux = 0
-		s.aux2 = 0
 	}
+	clear(c.sets)
 }
 
 // Contains reports whether the line holding addr is resident, and its state.
 // Used by tests to probe simulator internals.
 func (c *Cache) Contains(addr uint64) (State, bool) {
-	lineAddr := addr >> c.lineShift
-	s := &c.sets[lineAddr&c.setMask]
-	for w := 0; w < c.assoc; w++ {
-		if s.state[w] != Invalid && s.tag[w] == lineAddr {
-			return s.state[w], true
+	line := addr >> c.lineShift
+	si := int(line & c.setMask)
+	base := si * c.assoc
+	for i := base; i < base+int(c.sets[si].used); i++ {
+		if c.tags[i] == line {
+			if c.dirty[i] {
+				return Modified, true
+			}
+			return Exclusive, true
 		}
 	}
 	return Invalid, false
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it branch-free.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

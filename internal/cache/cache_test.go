@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -216,6 +217,11 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 65, LineBytes: 64},
 		{SizeBytes: 64 * 12, LineBytes: 64, Assoc: 5}, // 12 lines % 5 != 0
 		{SizeBytes: 64 * 12, LineBytes: 64, Assoc: 2}, // 6 sets not power of two
+		// PLRU's tree needs power-of-two ways: rejected at construction,
+		// not at the set's first eviction.
+		{SizeBytes: 768, LineBytes: 64, Assoc: 6, Policy: PolicyPLRU},
+		{SizeBytes: 64 * 12, LineBytes: 64, Policy: PolicyPLRU}, // fully associative, 12 ways
+		{SizeBytes: 64 * 8, LineBytes: 64, Assoc: 2, Policy: PolicyKind(9)},
 	}
 	for i, cfg := range bad {
 		func() {
@@ -440,7 +446,7 @@ func TestHierarchyMismatchedLinesPanics(t *testing.T) {
 }
 
 func TestPolicyKindString(t *testing.T) {
-	for _, k := range []PolicyKind{PolicyLRU, PolicyClock3, PolicyFIFO, PolicyPLRU, PolicyRandom} {
+	for _, k := range allPolicies {
 		if k.String() == "" || k.String()[0] == 'P' && k != PolicyPLRU {
 			t.Fatalf("bad name for %d: %q", int(k), k.String())
 		}
@@ -473,5 +479,244 @@ func TestLayoutDisjointRegions(t *testing.T) {
 	}
 	if a.Addr(2, 3) != a.Base+uint64(2*10+3)*8 {
 		t.Fatal("row-major addressing broken")
+	}
+}
+
+var allPolicies = []PolicyKind{PolicyLRU, PolicyClock3, PolicyFIFO, PolicyPLRU, PolicyRandom}
+
+// refGeometries are the shapes the differential tests run: direct-mapped to
+// fully associative, power-of-two associativity and not, and 8- and 1-byte
+// lines (with 1-byte lines the top of the address space is line 2^64-1).
+var refGeometries = []struct{ lines, assoc, lineBytes int }{
+	{64, 1, 64}, {64, 2, 64}, {64, 4, 64}, {64, 16, 64}, {64, 64, 64}, {64, 0, 64},
+	{48, 3, 64}, {40, 5, 64}, {12, 0, 64}, {256, 8, 8}, {64, 16, 1},
+}
+
+// refOps returns n seeded ops, most over span lines from address 0, an
+// eighth over span lines at the top of the address space and an eighth at
+// random 40-bit lines; a quarter are writes.
+func refOps(seed uint64, n, span, lineBytes int) []access.Op {
+	rng := rand.New(rand.NewPCG(seed, uint64(span)))
+	bytes := uint64(span * lineBytes)
+	ops := make([]access.Op, n)
+	for i := range ops {
+		addr := rng.Uint64N(bytes)
+		switch rng.IntN(8) {
+		case 0:
+			addr = ^uint64(0) - addr
+		case 1:
+			addr = rng.Uint64N(1<<40) * uint64(lineBytes)
+		}
+		ops[i] = access.Op{Addr: addr, Write: rng.IntN(4) == 0}
+	}
+	return ops
+}
+
+// refAgree probes both caches for addr and fails unless they agree.
+func refAgree(t *testing.T, what string, ref *refCache, c *Cache, addr uint64) {
+	t.Helper()
+	rs, rok := ref.Contains(addr)
+	s, ok := c.Contains(addr)
+	if s != rs || ok != rok {
+		t.Fatalf("%s: Contains(%#x) = %v %v, reference %v %v", what, addr, s, ok, rs, rok)
+	}
+}
+
+// TestCacheMatchesReference drives the flat cache and the per-set reference
+// it replaced (cache_ref_test.go) with the same streams, for every policy,
+// write-back and write-through, every geometry of refGeometries, and line
+// spans below and above the capacity, flushing and resetting the stats now
+// and then: every Stats field must agree after every flush and at the end,
+// and Contains must agree on probes of lines both resident and evicted. A
+// three-level Hierarchy per policy must agree with the reference hierarchy
+// on every level's Stats.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, g := range refGeometries {
+		for _, pol := range allPolicies {
+			for _, wt := range []bool{false, true} {
+				cfg := Config{SizeBytes: g.lines * g.lineBytes, LineBytes: g.lineBytes,
+					Assoc: g.assoc, Policy: pol, Seed: 3, WriteThrough: wt}
+				if cfg.validate() != nil {
+					continue // PLRU without power-of-two ways
+				}
+				for _, span := range []int{g.lines / 2, 4 * g.lines} {
+					what := fmt.Sprintf("%+v span %d", cfg, span)
+					ops := refOps(uint64(g.lines+g.assoc), 5000, span, g.lineBytes)
+					ref, c := newRefCache(cfg), New(cfg)
+					rng := rand.New(rand.NewPCG(uint64(span), 9))
+					flushes := 0
+					for i, op := range ops {
+						ref.Access(op.Addr, op.Write)
+						c.Access(op.Addr, op.Write)
+						refAgree(t, what, ref, c, ops[rng.IntN(i+1)].Addr)
+						switch rng.IntN(400) {
+						case 0:
+							ref.FlushDirty()
+							c.FlushDirty()
+							flushes++
+							if a, b := c.Stats(), ref.Stats(); a != b {
+								t.Fatalf("%s: after flush at op %d: %+v, reference %+v", what, i, a, b)
+							}
+						case 1:
+							ref.ResetStats()
+							c.ResetStats()
+						}
+					}
+					ref.FlushDirty()
+					c.FlushDirty()
+					if a, b := c.Stats(), ref.Stats(); a != b || flushes == 0 {
+						t.Fatalf("%s: after %d flushes: %+v, reference %+v", what, flushes, a, b)
+					}
+				}
+			}
+		}
+	}
+	for _, pol := range allPolicies {
+		for _, l1WriteThrough := range []bool{false, true} {
+			cfgs := []Config{
+				{SizeBytes: 8 * 64, LineBytes: 64, Assoc: 2, Policy: pol, Seed: 5, WriteThrough: l1WriteThrough},
+				{SizeBytes: 32 * 64, LineBytes: 64, Assoc: 4, Policy: pol, Seed: 6},
+				{SizeBytes: 128 * 64, LineBytes: 64, Assoc: 16, Policy: pol, Seed: 7},
+			}
+			for _, span := range []int{64, 512} {
+				what := fmt.Sprintf("hierarchy %v L1 write-through %v span %d", pol, l1WriteThrough, span)
+				ref, h := newRefHierarchy(cfgs...), NewHierarchy(cfgs...)
+				rng := rand.New(rand.NewPCG(uint64(span), 10))
+				check := func(when string) {
+					for lvl, rc := range ref.levels {
+						if a, b := h.Level(lvl).Stats(), rc.Stats(); a != b {
+							t.Fatalf("%s: level %d %s: %+v, reference %+v", what, lvl, when, a, b)
+						}
+					}
+				}
+				for i, op := range refOps(uint64(span), 20000, span, 64) {
+					ref.Access(op.Addr, op.Write)
+					h.Access(op.Addr, op.Write)
+					if rng.IntN(1000) == 0 {
+						ref.FlushDirty()
+						h.FlushDirty()
+						check(fmt.Sprintf("after flush at op %d", i))
+					}
+				}
+				ref.FlushDirty()
+				h.FlushDirty()
+				check("at the end")
+			}
+		}
+	}
+}
+
+// FuzzCacheMatchesReference drives the flat cache and the reference, each
+// alone and as the last level below a 4-line L1, with arbitrary streams.
+// The first byte picks the policy (bits 0-2, modulo 5), write-through (bit
+// 3) and the geometry (bits 4-7, modulo len(refGeometries)). Each later
+// byte is one op: bits 0-4 pick a line within one of four populations
+// chosen by bits 5-6 (low lines, lines one set apart, 40-bit lines, the top
+// of the address space), bit 7 makes it a write; 0xff flushes and 0xfe
+// resets the stats.
+func FuzzCacheMatchesReference(f *testing.F) {
+	f.Add([]byte{0x01, 0, 1, 2, 3, 0, 1})
+	f.Add([]byte{0x31, 0x20, 0x21, 0x22, 0x23, 0x24, 0xa0, 0x20, 0xff, 0x21})
+	f.Add([]byte{0x93, 0x60, 0x61, 0x40, 0xe1, 0xfe, 0x62, 0x60, 0xff})
+	f.Add([]byte{0xa9, 0x60, 0x7f, 0xe0, 0x61, 0x60, 0xff})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) == 0 {
+			return
+		}
+		g := refGeometries[int(raw[0]>>4)%len(refGeometries)]
+		cfg := Config{SizeBytes: g.lines * g.lineBytes, LineBytes: g.lineBytes, Assoc: g.assoc,
+			Policy: allPolicies[int(raw[0]&7)%len(allPolicies)], Seed: 1, WriteThrough: raw[0]&8 != 0}
+		if cfg.validate() != nil {
+			return // PLRU without power-of-two ways
+		}
+		l1 := Config{SizeBytes: 4 * g.lineBytes, LineBytes: g.lineBytes, Assoc: 2, Policy: cfg.Policy, Seed: 2}
+		ref, c := newRefCache(cfg), New(cfg)
+		rh, h := newRefHierarchy(l1, cfg), NewHierarchy(l1, cfg)
+		sets := uint64(c.Sets())
+		check := func(when string) {
+			if a, b := c.Stats(), ref.Stats(); a != b {
+				t.Fatalf("%s: %+v, reference %+v", when, a, b)
+			}
+			for lvl, rc := range rh.levels {
+				if a, b := h.Level(lvl).Stats(), rc.Stats(); a != b {
+					t.Fatalf("%s: hierarchy level %d %+v, reference %+v", when, lvl, a, b)
+				}
+			}
+		}
+		var prev uint64
+		for i, b := range raw[1:] {
+			switch b {
+			case 0xff:
+				ref.FlushDirty()
+				c.FlushDirty()
+				rh.FlushDirty()
+				h.FlushDirty()
+				check(fmt.Sprintf("flush at byte %d", i+1))
+				continue
+			case 0xfe:
+				ref.ResetStats()
+				c.ResetStats()
+				for lvl, rc := range rh.levels {
+					rc.ResetStats()
+					h.Level(lvl).ResetStats()
+				}
+				continue
+			}
+			idx := uint64(b & 0x1f)
+			addr := idx * uint64(g.lineBytes)
+			switch b >> 5 & 3 {
+			case 1:
+				addr *= sets
+			case 2:
+				addr = ((idx*0x9e3779b97f4a7c15)>>24 | 1<<39) * uint64(g.lineBytes)
+			case 3:
+				addr = ^uint64(0) - addr
+			}
+			write := b&0x80 != 0
+			ref.Access(addr, write)
+			c.Access(addr, write)
+			rh.Access(addr, write)
+			h.Access(addr, write)
+			refAgree(t, "after "+fmt.Sprint(i+1)+" bytes", ref, c, prev)
+			prev = addr
+		}
+		check("end")
+		ref.FlushDirty()
+		c.FlushDirty()
+		rh.FlushDirty()
+		h.FlushDirty()
+		check("final flush")
+	})
+}
+
+// TestCacheAllocs pins the flat layout's allocations: New makes as many at
+// 32,768 sets as at 128 (the per-set slices it replaced made three per set),
+// and Access on a full cache makes none. It runs under -race too.
+func TestCacheAllocs(t *testing.T) {
+	for _, pol := range allPolicies {
+		cfg := func(sets int) Config {
+			return Config{SizeBytes: sets * 16 * 64, LineBytes: 64, Assoc: 16, Policy: pol, Seed: 1}
+		}
+		// AllocsPerRun floors the mean over its runs, so a stray runtime
+		// allocation in one of ten runs does not count.
+		small := testing.AllocsPerRun(10, func() { New(cfg(128)) })
+		big := testing.AllocsPerRun(10, func() { New(cfg(32768)) })
+		if big != small || small > 10 {
+			t.Errorf("%v: New makes %v allocations at 128 sets and %v at 32768, want the same few", pol, small, big)
+		}
+		c := New(cfg(128))
+		ops := sparseOps(1<<14, 2048)
+		for _, op := range ops {
+			c.Access(op.Addr, op.Write)
+		}
+		// AllocsPerRun rounds down, so each run is a whole pass: a single
+		// allocation anywhere in it fails the test.
+		if n := testing.AllocsPerRun(4, func() {
+			for _, op := range ops {
+				c.Access(op.Addr, op.Write)
+			}
+		}); n != 0 {
+			t.Errorf("%v: %v allocations per %d accesses, want 0", pol, n, len(ops))
+		}
 	}
 }

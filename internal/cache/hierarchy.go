@@ -55,9 +55,7 @@ func (h *Hierarchy) Access(addr uint64, write bool) {
 
 func (h *Hierarchy) access(lvl int, addr uint64, write bool) {
 	c := h.levels[lvl]
-	hitsBefore := c.stats.Hits
-	wbLine, wbValid := c.accessTracked(addr, write)
-	missed := c.stats.Hits == hitsBefore
+	missed, victim, victimDirty := c.access(addr, write)
 	if lvl+1 < len(h.levels) {
 		if missed {
 			// Fill from the level below (a read there, or a write if
@@ -65,97 +63,17 @@ func (h *Hierarchy) access(lvl int, addr uint64, write bool) {
 			// write-allocate fill itself is a read of the line).
 			h.access(lvl+1, addr, false)
 		}
-		if wbValid {
+		if victimDirty {
 			// Dirty victim descends one level as a write.
-			h.access(lvl+1, wbLine<<c.lineShift, true)
+			h.access(lvl+1, victim<<c.lineShift, true)
 		}
 	}
-}
-
-// accessTracked performs the access and reports whether a modified line was
-// evicted (so the hierarchy can propagate the write-back), returning its line
-// address.
-func (c *Cache) accessTracked(addr uint64, write bool) (victimLine uint64, victimDirty bool) {
-	c.stats.Accesses++
-	if write {
-		c.stats.Writes++
-	} else {
-		c.stats.Reads++
-	}
-	lineAddr := addr >> c.lineShift
-	si := lineAddr & c.setMask
-	s := &c.sets[si]
-	for w := 0; w < c.assoc; w++ {
-		if s.state[w] != Invalid && s.tag[w] == lineAddr {
-			c.stats.Hits++
-			if write {
-				if c.cfg.WriteThrough {
-					// Write-through: the memory copy is updated
-					// immediately and the line stays clean.
-					c.stats.WriteThroughs++
-				} else {
-					s.state[w] = Modified
-				}
-			}
-			c.policy.touch(s, w, c.assoc)
-			return 0, false
-		}
-	}
-	if write && c.cfg.WriteThrough {
-		// No-write-allocate: the write goes straight to memory.
-		c.stats.Misses++
-		c.stats.WriteThroughs++
-		return 0, false
-	}
-	c.stats.Misses++
-	way := -1
-	for w := 0; w < c.assoc; w++ {
-		if s.state[w] == Invalid {
-			way = w
-			break
-		}
-	}
-	if way < 0 {
-		way = c.policy.victim(s, c.assoc)
-		switch s.state[way] {
-		case Modified:
-			c.stats.VictimsM++
-			victimLine, victimDirty = s.tag[way], true
-		case Exclusive:
-			c.stats.VictimsE++
-		}
-	}
-	c.stats.FillsE++
-	s.tag[way] = lineAddr
-	if write {
-		s.state[way] = Modified
-	} else {
-		s.state[way] = Exclusive
-	}
-	c.policy.insert(s, way, c.assoc)
-	return victimLine, victimDirty
 }
 
 // FlushDirty flushes every level, cascading dirty victims downward so that a
 // line dirty only in L1 still reaches the last level as a write-back.
 func (h *Hierarchy) FlushDirty() {
-	for i := 0; i < len(h.levels); i++ {
-		c := h.levels[i]
-		for si := range c.sets {
-			s := &c.sets[si]
-			for w := 0; w < c.assoc; w++ {
-				if s.state[w] == Modified {
-					c.stats.VictimsM++
-					c.stats.Flushed++
-					if i+1 < len(h.levels) {
-						h.access(i+1, s.tag[w]<<c.lineShift, true)
-					}
-				}
-				s.state[w] = Invalid
-				s.meta[w] = 0
-			}
-			s.aux = 0
-			s.aux2 = 0
-		}
+	for i, c := range h.levels {
+		c.flush(h, i+1)
 	}
 }

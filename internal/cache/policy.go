@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"fmt"
-	"math/rand/v2"
-)
+import "fmt"
 
 // PolicyKind selects a replacement policy.
 type PolicyKind int
@@ -42,166 +39,129 @@ func (k PolicyKind) String() string {
 	return fmt.Sprintf("PolicyKind(%d)", int(k))
 }
 
-// policy is the internal per-access hook set. Implementations store their
-// state in the set's meta/aux fields so the hot loop stays allocation-free.
-type policy interface {
-	// touch records a hit on way w.
-	touch(s *set, w, assoc int)
-	// insert records a fill into way w.
-	insert(s *set, w, assoc int)
-	// victim picks the way to evict from a full set.
-	victim(s *set, assoc int) int
-}
-
-func newPolicy(k PolicyKind, seed uint64) policy {
-	switch k {
-	case PolicyLRU:
-		return lruPolicy{}
-	case PolicyClock3:
-		return clock3Policy{}
-	case PolicyFIFO:
-		return fifoPolicy{}
-	case PolicyPLRU:
-		return plruPolicy{}
-	case PolicyRandom:
-		return &randomPolicy{rng: rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb))}
-	default:
-		panic(fmt.Sprintf("cache: unknown policy %v", k))
-	}
-}
-
-// --- true LRU: per-way stamps from a per-set counter -----------------------
-
-type lruPolicy struct{}
-
-func (lruPolicy) touch(s *set, w, _ int) {
-	s.aux++
-	s.meta[w] = s.aux
-}
-
-func (lruPolicy) insert(s *set, w, assoc int) { lruPolicy{}.touch(s, w, assoc) }
-
-func (lruPolicy) victim(s *set, assoc int) int {
-	best, bestStamp := 0, s.meta[0]
-	for w := 1; w < assoc; w++ {
-		if s.meta[w] < bestStamp {
-			best, bestStamp = w, s.meta[w]
-		}
-	}
-	return best
-}
-
-// --- 3-bit clock ------------------------------------------------------------
-
-type clock3Policy struct{}
-
+// clock3Max is the saturating top of a CLOCK3 marker.
 const clock3Max = 7
 
-func (clock3Policy) touch(s *set, w, _ int) {
-	if s.meta[w] < clock3Max {
-		s.meta[w]++
+// touch records a hit on way w of set s, whose ways start at base.
+func (c *Cache) touch(s *set, base, w int) {
+	switch c.cfg.Policy {
+	case PolicyLRU:
+		s.clock++
+		c.marks[base+w] = s.clock
+	case PolicyClock3:
+		if c.marks[base+w] < clock3Max {
+			c.marks[base+w]++
+		}
+	case PolicyPLRU:
+		s.plru = plruTouch(s.plru, w, c.assoc)
 	}
 }
 
-func (clock3Policy) insert(s *set, w, _ int) {
-	// A freshly filled line starts recently-used with marker 1.
-	s.meta[w] = 1
-}
-
-func (clock3Policy) victim(s *set, assoc int) int {
-	for {
-		for i := 0; i < assoc; i++ {
-			w := int(s.aux) % assoc
-			s.aux = uint32((w + 1) % assoc)
-			if s.meta[w] == 0 {
-				return w
-			}
-		}
-		for w := 0; w < assoc; w++ {
-			if s.meta[w] > 0 {
-				s.meta[w]--
-			}
-		}
+// insert records a fill into way w of set s, whose ways start at base.
+func (c *Cache) insert(s *set, base, w int) {
+	switch c.cfg.Policy {
+	case PolicyLRU, PolicyFIFO:
+		s.clock++
+		c.marks[base+w] = s.clock
+	case PolicyClock3:
+		c.marks[base+w] = 1 // a fresh line starts recently used
+	case PolicyPLRU:
+		s.plru = plruTouch(s.plru, w, c.assoc)
 	}
 }
 
-// --- FIFO --------------------------------------------------------------------
-
-type fifoPolicy struct{}
-
-func (fifoPolicy) touch(*set, int, int) {}
-
-func (fifoPolicy) insert(s *set, w, _ int) {
-	s.aux++
-	s.meta[w] = s.aux
-}
-
-func (fifoPolicy) victim(s *set, assoc int) int {
-	best, bestStamp := 0, s.meta[0]
-	for w := 1; w < assoc; w++ {
-		if s.meta[w] < bestStamp {
-			best, bestStamp = w, s.meta[w]
+// victim picks the way to evict from the full set s, whose ways start at
+// base.
+func (c *Cache) victim(s *set, base int) int {
+	marks := c.marks[base : base+c.assoc]
+	switch c.cfg.Policy {
+	case PolicyClock3:
+		return clock3Victim(marks, &s.clock)
+	case PolicyPLRU:
+		return plruVictim(s.plru, c.assoc)
+	case PolicyRandom:
+		return c.rng.IntN(c.assoc)
+	}
+	// LRU and FIFO: the oldest stamp, the first way among equals.
+	best, oldest := 0, marks[0]
+	for w, m := range marks {
+		if m < oldest {
+			best, oldest = w, m
 		}
 	}
 	return best
 }
 
-// --- tree PLRU ----------------------------------------------------------------
+// clock3Victim runs the 3-bit clock's victim search over the markers of one
+// full set: sweep from the hand for a 0 marker, taking it and leaving the
+// hand just past it. A lap that finds none ends back at the hand and then
+// decrements every marker, so the search laps exactly as many times as the
+// set's smallest marker m before a lap finds a 0, and every marker is then
+// m lower. One lap that finds no 0, one subtraction of m and one more sweep
+// give the same victim, markers and hand.
+func clock3Victim(marks []uint32, hand *uint32) int {
+	w, low := clock3Sweep(marks, int(*hand))
+	if w < 0 {
+		for i := range marks {
+			marks[i] -= low
+		}
+		w, _ = clock3Sweep(marks, int(*hand))
+	}
+	if *hand = uint32(w + 1); int(*hand) == len(marks) {
+		*hand = 0
+	}
+	return w
+}
 
-type plruPolicy struct{}
+// clock3Sweep looks once round the set, from way from on, for a 0 marker:
+// it returns that way, or -1 and the smallest marker.
+func clock3Sweep(marks []uint32, from int) (int, uint32) {
+	low := uint32(clock3Max)
+	for w := from; w < len(marks); w++ {
+		if marks[w] == 0 {
+			return w, 0
+		}
+		low = min(low, marks[w])
+	}
+	for w := 0; w < from; w++ {
+		if marks[w] == 0 {
+			return w, 0
+		}
+		low = min(low, marks[w])
+	}
+	return -1, low
+}
 
-// The PLRU tree bits live in s.aux2: bit i is node i of a complete binary
-// tree over the ways; 0 means "left half is older".
+// Tree PLRU keeps one bit per node of a complete binary tree over the ways,
+// nodes numbered heap-wise from the root 0; a set bit means the left half
+// was used last, so the victim search goes right. Validation guarantees a
+// power-of-two associativity, so way w's path follows w's bits from the top.
 
-func (plruPolicy) touch(s *set, w, assoc int) {
-	// Walk from root to leaf w, pointing each node AWAY from w.
+// plruTouch points every node on way w's path away from w.
+func plruTouch(bits uint32, w, assoc int) uint32 {
 	node := 0
-	lo, hi := 0, assoc
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if w < mid {
-			s.aux2 |= 1 << uint(node) // most-recent went left => LRU side is right
+	for half := assoc >> 1; half > 0; half >>= 1 {
+		if w&half == 0 {
+			bits |= 1 << uint(node)
 			node = 2*node + 1
-			hi = mid
 		} else {
-			s.aux2 &^= 1 << uint(node) // most-recent went right => LRU side is left
+			bits &^= 1 << uint(node)
 			node = 2*node + 2
-			lo = mid
 		}
 	}
+	return bits
 }
 
-func (plruPolicy) insert(s *set, w, assoc int) { plruPolicy{}.touch(s, w, assoc) }
-
-func (plruPolicy) victim(s *set, assoc int) int {
-	if assoc&(assoc-1) != 0 {
-		panic("cache: PLRU requires power-of-two associativity")
-	}
-	node := 0
-	lo, hi := 0, assoc
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if s.aux2&(1<<uint(node)) != 0 {
-			// Most recent went left; victim on the right.
+// plruVictim follows the bits from the root to the way they point at.
+func plruVictim(bits uint32, assoc int) int {
+	node, w := 0, 0
+	for half := assoc >> 1; half > 0; half >>= 1 {
+		if bits&(1<<uint(node)) != 0 {
+			w += half
 			node = 2*node + 2
-			lo = mid
 		} else {
 			node = 2*node + 1
-			hi = mid
 		}
 	}
-	return lo
-}
-
-// --- random --------------------------------------------------------------------
-
-type randomPolicy struct {
-	rng *rand.Rand
-}
-
-func (*randomPolicy) touch(*set, int, int)  {}
-func (*randomPolicy) insert(*set, int, int) {}
-
-func (p *randomPolicy) victim(_ *set, assoc int) int {
-	return p.rng.IntN(assoc)
+	return w
 }

@@ -289,7 +289,9 @@ func TestSessionObserversMatchReference(t *testing.T) {
 // The rank half: one ledger per rank, read by a span tree in a profiler
 // group and by a flight ring in a flight group (what Session.distObserve
 // builds), against a reference span recorder and flight recorder attached
-// side by side to the same rank hierarchy.
+// side by side to the same rank hierarchy. Two machines run in a row, the
+// second group on the first group's rings (Group.Reuse, as distObserve does)
+// with two to four ranks: its windows must equal those of fresh rings.
 func TestRankObserversMatchReference(t *testing.T) {
 	for seed := int64(1); seed <= 32; seed++ {
 		seed := seed
@@ -297,57 +299,69 @@ func TestRankObserversMatchReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			capN := []int{8, 64, 4096}[rng.Intn(3)]
 			prof := profile.NewProfiler(nil)
-			pg := prof.Group("mm")
-			fg := flight.NewGroup("mm", capN, nil)
-			ref := refGroup{name: "mm"}
-			var refRings []*refFlight
-			for rank := 0; rank < 3; rank++ {
-				l := machine.NewLedger(nil)
-				pg.Follow(rank, l)
-				fg.Follow(rank, l)
-				rs, rf := newRefSpanRecorder(nil), newRefFlight(capN, nil, false)
-				ref.recs = append(ref.recs, rs)
-				refRings = append(refRings, rf)
-				p := &program{rng: rng, attach: func(h *machine.Hierarchy) {
-					h.Attach(l)
-					h.Attach(rs)
-					h.Attach(rf)
-				}}
-				p.hierarchy()
-				for i, n := 0, 100+rng.Intn(400); i < n; i++ {
-					p.step()
+			var refs []refGroup
+			var prev *flight.Group
+			for m, ranks := range []int{3, 2 + rng.Intn(3)} {
+				name := fmt.Sprint("mm", m)
+				pg := prof.Group(name)
+				fg := flight.NewGroup(name, capN, nil)
+				fg.Reuse(prev)
+				prev = fg
+				ref := refGroup{name: name}
+				var refRings []*refFlight
+				for rank := 0; rank < ranks; rank++ {
+					l := machine.NewLedger(nil)
+					pg.Follow(rank, l)
+					fg.Follow(rank, l)
+					rs, rf := newRefSpanRecorder(nil), newRefFlight(capN, nil, false)
+					ref.recs = append(ref.recs, rs)
+					refRings = append(refRings, rf)
+					p := &program{rng: rng, attach: func(h *machine.Hierarchy) {
+						h.Attach(l)
+						h.Attach(rs)
+						h.Attach(rf)
+					}}
+					p.hierarchy()
+					for i, n := 0, 100+rng.Intn(400); i < n; i++ {
+						p.step()
+					}
+					if rng.Intn(2) == 0 {
+						p.closeAll() // else Finish closes them
+					}
+					for _, h := range p.hs {
+						h.Flush()
+					}
 				}
-				if rng.Intn(2) == 0 {
-					p.closeAll() // else Finish closes them
+				refs = append(refs, ref)
+				windows := fg.Windows("violation")
+				if len(windows) != ranks {
+					t.Fatalf("machine %d: %d rank windows, want %d", m, len(windows), ranks)
 				}
-				for _, h := range p.hs {
-					h.Flush()
+				for rank, w := range windows {
+					got, want := canonJSON(w.Window), canonJSON(refRings[rank].Capture("violation"))
+					if got != want {
+						t.Fatalf("machine %d rank %d window diverges:\nledger:    %s\nreference: %s", m, rank, got, want)
+					}
 				}
-			}
-			for rank, w := range fg.Windows("violation") {
-				got, want := canonJSON(w.Window), canonJSON(refRings[rank].Capture("violation"))
-				if got != want {
-					t.Fatalf("rank %d window diverges:\nledger:    %s\nreference: %s", rank, got, want)
+				for rank, rs := range ref.recs {
+					got := pg.Proc(rank)
+					if a, b := renderForest(got.Roots()), renderRefForest(rs.roots); a != b {
+						t.Fatalf("machine %d rank %d forest diverges:\nledger:\n%s\nreference:\n%s", m, rank, a, b)
+					}
+					if a, b := canonJSON(got.Unattributed()), canonJSON(rs.Unattributed()); a != b {
+						t.Fatalf("machine %d rank %d unattributed diverges:\nledger:    %s\nreference: %s", m, rank, a, b)
+					}
 				}
 			}
 			var trace bytes.Buffer
 			if err := prof.WriteTrace(&trace); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := trace.String(), string(refTrace(newRefSpanRecorder(nil), []refGroup{ref})); got != want {
+			if got, want := trace.String(), string(refTrace(newRefSpanRecorder(nil), refs)); got != want {
 				t.Fatalf("trace diverges:\nledger:    %s\nreference: %s", got, want)
 			}
-			if got, want := prof.Summary(), refSummary(newRefSpanRecorder(nil), []refGroup{ref}); got != want {
+			if got, want := prof.Summary(), refSummary(newRefSpanRecorder(nil), refs); got != want {
 				t.Fatalf("summary diverges:\nledger:\n%s\nreference:\n%s", got, want)
-			}
-			for rank, rs := range ref.recs {
-				got := pg.Proc(rank)
-				if a, b := renderForest(got.Roots()), renderRefForest(rs.roots); a != b {
-					t.Fatalf("rank %d forest diverges:\nledger:\n%s\nreference:\n%s", rank, a, b)
-				}
-				if a, b := canonJSON(got.Unattributed()), canonJSON(rs.Unattributed()); a != b {
-					t.Fatalf("rank %d unattributed diverges:\nledger:    %s\nreference: %s", rank, a, b)
-				}
 			}
 		})
 	}

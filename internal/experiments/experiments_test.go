@@ -218,6 +218,17 @@ func TestMultiLevelRows(t *testing.T) {
 			t.Errorf("%s: expected more L2 than memory write-backs", r.Order)
 		}
 	}
+	// The rows are exact: every level is a set-associative cache.Cache
+	// (cache_test.go pins it against the per-set reference it replaced).
+	want := []MultiLevelRow{
+		{Order: "multi-level WA (Fig 4a)", L1VictimsM: 39744, L2VictimsM: 6396, L3VictimsM: 1152, WriteLB: 1152},
+		{Order: "two-level WA (Fig 4b)", L1VictimsM: 34560, L2VictimsM: 4650, L3VictimsM: 1164, WriteLB: 1152},
+	}
+	for i, r := range rows {
+		if r != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, r, want[i])
+		}
+	}
 	if !strings.Contains(FormatMultiLevel(rows), "future work") {
 		t.Error("format")
 	}
@@ -241,6 +252,10 @@ func TestRealCacheCrossCheckOrdering(t *testing.T) {
 	wa, co := NewSession().RealCacheCrossCheck()
 	if wa >= co {
 		t.Fatalf("WA order should beat CO under CLOCK3: %d vs %d", wa, co)
+	}
+	// The 16-way CLOCK3 counts themselves are exact.
+	if wa != 8411 || co != 17215 {
+		t.Fatalf("WA, CO write-backs = %d, %d, want 8411, 17215", wa, co)
 	}
 }
 

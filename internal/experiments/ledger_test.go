@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"io"
 	"testing"
 
@@ -169,4 +170,57 @@ func TestRankEventFoldedTwice(t *testing.T) {
 			t.Fatalf("rank %d ledger has no span tree reading it", rank)
 		}
 	}
+}
+
+// distObserve hands the previous dist machine's rank rings to the next one:
+// after an 8-rank machine, a 4-rank machine must record on four of its
+// rings, and its rank windows must equal those of a session whose rings are
+// fresh, whether the rings wrap (64 events) or not (4096).
+func TestDistObserveReusesRings(t *testing.T) {
+	a, b := matrix.Random(16, 16, 1), matrix.Random(16, 16, 2)
+	run := func(s *Session, cfg pmm.Config) {
+		cfg.Observe = s.distObserve("mm")
+		if _, _, err := pmm.MM25D(cfg, a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eight := pmm.Config{Q: 2, C: 2, M1: 48, B1: 4, M2: 3 * 8 * 8, B2: 8}
+	four := pmm.Config{Q: 2, C: 1, M1: 48, B1: 4, M2: 3 * 8 * 8, B2: 8}
+	for _, capN := range []int{64, 4096} {
+		fresh, reused := NewSession(), NewSession()
+		fresh.SetFlight(flight.New(capN, nil))
+		reused.SetFlight(flight.New(capN, nil))
+		run(fresh, four)
+		run(reused, eight)
+		old := map[*flight.Recorder]bool{}
+		for _, rank := range reused.flightDist.Ranks() {
+			old[reused.flightDist.Proc(rank)] = true
+		}
+		run(reused, four)
+		ranks := reused.flightDist.Ranks()
+		if len(old) != 8 || len(ranks) != 4 {
+			t.Fatalf("cap %d: %d rings after the first machine, %d ranks after the second, want 8 and 4", capN, len(old), len(ranks))
+		}
+		for _, rank := range ranks {
+			if !old[reused.flightDist.Proc(rank)] {
+				t.Fatalf("cap %d: rank %d records on a new ring", capN, rank)
+			}
+		}
+		got, want := reused.flightDist.Windows("check"), fresh.flightDist.Windows("check")
+		if g, w := canon(t, got), canon(t, want); g != w {
+			t.Fatalf("cap %d: reused rings' windows diverge from fresh ones:\nreused: %s\nfresh:  %s", capN, g, w)
+		}
+		if n := want[0].Window.TotalEvents; n == 0 || (capN == 64) != (n > int64(capN)) {
+			t.Fatalf("cap %d: rank 0 recorded %d events; the case does not test what it says", capN, n)
+		}
+	}
+}
+
+func canon(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -247,8 +247,9 @@ func (s *Session) publishSpans() {
 // the rank's only fold besides the machine's own shard, read by a span tree
 // in a named group of the installed profiler and by a ring in a per-rank
 // flight.Group of the installed flight recorder (kept as the latest dist
-// group, so a violation capture can freeze the run's rank rings). It is nil
-// when neither is installed.
+// group, so a violation capture can freeze the run's rank rings). Only that
+// latest group is read, so it reuses the rings of the group before it. It
+// is nil when neither sink is installed.
 func (s *Session) distObserve(name string) dist.Observer {
 	if s == nil {
 		return nil
@@ -260,6 +261,7 @@ func (s *Session) distObserve(name string) dist.Observer {
 	}
 	if s.fr != nil {
 		fg = flight.NewGroup(name, s.fr.Stats().Capacity, nil)
+		fg.Reuse(s.flightDist)
 		s.flightDist = fg
 	}
 	if pg == nil && fg == nil {

@@ -144,8 +144,9 @@ type Group struct {
 	capacity int
 	levels   []machine.Level
 
-	mu   sync.Mutex
-	recs map[int]*Recorder
+	mu    sync.Mutex
+	recs  map[int]*Recorder
+	spare []*Recorder // rings handed over by Reuse, for Follow to take
 }
 
 // NewGroup builds a group whose rank recorders use the given ring capacity
@@ -173,10 +174,42 @@ func (g *Group) Recorder(rank int) machine.Recorder {
 // rank's events are folded once for both), replacing any recorder the rank
 // had. Safe for concurrent use.
 func (g *Group) Follow(rank int, l *machine.Ledger) {
-	r := newRing(g.capacity, nil)
+	g.mu.Lock()
+	var r *Recorder
+	if n := len(g.spare); n > 0 {
+		r, g.spare = g.spare[n-1], g.spare[:n-1]
+	}
+	g.mu.Unlock()
+	if r == nil {
+		r = newRing(g.capacity, nil)
+	} else {
+		r.reset()
+	}
 	r.Follow(l)
 	g.mu.Lock()
 	g.recs[rank] = r
+	g.mu.Unlock()
+}
+
+// Reuse hands prev's rings to g, which gives them, emptied, to the ranks it
+// follows before it allocates any: a run reads only its latest group
+// (experiments.Session keeps one), so the group before it need not keep its
+// rings. prev holds no ranks afterwards. A prev of another capacity keeps
+// its rings.
+func (g *Group) Reuse(prev *Group) {
+	if prev == nil || prev.capacity != g.capacity {
+		return
+	}
+	prev.mu.Lock()
+	rings := prev.spare
+	for _, r := range prev.recs {
+		rings = append(rings, r)
+	}
+	prev.spare = nil
+	clear(prev.recs)
+	prev.mu.Unlock()
+	g.mu.Lock()
+	g.spare = append(g.spare, rings...)
 	g.mu.Unlock()
 }
 

@@ -211,6 +211,19 @@ func (r *Recorder) append(e *machine.Event) {
 	r.seq++
 }
 
+// reset empties the ring for another ledger: the next event is sequence 1
+// again, under an empty span stack and label table. The slots keep their
+// stale contents, which no window reads: a window reads only the n newest.
+func (r *Recorder) reset() {
+	r.mu.Lock()
+	r.pos, r.n, r.seq, r.captures = 0, 0, 0, 0
+	r.stack = r.stack[:0]
+	r.names = r.names[:1]
+	clear(r.index)
+	r.last, r.lastIdx = "", 0
+	r.mu.Unlock()
+}
+
 // labelIndex interns a label into the table. The table is compacted to the
 // labels the ring still holds once it outgrows twice the ring, so it stays
 // bounded however many distinct labels a run formats.
