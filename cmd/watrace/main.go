@@ -182,10 +182,11 @@ func record(args []string) int {
 }
 
 // sim replays a trace and returns the exit code: 2 for bad input, a cache
-// geometry cache.New rejects included, and 1 for a failed read or write.
+// geometry cache.New or cache.NewFALRU rejects included, and 1 for a failed
+// read or write.
 func sim(args []string) (rc int) {
-	// cache.New treats bad geometry as a programming error and panics;
-	// for the CLI it is user input, so report it politely.
+	// cache.New and cache.NewFALRU treat bad geometry as a programming
+	// error and panic; for the CLI it is user input, so report it politely.
 	defer func() {
 		if e := recover(); e != nil {
 			fmt.Fprintln(os.Stderr, "watrace:", e)
@@ -216,8 +217,8 @@ func sim(args []string) (rc int) {
 	}
 	defer f.Close()
 
-	// Build the simulator before opening any output, so that a geometry
-	// cache.New rejects leaves nothing behind. OPT is offline: it has none.
+	// Build the simulator before opening any output, so that a rejected
+	// geometry leaves nothing behind. OPT is offline: it has none.
 	var c cache.Simulator
 	switch {
 	case *policy == "opt":

@@ -58,6 +58,8 @@ func TestSimRejectsBadGeometry(t *testing.T) {
 		{"-policy", "plru", "-size", "768", "-assoc", "6"},
 		{"-policy", "lru", "-size", "768", "-assoc", "2"}, // 6 sets
 		{"-policy", "clock3", "-size", "100"},
+		{"-fullassoc", "-size", "100"},                       // not a whole number of lines
+		{"-policy", "plru", "-size", "4096", "-assoc", "64"}, // PLRU over 32 ways
 	} {
 		if rc := run(args...); rc != 2 {
 			t.Errorf("sim %v = %d, want 2", args, rc)

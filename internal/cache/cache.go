@@ -167,6 +167,9 @@ func (c Config) validate() error {
 	if c.Policy == PolicyPLRU && assoc&(assoc-1) != 0 {
 		return fmt.Errorf("cache: PLRU requires power-of-two associativity, got %d", assoc)
 	}
+	if c.Policy == PolicyPLRU && assoc > plruMaxWays {
+		return fmt.Errorf("cache: PLRU supports at most %d ways, got %d", plruMaxWays, assoc)
+	}
 	return nil
 }
 

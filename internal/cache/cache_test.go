@@ -221,6 +221,9 @@ func TestConfigValidation(t *testing.T) {
 		// not at the set's first eviction.
 		{SizeBytes: 768, LineBytes: 64, Assoc: 6, Policy: PolicyPLRU},
 		{SizeBytes: 64 * 12, LineBytes: 64, Policy: PolicyPLRU}, // fully associative, 12 ways
+		// Its node bits are a uint32: 32 ways at most.
+		{SizeBytes: 64 * 128, LineBytes: 64, Assoc: 64, Policy: PolicyPLRU},
+		{SizeBytes: 64 * 64, LineBytes: 64, Policy: PolicyPLRU}, // fully associative, 64 ways
 		{SizeBytes: 64 * 8, LineBytes: 64, Assoc: 2, Policy: PolicyKind(9)},
 	}
 	for i, cfg := range bad {
@@ -233,6 +236,8 @@ func TestConfigValidation(t *testing.T) {
 			New(cfg)
 		}()
 	}
+	// The widest PLRU tree a set holds.
+	New(Config{SizeBytes: 64 * 32, LineBytes: 64, Policy: PolicyPLRU})
 }
 
 // LRU inclusion property (Mattson): under LRU, the contents of a cache of

@@ -1,6 +1,10 @@
 package cache
 
-import "writeavoid/internal/access"
+import (
+	"fmt"
+
+	"writeavoid/internal/access"
+)
 
 // FALRU is a fully-associative LRU write-back cache with O(1) accesses. The
 // Proposition 6.1/6.2 experiments, which are stated for a fully-associative
@@ -60,6 +64,9 @@ func NewFALRU(sizeBytes, lineBytes int) *FALRU {
 	}
 	if sizeBytes < lineBytes {
 		panic("cache: size smaller than one line")
+	}
+	if sizeBytes%lineBytes != 0 {
+		panic(fmt.Sprintf("cache: size %d not a multiple of line size %d", sizeBytes, lineBytes))
 	}
 	capacity := sizeBytes / lineBytes
 	if capacity > 1<<30 {

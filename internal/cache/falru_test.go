@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -217,5 +218,31 @@ func TestProp61Anchor(t *testing.T) {
 	c.FlushDirty()
 	if got := c.Stats().VictimsM; got != 512 {
 		t.Fatalf("victims.M = %d, want 512 (64*64*8/64 output lines)", got)
+	}
+}
+
+// NewFALRU rejects a size that is not a whole number of lines, as New does,
+// instead of flooring it to one.
+func TestNewFALRURejectsPartialLine(t *testing.T) {
+	for _, c := range []struct {
+		size, line int
+		want       string
+	}{
+		{100, 64, "cache: size 100 not a multiple of line size 64"},
+		{64*3 + 8, 64, "cache: size 200 not a multiple of line size 64"},
+		{32, 64, "cache: size smaller than one line"},
+		{96, 48, "cache: line size must be a positive power of two"},
+	} {
+		func() {
+			defer func() {
+				if e := recover(); fmt.Sprint(e) != c.want {
+					t.Errorf("NewFALRU(%d, %d) panicked with %v, want %q", c.size, c.line, e, c.want)
+				}
+			}()
+			NewFALRU(c.size, c.line)
+		}()
+	}
+	if got := NewFALRU(64*3, 64).Capacity(); got != 3 {
+		t.Fatalf("NewFALRU(192, 64) holds %d lines, want 3", got)
 	}
 }

@@ -135,7 +135,11 @@ func clock3Sweep(marks []uint32, from int) (int, uint32) {
 // Tree PLRU keeps one bit per node of a complete binary tree over the ways,
 // nodes numbered heap-wise from the root 0; a set bit means the left half
 // was used last, so the victim search goes right. Validation guarantees a
-// power-of-two associativity, so way w's path follows w's bits from the top.
+// power-of-two associativity, so way w's path follows w's bits from the top,
+// of at most plruMaxWays, so the assoc-1 nodes fit a set's uint32 of bits.
+
+// plruMaxWays is the most ways a PLRU set's node bits can cover.
+const plruMaxWays = 32
 
 // plruTouch points every node on way w's path away from w.
 func plruTouch(bits uint32, w, assoc int) uint32 {

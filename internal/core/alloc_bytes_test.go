@@ -1,7 +1,8 @@
 //go:build !race
 
 // The race detector's own bookkeeping changes a run's byte count from run to
-// run, so this file is left out of race-instrumented builds.
+// run and adds stray allocations, so this file is left out of
+// race-instrumented builds.
 
 package core
 
@@ -11,6 +12,26 @@ import (
 
 	"writeavoid/internal/access"
 )
+
+// allocTrace is the three-level Figure 2 order at 256 x 64 x 256: 4.4e6
+// accesses through 8x8 kernels.
+func allocTrace() *MatMulTrace {
+	return NewMatMulTrace(256, 64, 256, 64,
+		TraceLevel{Block: 64, ContractionInner: true},
+		TraceLevel{Block: 16, ContractionInner: false},
+		TraceLevel{Block: 8, ContractionInner: false})
+}
+
+// A traced run carves its operands from the zero arena and its views stay
+// on the stack, so what it allocates is the plan, the hierarchy and the
+// tracer: 17 objects however many block steps the trace takes.
+func TestMatMulTraceAllocs(t *testing.T) {
+	tr := allocTrace()
+	var sink access.SinkFunc = func(uint64, bool) {}
+	if avg := testing.AllocsPerRun(2, func() { tr.Run(sink) }); avg > 20 {
+		t.Errorf("MatMulTrace.Run allocates %v per call, want <= 20", avg)
+	}
+}
 
 // After a collection, which empties any pool, a run allocates the same bytes
 // as the run before it, and nowhere near an operand store: the plan, the

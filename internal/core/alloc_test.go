@@ -34,26 +34,6 @@ func TestMatMulAllocatesNothing(t *testing.T) {
 	}
 }
 
-// allocTrace is the three-level Figure 2 order at 256 x 64 x 256: 4.4e6
-// accesses through 8x8 kernels.
-func allocTrace() *MatMulTrace {
-	return NewMatMulTrace(256, 64, 256, 64,
-		TraceLevel{Block: 64, ContractionInner: true},
-		TraceLevel{Block: 16, ContractionInner: false},
-		TraceLevel{Block: 8, ContractionInner: false})
-}
-
-// A traced run carves its operands from the zero arena and its views stay
-// on the stack, so what it allocates is the plan, the hierarchy and the
-// tracer: 17 objects however many block steps the trace takes.
-func TestMatMulTraceAllocs(t *testing.T) {
-	tr := allocTrace()
-	var sink access.SinkFunc = func(uint64, bool) {}
-	if avg := testing.AllocsPerRun(2, func() { tr.Run(sink) }); avg > 20 {
-		t.Errorf("MatMulTrace.Run allocates %v per call, want <= 20", avg)
-	}
-}
-
 // Runs on several goroutines at once carve operands of several sizes from
 // the one zero arena; under the race detector, a run that wrote its
 // operands would race with the others. Each run emits the same stream as a

@@ -2,9 +2,12 @@ package krylov
 
 import "fmt"
 
-// Reference implementations: the copying basis kernels and the CA-CG solver
-// that rebuilt the operator's CSR for every basis, kept verbatim as the slow
-// reference the buffer-reusing versions are checked against bit for bit.
+// Reference implementations: the copying basis kernels, the per-element
+// stencil, gather, SpMV and Gram kernels, and the CA-CG solver that rebuilt
+// the operator's CSR for every basis, kept verbatim as the slow reference
+// the buffer-reusing, row-slice versions are checked against bit for bit.
+// The reference solver and basis kernels call only these copies, never the
+// production kernels they are compared with.
 
 // refRing and refTorus run the reference basisBlocks and Matrix; the other
 // Operator methods are the production ones.
@@ -23,7 +26,7 @@ func (rr refRing) basisBlocks(p, r []float64, s int, rec basisRecurrence, block 
 		src := make([]float64, w+2*ghost)
 		cols := make([][]float64, 0, 2*s+1)
 
-		ring.Gather(src, p, lo-ghost)
+		ringGatherRef(ring, src, p, lo-ghost)
 		t.R(len(src))
 		cols = append(cols, src[ghost:ghost+w])
 		inv := 1 / rec.sigma
@@ -41,7 +44,7 @@ func (rr refRing) basisBlocks(p, r []float64, s int, rec basisRecurrence, block 
 			cur = next
 		}
 		src2 := make([]float64, w+2*ghost)
-		ring.Gather(src2, r, lo-ghost)
+		ringGatherRef(ring, src2, r, lo-ghost)
 		t.R(len(src2))
 		cols = append(cols, src2[ghost:ghost+w])
 		cur = src2
@@ -105,12 +108,12 @@ func (rt refTorus) basisBlocks(p, r []float64, s int, rec basisRecurrence, block
 			eh, ew := h+2*ghost, w+2*ghost
 
 			srcP := make([]float64, eh*ew)
-			t.gatherBox(srcP, p, y0-ghost, x0-ghost, eh, ew)
+			gatherBoxRef(t, srcP, p, y0-ghost, x0-ghost, eh, ew)
 			traffic.R(eh * ew)
 			colsP := powersOf(srcP, h, w, s)
 
 			srcR := make([]float64, eh*ew)
-			t.gatherBox(srcR, r, y0-ghost, x0-ghost, eh, ew)
+			gatherBoxRef(t, srcR, r, y0-ghost, x0-ghost, eh, ew)
 			traffic.R(eh * ew)
 			colsR := powersOf(srcR, h, w, s-1)
 
@@ -122,6 +125,28 @@ func (rt refTorus) basisBlocks(p, r []float64, s int, rec basisRecurrence, block
 				}
 			}
 			fn(idx, cols)
+		}
+	}
+}
+
+// ringGatherRef copies mesh interval [lo, lo+len(dst)) of x element by
+// element, two remainders per element.
+func ringGatherRef(r Ring, dst, x []float64, lo int) {
+	n := r.N
+	for i := range dst {
+		dst[i] = x[((lo+i)%n+n)%n]
+	}
+}
+
+// gatherBoxRef copies the periodic (h x w) box anchored at mesh (y0,x0)
+// element by element, two remainders per element.
+func gatherBoxRef(t Torus, dst, x []float64, y0, x0, h, w int) {
+	k := t.K
+	for iy := 0; iy < h; iy++ {
+		gy := ((y0+iy)%k + k) % k
+		for ix := 0; ix < w; ix++ {
+			gx := ((x0+ix)%k + k) % k
+			dst[iy*w+ix] = x[gy*k+gx]
 		}
 	}
 }
@@ -219,7 +244,7 @@ func cacgRef(op Operator, b, x0 []float64, outers int, cfg CACGConfig, t *Traffi
 	x := append([]float64(nil), x0...)
 	w := make([]float64, n)
 	t.Begin("setup")
-	a.MulVec(w, x)
+	mulVecRef(a, w, x)
 	t.R(a.NNZ() + n)
 	t.W(n)
 	r := make([]float64, n)
@@ -249,7 +274,7 @@ func cacgRef(op Operator, b, x0 []float64, outers int, cfg CACGConfig, t *Traffi
 			basis := buildBasisFullRef(op, p, r, s, rec, t, &flops)
 			t.End()
 			t.Begin("gram")
-			g := gramFull(basis, t, &flops)
+			g := gramFullRef(basis, t, &flops)
 			t.End()
 			t.Begin("inner")
 			ph, rh, xh := innerIterations(g, s, rec, &dprv, &flops)
@@ -260,7 +285,7 @@ func cacgRef(op Operator, b, x0 []float64, outers int, cfg CACGConfig, t *Traffi
 			t.End()
 		case CACGStreaming:
 			t.Begin("gram")
-			g := gramStreaming(op, p, r, s, rec, cfg.Block, t, &flops)
+			g := gramStreamingRef(op, p, r, s, rec, cfg.Block, t, &flops)
 			t.End()
 			t.Begin("inner")
 			ph, rh, xh := innerIterations(g, s, rec, &dprv, &flops)
@@ -278,7 +303,7 @@ func cacgRef(op Operator, b, x0 []float64, outers int, cfg CACGConfig, t *Traffi
 	}
 
 	res := make([]float64, n)
-	a.MulVec(res, x)
+	mulVecRef(a, res, x)
 	sum := 0.0
 	for i := range res {
 		d := b[i] - res[i]
@@ -298,7 +323,7 @@ func buildBasisFullRef(op Operator, p, r []float64, s int, rec basisRecurrence, 
 	basis = append(basis, cur)
 	for j := 0; j < s; j++ {
 		next := make([]float64, n)
-		a.MulVec(next, cur)
+		mulVecRef(a, next, cur)
 		theta := rec.thetas[j]
 		for i := range next {
 			next[i] = (next[i] - theta*cur[i]) * inv
@@ -315,7 +340,7 @@ func buildBasisFullRef(op Operator, p, r []float64, s int, rec basisRecurrence, 
 	basis = append(basis, cur)
 	for j := 0; j < s-1; j++ {
 		next := make([]float64, n)
-		a.MulVec(next, cur)
+		mulVecRef(a, next, cur)
 		theta := rec.thetas[j]
 		for i := range next {
 			next[i] = (next[i] - theta*cur[i]) * inv
@@ -327,6 +352,66 @@ func buildBasisFullRef(op Operator, p, r []float64, s int, rec basisRecurrence, 
 		cur = next
 	}
 	return basis
+}
+
+// mulVecRef is CSR.MulVec indexing Val, Col and RowPtr per term.
+func mulVecRef(m *CSR, dst, x []float64) {
+	if len(dst) != m.N || len(x) != m.N {
+		panic("krylov: MulVec length mismatch")
+	}
+	for i := 0; i < m.N; i++ {
+		s := 0.0
+		for idx := m.RowPtr[i]; idx < m.RowPtr[i+1]; idx++ {
+			s += m.Val[idx] * x[m.Col[idx]]
+		}
+		dst[i] = s
+	}
+}
+
+// gramFullRef forms G one dot product per pass over the stored basis.
+func gramFullRef(basis [][]float64, t *Traffic, flops *int64) [][]float64 {
+	dim := len(basis)
+	n := len(basis[0])
+	g := make([][]float64, dim)
+	for i := range g {
+		g[i] = make([]float64, dim)
+	}
+	for i := 0; i < dim; i++ {
+		for j := i; j < dim; j++ {
+			v := dotPlain(basis[i], basis[j])
+			g[i][j], g[j][i] = v, v
+		}
+	}
+	t.R(dim * n)
+	*flops += int64(dim * dim * n)
+	return g
+}
+
+// gramStreamingRef accumulates G one dot product per pass over each tile,
+// adding it to both mirrored entries.
+func gramStreamingRef(op Operator, p, r []float64, s int, rec basisRecurrence, block int, t *Traffic, flops *int64) [][]float64 {
+	dim := 2*s + 1
+	g := make([][]float64, dim)
+	for i := range g {
+		g[i] = make([]float64, dim)
+	}
+	op.basisBlocks(p, r, s, rec, block, t, flops, func(idx []int, cols [][]float64) {
+		w := len(idx)
+		for i := 0; i < dim; i++ {
+			for j := i; j < dim; j++ {
+				v := 0.0
+				for e := 0; e < w; e++ {
+					v += cols[i][e] * cols[j][e]
+				}
+				g[i][j] += v
+				if i != j {
+					g[j][i] += v
+				}
+			}
+		}
+		*flops += int64(dim * dim * w)
+	})
+	return g
 }
 
 func (rr refRing) Matrix() *CSR { return refRingCSR(rr.Ring) }

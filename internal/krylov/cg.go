@@ -325,6 +325,7 @@ func fullPowers(cols [][]float64, a *CSR, src []float64, rec basisRecurrence, t 
 		cur, next := cols[j-1], cols[j]
 		a.MulVec(next, cur)
 		theta := rec.thetas[j-1]
+		cur = cur[:len(next)]
 		for i := range next {
 			next[i] = (next[i] - theta*cur[i]) * inv
 		}
@@ -338,16 +339,9 @@ func fullPowers(cols [][]float64, a *CSR, src []float64, rec basisRecurrence, t 
 func gramFull(basis [][]float64, t *Traffic, flops *int64) [][]float64 {
 	dim := len(basis)
 	n := len(basis[0])
-	g := make([][]float64, dim)
-	for i := range g {
-		g[i] = make([]float64, dim)
-	}
-	for i := 0; i < dim; i++ {
-		for j := i; j < dim; j++ {
-			v := dotPlain(basis[i], basis[j])
-			g[i][j], g[j][i] = v, v
-		}
-	}
+	g := newGram(dim)
+	gramAdd(g, basis, n)
+	mirrorUpper(g)
 	t.R(dim * n) // one streaming pass over the basis (blocked rank-k update)
 	*flops += int64(dim * dim * n)
 	return g
@@ -358,27 +352,69 @@ func gramFull(basis [][]float64, t *Traffic, flops *int64) [][]float64 {
 // memory from p and r (with ghost-zone reads) and accumulated into G.
 func gramStreaming(op Operator, p, r []float64, s int, rec basisRecurrence, block int, t *Traffic, flops *int64) [][]float64 {
 	dim := 2*s + 1
+	g := newGram(dim)
+	op.basisBlocks(p, r, s, rec, block, t, flops, func(idx []int, cols [][]float64) {
+		gramAdd(g, cols, len(idx))
+		*flops += int64(dim * dim * len(idx))
+	})
+	mirrorUpper(g)
+	return g
+}
+
+// newGram returns a zero dim x dim matrix.
+func newGram(dim int) [][]float64 {
 	g := make([][]float64, dim)
 	for i := range g {
 		g[i] = make([]float64, dim)
 	}
-	op.basisBlocks(p, r, s, rec, block, t, flops, func(idx []int, cols [][]float64) {
-		w := len(idx)
-		for i := 0; i < dim; i++ {
-			for j := i; j < dim; j++ {
-				v := 0.0
-				for e := 0; e < w; e++ {
-					v += cols[i][e] * cols[j][e]
-				}
-				g[i][j] += v
-				if i != j {
-					g[j][i] += v
-				}
+	return g
+}
+
+// gramAdd adds the dot product of cols[i][:w] and cols[j][:w] to g[i][j]
+// for every i <= j, four columns j per pass over cols[i]; where fewer than
+// four are left, the pass repeats the last column and drops those dots.
+// Each dot has its own accumulator, summed from zero in index order as
+// dotPlain does. A dot summed from +0 is never -0, so adding it to a fresh
+// zero entry stores the dot itself.
+func gramAdd(g, cols [][]float64, w int) {
+	last := len(g) - 1
+	for i, gi := range g {
+		a := cols[i][:w]
+		for j := i; j <= last; j += 4 {
+			b0 := cols[j][:w]
+			b1 := cols[min(j+1, last)][:w]
+			b2 := cols[min(j+2, last)][:w]
+			b3 := cols[min(j+3, last)][:w]
+			var v0, v1, v2, v3 float64
+			for e, ae := range a {
+				v0 += ae * b0[e]
+				v1 += ae * b1[e]
+				v2 += ae * b2[e]
+				v3 += ae * b3[e]
+			}
+			gi[j] += v0
+			if j+1 <= last {
+				gi[j+1] += v1
+			}
+			if j+2 <= last {
+				gi[j+2] += v2
+			}
+			if j+3 <= last {
+				gi[j+3] += v3
 			}
 		}
-		*flops += int64(dim * dim * w)
-	})
-	return g
+	}
+}
+
+// mirrorUpper copies g's upper triangle into its lower one. An entry and
+// its mirror receive the same sums in the same order, so the copy holds the
+// bits that adding to both would have.
+func mirrorUpper(g [][]float64) {
+	for i := range g {
+		for j := i + 1; j < len(g); j++ {
+			g[j][i] = g[i][j]
+		}
+	}
 }
 
 // recoverFull computes [p,r,x] = [basis]*[ph,rh,xh] + [0,0,x] reading the

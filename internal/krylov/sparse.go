@@ -27,15 +27,19 @@ type CSR struct {
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
-// MulVec computes dst = m*x.
+// MulVec computes dst = m*x, summing each row's terms in stored order.
 func (m *CSR) MulVec(dst, x []float64) {
 	if len(dst) != m.N || len(x) != m.N {
 		panic("krylov: MulVec length mismatch")
 	}
-	for i := 0; i < m.N; i++ {
+	rowPtr := m.RowPtr[:len(dst)+1]
+	for i := range dst {
+		cols := m.Col[rowPtr[i]:rowPtr[i+1]]
+		vals := m.Val[rowPtr[i]:rowPtr[i+1]]
+		vals = vals[:len(cols)]
 		s := 0.0
-		for idx := m.RowPtr[i]; idx < m.RowPtr[i+1]; idx++ {
-			s += m.Val[idx] * x[m.Col[idx]]
+		for j, c := range cols {
+			s += vals[j] * x[c]
 		}
 		dst[i] = s
 	}
@@ -122,11 +126,14 @@ func (r Ring) Apply(dst, src []float64) {
 	}
 }
 
-// Gather copies mesh interval [lo, hi) of x (periodic) into dst.
+// Gather copies mesh interval [lo, lo+len(dst)) of x (periodic) into dst:
+// x from lo mod N onwards, wrapping to index 0 as often as dst is longer
+// than the rest of x, one copy per wrapped segment.
 func (r Ring) Gather(dst, x []float64, lo int) {
-	n := r.N
-	for i := range dst {
-		dst[i] = x[((lo+i)%n+n)%n]
+	x = x[:r.N]
+	n := copy(dst, x[(lo%r.N+r.N)%r.N:])
+	for n < len(dst) {
+		n += copy(dst[n:], x)
 	}
 }
 

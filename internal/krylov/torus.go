@@ -68,36 +68,63 @@ func (t Torus) SpectrumBounds() (lo, hi float64) {
 }
 
 // gatherBox copies the periodic (h x w) box anchored at mesh (y0,x0) into a
-// row-major local array.
+// row-major local array. Each box row is its mesh row read from column x0
+// mod K onwards, wrapping to column 0 as often as the box is wider than the
+// rest of the row: one copy per wrapped segment.
 func (t Torus) gatherBox(dst, x []float64, y0, x0, h, w int) {
 	k := t.K
+	gy, gx := ((y0%k)+k)%k, ((x0%k)+k)%k
 	for iy := 0; iy < h; iy++ {
-		gy := ((y0+iy)%k + k) % k
-		for ix := 0; ix < w; ix++ {
-			gx := ((x0+ix)%k + k) % k
-			dst[iy*w+ix] = x[gy*k+gx]
+		row := x[gy*k : gy*k+k]
+		out := dst[iy*w : iy*w+w]
+		n := copy(out, row[gx:])
+		for n < w {
+			n += copy(out[n:], row)
+		}
+		gy++
+		if gy == k {
+			gy = 0
 		}
 	}
 }
 
 // applyBox applies the stencil: src is (h+2b) x (w+2b) row-major covering
-// the halo-inflated box; dst is h x w.
+// the halo-inflated box; dst is h x w. Each output row starts as Diag times
+// its centre row and then adds Off times the shifted source row of each
+// other stencil cell, in row-major order, two cells per pass: the cells
+// before the centre, then the cells after it, 2b(b+1) of each. So every
+// element sums the same terms in the same order as a per-element loop.
 func (t Torus) applyBox(dst, src []float64, h, w int) {
 	b := t.B
 	sw := w + 2*b
+	half := 2 * b * (b + 1)
 	for iy := 0; iy < h; iy++ {
-		for ix := 0; ix < w; ix++ {
-			s := t.Diag * src[(iy+b)*sw+(ix+b)]
-			for dy := -b; dy <= b; dy++ {
-				row := (iy + b + dy) * sw
-				for dx := -b; dx <= b; dx++ {
-					if dy == 0 && dx == 0 {
-						continue
-					}
-					s += t.Off * src[row+(ix+b+dx)]
-				}
-			}
-			dst[iy*w+ix] = s
+		out := dst[iy*w : iy*w+w]
+		rows := src[iy*sw:] // the 2b+1 source rows of output row iy
+		for ix, v := range rows[b*sw+b:][:w] {
+			out[ix] = t.Diag * v
+		}
+		addCells(out, t.Off, rows, sw, 2*b+1, 0, 0, half)
+		addCells(out, t.Off, rows, sw, 2*b+1, b, b+1, half)
+	}
+}
+
+// addCells adds a times the source row of each of count cells of an n x n
+// stencil to out, row-major from cell (dy, dx), two cells per pass; the
+// stencil's rows are sw apart in rows, and count is even.
+func addCells(out []float64, a float64, rows []float64, sw, n, dy, dx, count int) {
+	for c := 0; c < count; c += 2 {
+		x0 := rows[dy*sw+dx:][:len(out)]
+		if dx++; dx == n {
+			dx, dy = 0, dy+1
+		}
+		x1 := rows[dy*sw+dx:][:len(out)]
+		if dx++; dx == n {
+			dx, dy = 0, dy+1
+		}
+		for i, v := range out {
+			v += a * x0[i]
+			out[i] = v + a*x1[i]
 		}
 	}
 }
@@ -151,7 +178,7 @@ func (t Torus) basisBlocks(p, r []float64, s int, rec basisRecurrence, block int
 					// Shift by theta*cur on next's window of cur, then scale.
 					for iy := 0; iy < nh; iy++ {
 						row := next[iy*nw : (iy+1)*nw]
-						win := cur[(iy+bw)*cw+bw:]
+						win := cur[(iy+bw)*cw+bw:][:nw]
 						for ix := range row {
 							row[ix] = (row[ix] - theta*win[ix]) * inv
 						}
