@@ -297,52 +297,14 @@ func BenchmarkScheduleSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedRecorderParallel measures concurrent event recording
-// through per-goroutine shard handles (the dist/smp aggregation path):
-// every worker records into its own shard, so the hot path is an
-// uncontended atomic add.
-func BenchmarkShardedRecorderParallel(b *testing.B) {
-	rec := machine.NewShardedRecorder(3)
-	b.RunParallel(func(pb *testing.PB) {
-		h := rec.Handle()
-		e := machine.Event{Kind: machine.EvLoad, Arg: 1, Words: 64}
-		for pb.Next() {
-			h.Record(e)
-		}
-	})
-	if rec.Merge().Iface[1].LoadWords == 0 {
-		b.Fatal("no events recorded")
-	}
-}
-
-// BenchmarkShardedRecorderShared measures the shared Record path: all
-// goroutines record through the ShardedRecorder itself rather than private
-// handles. Since the lazily-initialized shared shard moved behind an atomic
-// pointer, the steady state is lock-free (one atomic load plus the shard's
-// atomic adds); compare against BenchmarkShardedRecorderParallel for the
-// remaining cost of sharing one shard's cache lines.
-func BenchmarkShardedRecorderShared(b *testing.B) {
-	rec := machine.NewShardedRecorder(3)
-	b.RunParallel(func(pb *testing.PB) {
-		e := machine.Event{Kind: machine.EvLoad, Arg: 1, Words: 64}
-		for pb.Next() {
-			rec.Record(e)
-		}
-	})
-	if rec.Merge().Iface[1].LoadWords == 0 {
-		b.Fatal("no events recorded")
-	}
-}
-
 // BenchmarkSMPRunParallel times the concurrent shared-memory task replay
-// with sharded counting (8 workers over the blocked-matmul task set).
+// into one ledger (8 workers over the blocked-matmul task set).
 func BenchmarkSMPRunParallel(b *testing.B) {
 	tasks, _ := smp.MatMulTasks(64, 64, 64, 16, 64)
 	sched := smp.DepthFirst(tasks, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := machine.NewShardedRecorder(2)
-		if _, err := smp.RunParallel(sched, rec); err != nil {
+		if _, err := smp.RunParallel(sched, machine.NewLedger(nil)); err != nil {
 			b.Fatal(err)
 		}
 	}

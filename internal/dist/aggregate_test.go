@@ -1,10 +1,15 @@
 package dist
 
-import "testing"
+import (
+	"reflect"
+	"testing"
 
-// Every processor's hierarchy feeds the machine-wide sharded recorder; the
-// merged totals equal the sum of the per-processor counters even though the
-// processors record concurrently.
+	"writeavoid/internal/machine"
+)
+
+// Aggregate sums the processors' own counters field by field, even though
+// the processors record concurrently. Touches are not tallied: a
+// hierarchy's own counters never count them, so the touches below read 0.
 func TestAggregateSumsAllProcessors(t *testing.T) {
 	const P = 8
 	m := mk(P)
@@ -13,6 +18,8 @@ func TestAggregateSumsAllProcessors(t *testing.T) {
 		p.H.Load(0, w)
 		p.H.Load(1, 2*w)
 		p.H.Store(0, w/2)
+		p.H.Init(2, w)
+		p.H.Discard(0, 1)
 		p.H.Flops(100)
 		if p.Rank%2 == 0 {
 			p.H.Touch(uint64(p.Rank), true)
@@ -20,30 +27,15 @@ func TestAggregateSumsAllProcessors(t *testing.T) {
 	})
 	agg := m.Aggregate()
 
-	var wantLoad0, wantLoad1, wantStore0, wantMsgs0, wantFlops int64
+	want := machine.NewCounterSet(3)
 	for r := 0; r < P; r++ {
-		c := m.Proc(r).H.Counters()
-		wantLoad0 += c.Iface[0].LoadWords
-		wantLoad1 += c.Iface[1].LoadWords
-		wantStore0 += c.Iface[0].StoreWords
-		wantMsgs0 += c.Iface[0].LoadMsgs
-		wantFlops += c.FlopCount
+		want.Add(m.Proc(r).H.Counters())
 	}
-	if agg.Iface[0].LoadWords != wantLoad0 || agg.Iface[1].LoadWords != wantLoad1 {
-		t.Fatalf("aggregate loads (%d,%d) want (%d,%d)",
-			agg.Iface[0].LoadWords, agg.Iface[1].LoadWords, wantLoad0, wantLoad1)
+	if !reflect.DeepEqual(agg, want) {
+		t.Fatalf("aggregate %+v\nwant the summed rank counters %+v", agg, want)
 	}
-	if agg.Iface[0].StoreWords != wantStore0 {
-		t.Fatalf("aggregate stores %d want %d", agg.Iface[0].StoreWords, wantStore0)
-	}
-	if agg.Iface[0].LoadMsgs != wantMsgs0 {
-		t.Fatalf("aggregate load msgs %d want %d", agg.Iface[0].LoadMsgs, wantMsgs0)
-	}
-	if agg.FlopCount != wantFlops {
-		t.Fatalf("aggregate flops %d want %d", agg.FlopCount, wantFlops)
-	}
-	if agg.TouchWrites != P/2 {
-		t.Fatalf("aggregate touch writes %d want %d", agg.TouchWrites, P/2)
+	if agg.TouchReads != 0 || agg.TouchWrites != 0 {
+		t.Fatalf("aggregate tallied touches (%d reads, %d writes)", agg.TouchReads, agg.TouchWrites)
 	}
 
 	// Explicit closed-form cross-check: sum over ranks of 10*(r+1) etc.
@@ -51,9 +43,48 @@ func TestAggregateSumsAllProcessors(t *testing.T) {
 	for r := 1; r <= P; r++ {
 		base += int64(10 * r)
 	}
-	if wantLoad0 != base || wantLoad1 != 2*base {
-		t.Fatalf("per-proc counters (%d,%d) want (%d,%d)", wantLoad0, wantLoad1, base, 2*base)
+	if agg.Iface[0].LoadWords != base || agg.Iface[1].LoadWords != 2*base || agg.FlopCount != 100*P {
+		t.Fatalf("aggregate loads (%d,%d) flops %d want (%d,%d) %d",
+			agg.Iface[0].LoadWords, agg.Iface[1].LoadWords, agg.FlopCount, base, 2*base, 100*P)
 	}
+}
+
+// Aggregate and RankSnapshots read by rank 0 right after each Barrier equal
+// the exact totals of the supersteps completed so far. A second barrier
+// holds the other ranks until the read is done.
+func TestAggregateAtBarrierSeesWholeSupersteps(t *testing.T) {
+	const P, steps = 6, 5
+	m := mk(P)
+	levels := m.cfg.Levels
+	m.Run(func(p *Proc) {
+		for step := 1; step <= steps; step++ {
+			p.H.Load(0, int64(p.Rank+1))
+			p.H.Store(1, int64(step))
+			p.H.Flops(int64(10 * (p.Rank + 1)))
+			p.Barrier()
+			if p.Rank != 0 {
+				p.Barrier()
+				continue
+			}
+			want := machine.NewCounterSet(3)
+			for r := 0; r < P; r++ {
+				c := machine.NewCounterSet(3)
+				c.Iface[0].LoadWords = int64(step * (r + 1))
+				c.Iface[0].LoadMsgs = int64(step)
+				c.Iface[1].StoreWords = int64(step * (step + 1) / 2)
+				c.Iface[1].StoreMsgs = int64(step)
+				c.FlopCount = int64(step * 10 * (r + 1))
+				if got, w := m.RankSnapshot(r), machine.SnapshotOf(levels, c); !reflect.DeepEqual(got, w) {
+					t.Errorf("step %d rank %d snapshot %+v, want %+v", step, r, got, w)
+				}
+				want.Add(c)
+			}
+			if got := m.Aggregate(); !reflect.DeepEqual(got, want) {
+				t.Errorf("step %d aggregate %+v, want %+v", step, got, want)
+			}
+			p.Barrier()
+		}
+	})
 }
 
 // Aggregate may be read mid-run without racing the recording processors.

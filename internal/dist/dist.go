@@ -4,10 +4,19 @@
 // multi-level machine.Hierarchy, connected by a message-counting network.
 //
 // Processors run as goroutines; point-to-point messages travel over
-// per-ordered-pair buffered channels, so matching is deterministic in
-// program order regardless of scheduling. All counters are per-processor and
-// only mutated by the owning goroutine, so the counts are exact and
-// reproducible.
+// per-ordered-pair buffered channels, created on a pair's first Send or
+// Recv, so matching is deterministic in program order regardless of
+// scheduling. All counters are per-processor and only mutated by the owning
+// goroutine, so the counts are exact and reproducible. Each rank publishes a
+// copy of its hierarchy's counters at every Barrier and when its Run body
+// returns; Aggregate, RankSnapshot and AggregateStream read those copies, so
+// a read taken while the processors run sees whole supersteps.
+//
+// Messages are immutable. Send hands its slice over without copying: from
+// then on the slice is read-only for the sender and for every receiver (a
+// broadcast forwards the one slice it holds to each child, so all members
+// of the group share it). A caller that must write a slice it received, or
+// one it sent, copies it first.
 //
 // Network word and message counts follow the paper's model: one Send of w
 // words costs one message (or ceil(w/MaxMsgWords) when the machine caps
@@ -22,6 +31,7 @@ import (
 	"log/slog"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"writeavoid/internal/intmath"
 	"writeavoid/internal/machine"
@@ -67,9 +77,6 @@ type Config struct {
 	// MaxMsgWords caps the words per network message; 0 = unlimited.
 	// Larger transfers are split and charged multiple messages.
 	MaxMsgWords int64
-	// ChanCap is the per-pair channel buffer (default 16 messages; the
-	// algorithms here keep at most a few messages in flight per pair).
-	ChanCap int
 	// Observe, when non-nil, is called once per rank during construction
 	// (sequentially, rank order) and the returned recorder — nil to skip a
 	// rank — is attached to that processor's local hierarchy. Each recorder
@@ -98,14 +105,24 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// linkCap is the message buffer of one ordered pair's link. Send blocks
+// only when its link is full, so the buffer bounds how far a sender runs
+// ahead of its receiver on one pair; a Shift needs one slot, since every
+// rank sends before it receives. The deepest queue measured on the full-size
+// table1, table2, lu and numa sections is 15 messages (right-looking
+// Cholesky at P=16, whose panel owners broadcast ahead of their receivers),
+// so 16 lets every one of their sends complete without waiting.
+const linkCap = 16
+
 // Machine is a P-processor distributed machine.
 type Machine struct {
-	cfg       Config
-	topo      machine.Topology
-	sockets   []int // sockets[r] = socket hosting rank r
-	procs     []*Proc
-	links     [][]chan []float64 // links[from][to]
-	agg       *machine.ShardedRecorder
+	cfg     Config
+	topo    machine.Topology
+	sockets []int // sockets[r] = socket hosting rank r
+	procs   []*Proc
+	// links[from*P+to] is the pair's channel, nil until the pair's first
+	// Send or Recv creates it.
+	links     []atomic.Pointer[chan []float64]
 	bar       *barrier
 	abort     chan struct{}
 	abortOnce sync.Once
@@ -119,13 +136,10 @@ func New(cfg Config) *Machine {
 	if len(cfg.Levels) < 2 {
 		panic("dist: processors need at least two memory levels")
 	}
-	if cfg.ChanCap == 0 {
-		cfg.ChanCap = 16
-	}
 	m := &Machine{
 		cfg:   cfg,
 		topo:  machine.Topology{Sockets: cfg.Sockets}.For(cfg.P),
-		agg:   machine.NewShardedRecorder(len(cfg.Levels)),
+		links: make([]atomic.Pointer[chan []float64], cfg.P*cfg.P),
 		bar:   newBarrier(cfg.P),
 		abort: make(chan struct{}),
 	}
@@ -133,31 +147,19 @@ func New(cfg Config) *Machine {
 	for r := range m.sockets {
 		m.sockets[r] = m.topo.SocketOf(r, cfg.Placement)
 	}
-	m.links = make([][]chan []float64, cfg.P)
-	for i := range m.links {
-		m.links[i] = make([]chan []float64, cfg.P)
-		for j := range m.links[i] {
-			m.links[i][j] = make(chan []float64, cfg.ChanCap)
-		}
-	}
 	for r := 0; r < cfg.P; r++ {
 		p := &Proc{
 			Rank: r,
 			// Non-strict: network traffic lands in levels without
 			// explicit residency bookkeeping.
-			H: machine.New(false, cfg.Levels...),
-			m: m,
+			H:   machine.New(false, cfg.Levels...),
+			m:   m,
+			pub: machine.NewCounterSet(len(cfg.Levels)),
 		}
 		p.H.SetTopology(m.topo)
 		if cfg.BatchEvents > 0 {
 			p.H.SetBatchCapacity(cfg.BatchEvents)
 		}
-		// Each processor's hierarchy also feeds a private shard of the
-		// machine-wide aggregate, so whole-machine totals are available
-		// race-free even while processors run concurrently. The shard is
-		// kept on the Proc so per-rank totals are, too (RankSnapshot).
-		p.shard = m.agg.Handle()
-		p.H.Attach(p.shard)
 		if cfg.Observe != nil {
 			if rec := cfg.Observe(r); rec != nil {
 				p.H.Attach(rec)
@@ -231,9 +233,13 @@ func (m *Machine) Run(body func(p *Proc)) {
 				}
 			}()
 			body(p)
-			// Drain the rank's event buffer so post-run reads (RankSnapshots,
-			// Aggregate, observer span trees) see the complete stream.
+			// Deliver the rank's buffered events so observer span trees
+			// see the complete stream, publish its counters for Aggregate
+			// and RankSnapshots, and hand the drained event buffer back
+			// for the next machine's ranks.
 			p.H.Flush()
+			p.publish()
+			p.H.Release()
 		}(m.procs[r])
 	}
 	wg.Wait()
@@ -302,20 +308,34 @@ func (m *Machine) MaxWritesTo(lvl int) int64 {
 	return w
 }
 
-// Aggregate merges every processor's shard of the machine-wide event
-// recorder into whole-machine totals: summed words, messages, flops and
-// touches across all local hierarchies. Safe to call at any time, including
-// while processors are running (each shard is written only by its owner and
-// read atomically). Occupancy fields are zero: residency is per-processor
-// state and does not aggregate.
-func (m *Machine) Aggregate() *machine.CounterSet { return m.agg.Merge() }
+// Aggregate sums every processor's published counters into whole-machine
+// totals: words, messages and flops across all local hierarchies (touches
+// are not counted: a hierarchy's own counters never see them). Each rank
+// publishes at every Barrier and when its Run body returns, so Aggregate is
+// exact after Run and, read while the processors run, covers each rank up
+// to its last barrier: right after a Barrier, rank 0 reads exactly the
+// supersteps completed so far. Safe to call from any goroutine at any time.
+// Occupancy fields are zero: residency is per-processor state and does not
+// aggregate.
+func (m *Machine) Aggregate() *machine.CounterSet {
+	out := machine.NewCounterSet(len(m.cfg.Levels))
+	for _, p := range m.procs {
+		p.pubMu.Lock()
+		out.Add(p.pub)
+		p.pubMu.Unlock()
+	}
+	return out
+}
 
-// RankSnapshot renders processor r's share of the machine-wide recorder as a
-// snapshot under the machine's level geometry. Like Aggregate it is safe to
-// call at any time — the shard is read with atomic loads — so live per-rank
-// metrics can be scraped while the processors run.
+// RankSnapshot renders processor r's published counters as a snapshot under
+// the machine's level geometry. Like Aggregate it is safe to call at any
+// time and sees whole supersteps, so live per-rank metrics can be scraped
+// while the processors run.
 func (m *Machine) RankSnapshot(r int) machine.Snapshot {
-	return machine.SnapshotOf(m.cfg.Levels, m.procs[r].shard.Counters())
+	p := m.procs[r]
+	p.pubMu.Lock()
+	defer p.pubMu.Unlock()
+	return machine.SnapshotOf(m.cfg.Levels, p.pub)
 }
 
 // RankSnapshots returns RankSnapshot for every rank, in rank order.
@@ -338,18 +358,44 @@ func (m *Machine) TotalNet() int64 {
 
 // Proc is one SPMD process.
 type Proc struct {
-	Rank  int
-	H     *machine.Hierarchy
-	Net   NetCounters
-	m     *Machine
-	shard *machine.Shard
+	Rank int
+	H    *machine.Hierarchy
+	Net  NetCounters
+	m    *Machine
+
+	pubMu sync.Mutex
+	pub   *machine.CounterSet // H's counters at the last Barrier or Run end
 }
 
 // P returns the machine's processor count.
 func (p *Proc) P() int { return p.m.cfg.P }
 
+// publish copies the hierarchy's counters into the rank's published set,
+// occupancy left zero, for Aggregate and RankSnapshot to read.
+func (p *Proc) publish() {
+	p.pubMu.Lock()
+	p.pub.Reset()
+	p.pub.Add(p.H.Counters())
+	p.pubMu.Unlock()
+}
+
+// link returns the channel of the ordered pair (from, to), creating it on
+// first use. Both ends may race to create it; the CompareAndSwap keeps one.
+func (m *Machine) link(from, to int) chan []float64 {
+	slot := &m.links[from*m.cfg.P+to]
+	if l := slot.Load(); l != nil {
+		return *l
+	}
+	ch := make(chan []float64, linkCap)
+	if slot.CompareAndSwap(nil, &ch) {
+		return ch
+	}
+	return *slot.Load()
+}
+
 // Send transmits data to processor `to`, charging words and (size-capped)
-// messages. The slice is copied, so the sender may reuse it.
+// messages. The slice is handed over, not copied: neither the sender nor
+// any receiver may write it afterwards.
 func (p *Proc) Send(to int, data []float64) {
 	if to == p.Rank {
 		panic("dist: self send")
@@ -362,24 +408,24 @@ func (p *Proc) Send(to int, data []float64) {
 		p.Net.RemoteWordsSent += w
 		p.Net.RemoteMsgsSent += msgs
 	}
-	cp := make([]float64, len(data))
-	copy(cp, data)
 	select {
-	case p.m.links[p.Rank][to] <- cp:
+	case p.m.link(p.Rank, to) <- data:
 	case <-p.m.abort:
 		panic(abortError{})
 	}
 }
 
 // Recv receives the next message from processor `from` in program order.
+// The slice is read-only (see Send).
 func (p *Proc) Recv(from int) []float64 {
 	var data []float64
+	link := p.m.link(from, p.Rank)
 	select {
-	case data = <-p.m.links[from][p.Rank]:
+	case data = <-link:
 	case <-p.m.abort:
 		// Drain a message if one is already queued; otherwise give up.
 		select {
-		case data = <-p.m.links[from][p.Rank]:
+		case data = <-link:
 		default:
 			panic(abortError{})
 		}
@@ -412,12 +458,14 @@ func (m *Machine) msgCount(words int64) int64 {
 }
 
 // Barrier blocks until every processor reaches it. The rank's event buffer
-// is flushed into its recorders first, so a superstep's events are fully
-// delivered before any peer proceeds past the barrier: batch boundaries
-// never split a superstep's phase delta, and mid-run aggregate polls at a
-// barrier see whole supersteps.
+// is flushed into its recorders and its counters are published first, so a
+// superstep's events are fully delivered before any peer proceeds past the
+// barrier: batch boundaries never split a superstep's phase delta, and
+// Aggregate or RankSnapshots read right after a barrier see whole
+// supersteps.
 func (p *Proc) Barrier() {
 	p.H.Flush()
+	p.publish()
 	p.m.bar.wait()
 }
 
@@ -435,7 +483,9 @@ func indexOf(group []int, rank int) int {
 
 // Bcast broadcasts root's data to every processor in group along a binomial
 // tree (log |group| rounds on the critical path). Every group member must
-// call it; non-roots pass nil and receive the payload.
+// call it; non-roots pass nil and receive the payload. Each rank forwards
+// the one slice it holds, so every member returns root's slice itself,
+// read-only.
 func (p *Proc) Bcast(group []int, root int, data []float64) []float64 {
 	n := len(group)
 	me := indexOf(group, p.Rank)
@@ -454,17 +504,26 @@ func (p *Proc) Bcast(group []int, root int, data []float64) []float64 {
 }
 
 // Reduce sums everyone's data onto root along the reversed binomial tree and
-// returns the sum at root (nil elsewhere).
+// returns the sum at root (nil elsewhere), in a slice of its own. Reduce
+// never writes data; a leaf of the tree sends data itself, so the caller
+// hands it over. Each sum adds the children in tree order onto a copy of
+// the rank's own data.
 func (p *Proc) Reduce(group []int, root int, data []float64) []float64 {
 	n := len(group)
 	me := indexOf(group, p.Rank)
 	rootIdx := indexOf(group, root)
 	rel := (me - rootIdx + n) % n
-	acc := make([]float64, len(data))
-	copy(acc, data)
+	first := intmath.NextPow2(rel + 1) // the bit of the first child
+	acc := data
+	if rel == 0 || rel+first < n {
+		// The root returns its sum, and an inner node sums its
+		// children: both write, so both need a copy.
+		acc = make([]float64, len(data))
+		copy(acc, data)
+	}
 	// Mirror of the broadcast tree: receive from each child, then send to
 	// the parent.
-	for bit := intmath.NextPow2(rel + 1); rel+bit < n; bit <<= 1 {
+	for bit := first; rel+bit < n; bit <<= 1 {
 		child := p.Recv(group[(rel+bit+rootIdx)%n])
 		if len(child) != len(acc) {
 			panic("dist: reduce length mismatch")
@@ -488,7 +547,8 @@ func treeParent(rel int) int {
 }
 
 // Shift sends data to `to` and receives from `from`, the Cannon-step
-// primitive. A self-shift (to == from == this rank, e.g. a 1x1 grid) is a
+// primitive: data is handed over (see Send) and the received slice is
+// returned. A self-shift (to == from == this rank, e.g. a 1x1 grid) is a
 // free local no-op. Buffered links make the exchange deadlock-free.
 func (p *Proc) Shift(to, from int, data []float64) []float64 {
 	if to == p.Rank && from == p.Rank {

@@ -38,19 +38,22 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSendCopiesPayload(t *testing.T) {
+// Send hands its slice over: the receiver gets the sender's slice itself,
+// not a copy.
+func TestSendHandsOverPayload(t *testing.T) {
 	m := mk(2)
+	buf := []float64{42}
+	var got []float64
 	m.Run(func(p *Proc) {
 		if p.Rank == 0 {
-			buf := []float64{42}
 			p.Send(1, buf)
-			buf[0] = -1 // must not affect receiver
 		} else {
-			if got := p.Recv(0); got[0] != 42 {
-				t.Errorf("payload mutated in flight: %v", got)
-			}
+			got = p.Recv(0)
 		}
 	})
+	if len(got) != 1 || &got[0] != &buf[0] {
+		t.Fatalf("received %v at %p, want the sent slice at %p", got, got, buf)
+	}
 }
 
 func TestMessageSplitting(t *testing.T) {

@@ -9,11 +9,12 @@ import (
 )
 
 // AggregateStream is the distributed counterpart of machine.StreamRecorder:
-// it periodically merges the machine-wide sharded recorder — which is safe to
-// read while processors are still running — and emits the merged totals as
-// the same delta+cumulative JSONL records the sequential stream uses, so a
-// long parallel run can be watched live. Because it polls merged counters
-// rather than counting events, its records report Events = 0 (unknown).
+// it periodically reads the machine's Aggregate — the counters each rank
+// publishes at every Barrier, safe to read while processors are still
+// running — and emits the merged totals as the same delta+cumulative JSONL
+// records the sequential stream uses, so a long parallel run can be watched
+// live, superstep by superstep. Because it polls merged counters rather than
+// counting events, its records report Events = 0 (unknown).
 //
 // Flush may be called from any goroutine (including concurrently with the
 // ticker started by Start); emissions are serialized internally. Start and
@@ -38,7 +39,8 @@ func (m *Machine) NewAggregateStream(w io.Writer) *AggregateStream {
 	return &AggregateStream{m: m, sw: machine.NewStreamWriter(w)}
 }
 
-// Flush merges all shards and emits one record labeled with phase.
+// Flush merges the ranks' published counters and emits one record labeled
+// with phase.
 func (s *AggregateStream) Flush(phase string) error {
 	return s.emit(phase, false)
 }

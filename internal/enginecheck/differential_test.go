@@ -173,9 +173,9 @@ func TestExternalSortIdentical(t *testing.T) {
 	})
 }
 
-// TestRunParallelIdentical checks the smp worker-side batching: merged touch
-// totals from concurrent workers equal the per-event engine's, which are
-// schedule-independent by construction.
+// TestRunParallelIdentical checks the smp worker-side batching: the touch
+// totals of the one ledger concurrent workers record into equal the
+// per-event engine's, which are schedule-independent by construction.
 func TestRunParallelIdentical(t *testing.T) {
 	sched := smp.Schedule{Queues: make([][]smp.Task, 4)}
 	for w := range sched.Queues {
@@ -191,15 +191,15 @@ func TestRunParallelIdentical(t *testing.T) {
 		}
 	}
 	run := func(ref bool) string {
-		sh := machine.NewShardedRecorder(2)
-		var rec machine.Recorder = sh
+		l := machine.NewLedger(levels2())
+		var rec machine.Recorder = l
 		if ref {
-			rec = PerEventOnly{R: sh}
+			rec = PerEventOnly{R: l}
 		}
 		if _, err := smp.RunParallel(sched, rec); err != nil {
 			t.Fatal(err)
 		}
-		return canonJSON(machine.SnapshotOf(levels2(), sh.Merge()))
+		return canonJSON(l.Snapshot(true))
 	}
 	refSnap := run(true)
 	gotSnap := run(false)

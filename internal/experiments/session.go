@@ -244,8 +244,8 @@ func (s *Session) publishSpans() {
 }
 
 // distObserve returns a per-processor observer: each rank gets one ledger,
-// the rank's only fold besides the machine's own shard, read by a span tree
-// in a named group of the installed profiler and by a ring in a per-rank
+// the rank's only fold besides its hierarchy's own counters, read by a span
+// tree in a named group of the installed profiler and by a ring in a per-rank
 // flight.Group of the installed flight recorder (kept as the latest dist
 // group, so a violation capture can freeze the run's rank rings). Only that
 // latest group is read, so it reuses the rings of the group before it. It

@@ -361,8 +361,9 @@ func (s *Session) Krylov(quick bool) []KrylovRow {
 			bvec[i] = float64(i%13) - 6
 		}
 		x0 := make([]float64, nn)
+		mat := o.op.Matrix() // one CSR for the CG and all six CA-CG solves
 		trCG := krylov.Traffic{Rec: s.profRec()}
-		ref := krylov.CG(o.op.Matrix(), bvec, x0, iters, 0, &trCG)
+		ref := krylov.CG(mat, bvec, x0, iters, 0, &trCG)
 
 		for _, sv := range []int{2, 4, 8} {
 			basis, bname := krylov.BasisMonomial, "monomial"
@@ -372,12 +373,12 @@ func (s *Session) Krylov(quick bool) []KrylovRow {
 			trStored := krylov.Traffic{Rec: s.profRec()}
 			trStream := krylov.Traffic{Rec: s.profRec()}
 			stored, err := krylov.CACG(o.op, bvec, x0, iters/sv,
-				krylov.CACGConfig{S: sv, Mode: krylov.CACGStored, Basis: basis}, &trStored)
+				krylov.CACGConfig{S: sv, Mode: krylov.CACGStored, Basis: basis, Matrix: mat}, &trStored)
 			if err != nil {
 				panic(err)
 			}
 			stream, err := krylov.CACG(o.op, bvec, x0, iters/sv,
-				krylov.CACGConfig{S: sv, Mode: krylov.CACGStreaming, Basis: basis, Block: o.block}, &trStream)
+				krylov.CACGConfig{S: sv, Mode: krylov.CACGStreaming, Basis: basis, Block: o.block, Matrix: mat}, &trStream)
 			if err != nil {
 				panic(err)
 			}

@@ -121,6 +121,10 @@ type CACGConfig struct {
 	Mode  CACGMode //
 	Basis Basis    // polynomial basis (default monomial)
 	Block int      // streaming block size (rows per block); 0 = n/8
+	// Matrix, when non-nil, is the operator's CSR form (op.Matrix()), built
+	// once by a caller that runs several solves on one operator; nil builds
+	// it per solve.
+	Matrix *CSR
 }
 
 // basisRecurrence holds the two-term recurrence x*rho_j = sigma*rho_{j+1} +
@@ -209,7 +213,10 @@ func CACG(op Operator, b, x0 []float64, outers int, cfg CACGConfig, t *Traffic) 
 	if cfg.Block <= 0 {
 		cfg.Block = max(1, n/8)
 	}
-	a := op.Matrix()
+	a := cfg.Matrix
+	if a == nil {
+		a = op.Matrix()
+	}
 
 	x := append([]float64(nil), x0...)
 	w := make([]float64, n)

@@ -19,11 +19,19 @@ package machine
 // dirty source while it holds buffered events, and the recorder's read/mark
 // methods call Sync first, so no reader ever observes a torn prefix.
 
+import "sync"
+
 // DefaultBatchEvents is the event-buffer capacity a Hierarchy allocates when
 // SetBatchCapacity was not called: large enough to amortize dispatch to a
 // handful of recorders, small enough (~14 KB of Event values) to stay cache-
 // resident per P.
 const DefaultBatchEvents = 256
+
+// batchPool recycles default-capacity event buffers between hierarchies
+// (see Hierarchy.Release). Reuse is safe because no recorder keeps a
+// delivered block past RecordBatch: a hierarchy already overwrites its
+// buffer after every flush.
+var batchPool = sync.Pool{New: func() any { return new([DefaultBatchEvents]Event) }}
 
 // EventBatch is a fixed-capacity append-only event buffer: the unit of block
 // dispatch. Producers append until Append reports the buffer full, hand
@@ -75,10 +83,10 @@ func (b *EventBatch) Reset() { b.buf = b.buf[:0] }
 // retain it.
 //
 // Implement BatchRecorder when the recorder pays a fixed cost per Record call
-// that a block can amortize: a lock (monitor.Monitor), atomic operations
-// (Shard), or simply interface-dispatch on a very dense stream (counters,
-// streams, span recorders). Recorders that are cheap per event or rarely on a
-// hot path can skip it and rely on the RecordAll shim.
+// that a block can amortize: a lock (Ledger), or simply interface-dispatch on
+// a very dense stream (counters, streams, span recorders). Recorders that are
+// cheap per event or rarely on a hot path can skip it and rely on the
+// RecordAll shim.
 type BatchRecorder interface {
 	Recorder
 	RecordBatch(events []Event)

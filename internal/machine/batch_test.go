@@ -156,12 +156,11 @@ func TestHierarchyCountersStaySynchronous(t *testing.T) {
 }
 
 // TestZeroAllocSteadyState is the hot-path allocation budget: with marks off
-// and the standard recorder complement attached (sharded counters + stream),
-// recording events allocates nothing once the engine is warm.
+// and a touch-counting counter set and a stream attached, recording events
+// allocates nothing once the engine is warm.
 func TestZeroAllocSteadyState(t *testing.T) {
 	h := New(false, twoLevels()...)
-	sh := NewShardedRecorder(2)
-	h.Attach(sh)
+	h.Attach(NewCounterSet(2))
 	s := h.StreamTo(io.Discard, 0) // no periodic flush; Close emits the total
 	defer s.Close()
 

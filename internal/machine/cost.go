@@ -212,8 +212,8 @@ func (cm CostModel) Time(h *Hierarchy) float64 {
 	return t
 }
 
-// TimeOf evaluates the model against a bare CounterSet (merged sharded
-// counters, aggregated dist machines) without needing a Hierarchy.
+// TimeOf evaluates the model against a bare CounterSet (an aggregated dist
+// machine, a ledger's fold) without needing a Hierarchy.
 func (cm CostModel) TimeOf(c *CounterSet) float64 {
 	if len(cm.Iface) != len(c.Iface) {
 		panic(fmt.Sprintf("machine: cost model has %d interfaces, counters have %d",

@@ -26,10 +26,9 @@ func BenchmarkTouchToRecorder(b *testing.B) {
 	h.Flush()
 }
 
-func BenchmarkLoadToShard(b *testing.B) {
+func BenchmarkLoadToLedger(b *testing.B) {
 	h := New(false, Level{Name: "DRAM"}, Level{Name: "NVM"})
-	sh := NewShardedRecorder(2)
-	h.Attach(sh.Handle())
+	h.Attach(NewLedger(nil))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Load(0, 8)

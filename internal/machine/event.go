@@ -6,8 +6,8 @@ package machine
 // number of Recorder sinks. The default sink is a CounterSet, which keeps the
 // per-interface and per-level counters the paper's bounds are stated in;
 // other sinks in this package turn the same event stream into alpha-beta
-// times (CostRecorder), JSON lines (StreamRecorder), or goroutine-safe shared
-// counters (ShardedRecorder).
+// times (CostRecorder), JSON lines (StreamRecorder), or one locked fold that
+// every observing sink reads (Ledger).
 
 // EventKind identifies a machine primitive.
 type EventKind uint8
@@ -85,7 +85,7 @@ type Event struct {
 
 // Recorder consumes the event stream of a Hierarchy. Record is called
 // synchronously from the algorithm's goroutine; a recorder that needs to be
-// shared across goroutines must synchronize internally (see ShardedRecorder).
+// shared across goroutines must synchronize internally (see Ledger).
 type Recorder interface {
 	Record(Event)
 }
@@ -110,8 +110,9 @@ type SpanInterest interface {
 }
 
 // CounterSet is the default recorder: the per-interface traffic and per-level
-// residency counters of the paper's model. It is also the merge target of
-// ShardedRecorder and the unit wabench snapshots are built from.
+// residency counters of the paper's model. It is also the merge target of a
+// dist machine's per-rank counters and the unit wabench snapshots are built
+// from.
 //
 // Occupancy is tracked non-strictly here (clamped at zero); the strict
 // overflow/underflow validation lives in Hierarchy, which checks around the

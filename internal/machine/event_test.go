@@ -2,7 +2,6 @@ package machine
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -121,57 +120,6 @@ func TestCounterSetMirrorsHierarchy(t *testing.T) {
 	h.Flush()
 	if !reflect.DeepEqual(mirror, h.Counters()) {
 		t.Errorf("mirror = %+v, hierarchy = %+v", mirror, h.Counters())
-	}
-}
-
-func TestShardedRecorderMergesConcurrentCounts(t *testing.T) {
-	const workers = 8
-	const perWorker = 1000
-	sr := NewShardedRecorder(2)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		rec := sr.Handle()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				rec.Record(Event{Kind: EvLoad, Arg: 0, Words: 3})
-				rec.Record(Event{Kind: EvTouch, Addr: uint64(i), Write: i%2 == 0})
-				rec.Record(Event{Kind: EvFlops, Words: 2})
-				rec.Record(Event{Kind: EvStore, Arg: 0, Words: 3})
-			}
-		}()
-	}
-	wg.Wait()
-	cs := sr.Merge()
-	n := int64(workers * perWorker)
-	if cs.Iface[0].LoadWords != 3*n || cs.Iface[0].StoreWords != 3*n {
-		t.Errorf("merged words = %d/%d, want %d/%d", cs.Iface[0].LoadWords, cs.Iface[0].StoreWords, 3*n, 3*n)
-	}
-	if cs.Iface[0].LoadMsgs != n || cs.Iface[0].StoreMsgs != n {
-		t.Errorf("merged msgs = %d/%d, want %d/%d", cs.Iface[0].LoadMsgs, cs.Iface[0].StoreMsgs, n, n)
-	}
-	if cs.FlopCount != 2*n {
-		t.Errorf("merged flops = %d, want %d", cs.FlopCount, 2*n)
-	}
-	if cs.TouchReads+cs.TouchWrites != n || cs.TouchWrites != n/2 {
-		t.Errorf("merged touches = %d reads + %d writes, want %d total with %d writes",
-			cs.TouchReads, cs.TouchWrites, n, n/2)
-	}
-}
-
-func TestShardedRecorderSharedPath(t *testing.T) {
-	// Attaching the ShardedRecorder itself (no per-goroutine handles) must
-	// also count correctly.
-	sr := NewShardedRecorder(2)
-	h := TwoLevel(64)
-	h.Attach(sr)
-	h.Load(0, 5)
-	h.Store(0, 5)
-	h.Flush()
-	cs := sr.Merge()
-	if cs.Iface[0].LoadWords != 5 || cs.Iface[0].StoreWords != 5 {
-		t.Errorf("shared path merged %+v, want 5/5 words", cs.Iface[0])
 	}
 }
 

@@ -224,7 +224,7 @@ func (h *Hierarchy) TouchRemote(addr uint64, write bool) {
 
 // Begin opens a named span: subsequent events up to the matching End are
 // attributed to the phase `name` by span-aware recorders (the default
-// counters and the sharded/stream recorders ignore marks, so word counts are
+// counters and the stream recorders ignore marks, so word counts are
 // identical with or without instrumentation). Spans nest arbitrarily; the
 // algorithm drivers mark panel/update/trsm phases and parallel supersteps
 // this way.
@@ -282,7 +282,11 @@ func (h *Hierarchy) dispatch(e Event) {
 // when this event reaches capacity.
 func (h *Hierarchy) pushEdge(e Event) {
 	if h.batch == nil {
-		h.batch = make([]Event, 0, h.batchCap)
+		if h.batchCap == DefaultBatchEvents {
+			h.batch = batchPool.Get().(*[DefaultBatchEvents]Event)[:0]
+		} else {
+			h.batch = make([]Event, 0, h.batchCap)
+		}
 	}
 	h.batch = append(h.batch, e)
 	if len(h.batch) == 1 {
@@ -331,6 +335,21 @@ func (h *Hierarchy) Flush() {
 		}
 	}
 	h.flushing = false
+}
+
+// Release flushes the event buffer and, once it is drained, hands a
+// default-capacity buffer back for other hierarchies to take; this one takes
+// a buffer again on its next buffered event. Call it when a hierarchy stops
+// recording for a while, as a dist rank does when its Run body returns.
+func (h *Hierarchy) Release() {
+	h.Flush()
+	if len(h.batch) > 0 {
+		return // inside a delivery: the buffer is still in use
+	}
+	if cap(h.batch) == DefaultBatchEvents {
+		batchPool.Put((*[DefaultBatchEvents]Event)(h.batch[:DefaultBatchEvents]))
+	}
+	h.batch = nil
 }
 
 // stripTouches returns the buffered block without its EvTouch/EvRange

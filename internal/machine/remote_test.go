@@ -40,18 +40,20 @@ func TestRemoteAccessesAreSubCounters(t *testing.T) {
 	}
 }
 
-// A remote-flagged event reaches sharded recorders and growing counters the
-// same way, and the remote touch tallies ride EvTouch.
+// A remote-flagged event reaches per-worker counter shards (merged with Add,
+// as a dist machine merges its ranks) and growing counters the same way,
+// and the remote touch tallies ride EvTouch.
 func TestRemoteEventsInShardsAndGrowingCounters(t *testing.T) {
-	rec := NewShardedRecorder(2)
-	hnd := rec.Handle()
-	hnd.Record(Event{Kind: EvLoad, Arg: 0, Words: 10})
-	hnd.Record(Event{Kind: EvLoad, Arg: 0, Words: 4, Remote: true})
-	hnd.Record(Event{Kind: EvStore, Arg: 0, Words: 3, Remote: true})
-	hnd.Record(Event{Kind: EvTouch, Addr: 1, Write: true, Remote: true})
-	hnd.Record(Event{Kind: EvTouch, Addr: 2})
+	a, b := NewCounterSet(2), NewCounterSet(2)
+	a.Record(Event{Kind: EvLoad, Arg: 0, Words: 10})
+	b.Record(Event{Kind: EvLoad, Arg: 0, Words: 4, Remote: true})
+	b.Record(Event{Kind: EvStore, Arg: 0, Words: 3, Remote: true})
+	a.Record(Event{Kind: EvTouch, Addr: 1, Write: true, Remote: true})
+	b.Record(Event{Kind: EvTouch, Addr: 2})
 
-	cs := rec.Merge()
+	cs := NewCounterSet(2)
+	cs.Add(a)
+	cs.Add(b)
 	if cs.Iface[0].LoadWords != 14 || cs.Iface[0].RemoteLoadWords != 4 {
 		t.Fatalf("merged loads: %+v", cs.Iface[0])
 	}
@@ -150,13 +152,12 @@ func TestFlatSnapshotJSONHasNoRemoteKeys(t *testing.T) {
 // the plain Touch path stays remote-free.
 func TestTouchRemoteDispatch(t *testing.T) {
 	h := TwoLevel(64)
-	rec := NewShardedRecorder(2)
-	h.Attach(rec)
+	cs := NewCounterSet(2)
+	h.Attach(cs)
 	h.Touch(1, true)
 	h.TouchRemote(2, true)
 	h.TouchRemote(3, false)
 	h.Flush()
-	cs := rec.Merge()
 	if cs.TouchWrites != 2 || cs.TouchReads != 1 {
 		t.Fatalf("touch totals: %+v", cs)
 	}

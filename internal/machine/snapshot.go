@@ -16,9 +16,9 @@ type Snapshot struct {
 	Interfaces []InterfaceSnapshot `json:"interfaces"`
 	Flops      int64               `json:"flops"`
 	// TouchReads/TouchWrites surface the per-element EvTouch tallies of
-	// recorders that subscribe to the touch stream (sharded aggregates,
-	// stream recorders). A Hierarchy's own snapshot always reports zero:
-	// the default counter set is not on the touch path.
+	// recorders that subscribe to the touch stream (ledgers, stream
+	// recorders). A Hierarchy's own snapshot always reports zero: the
+	// default counter set is not on the touch path.
 	TouchReads  int64 `json:"touchReads,omitempty"`
 	TouchWrites int64 `json:"touchWrites,omitempty"`
 	// Remote touch split (multi-socket runs only; omitted when zero so
@@ -58,7 +58,7 @@ type InterfaceSnapshot struct {
 // SnapshotOf renders any CounterSet as a Snapshot, deriving writesTo,
 // readsFrom, traffic and the Theorem 1 check from the raw counters. The level
 // list supplies names and sizes; it must have as many entries as the counter
-// set has levels. This is how merged sharded counters (dist.Machine) and
+// set has levels. This is how a dist machine's merged rank counters and
 // stream-recorder counters become the same wire format a Hierarchy snapshot
 // uses.
 func SnapshotOf(levels []Level, c *CounterSet) Snapshot { return snapshotOf(levels, nil, c) }

@@ -188,16 +188,19 @@ func TestSnapshotSubAddRoundTrip(t *testing.T) {
 	}
 }
 
-// SnapshotOf on a merged sharded counter set matches the wire format of a
-// hierarchy snapshot and carries the touch totals.
+// SnapshotOf on counter shards merged with Add (as dist.Machine.Aggregate
+// merges its ranks) matches the wire format of a hierarchy snapshot and
+// carries the touch totals.
 func TestSnapshotOfMergedShards(t *testing.T) {
-	rec := NewShardedRecorder(2)
-	hnd := rec.Handle()
-	hnd.Record(Event{Kind: EvLoad, Arg: 0, Words: 10})
-	hnd.Record(Event{Kind: EvTouch, Addr: 1, Write: true})
-	hnd.Record(Event{Kind: EvTouch, Addr: 2})
+	a, b := NewCounterSet(2), NewCounterSet(2)
+	a.Record(Event{Kind: EvLoad, Arg: 0, Words: 10})
+	a.Record(Event{Kind: EvTouch, Addr: 1, Write: true})
+	b.Record(Event{Kind: EvTouch, Addr: 2})
+	merged := NewCounterSet(2)
+	merged.Add(a)
+	merged.Add(b)
 
-	s := SnapshotOf(GenericLevels(2), rec.Merge())
+	s := SnapshotOf(GenericLevels(2), merged)
 	if s.Interfaces[0].LoadWords != 10 || s.Interfaces[0].LoadMsgs != 1 {
 		t.Fatalf("merged snapshot iface: %+v", s.Interfaces[0])
 	}

@@ -30,8 +30,8 @@ import (
 //	/readyz      readiness: 503 until a source attaches and during Close drain
 //
 // Sources are pull-based functions (snapshot, per-rank, violations) that
-// must be safe to call from HTTP goroutines — the Monitor and dist shard
-// reads are — plus push-based publications (spans, cache stats) for state
+// must be safe to call from HTTP goroutines — the Monitor and a dist
+// machine's rank reads are — plus push-based publications (spans, cache stats) for state
 // that is not concurrency-safe to read live; the run goroutine publishes
 // rendered bytes at phase boundaries instead.
 type Server struct {
@@ -237,8 +237,9 @@ func (s *Server) SetHistograms(h *HistogramRecorder) {
 }
 
 // RankSource registers a live per-rank snapshot source under a run name
-// (dist.Machine.RankSnapshots is safe to pass directly — shards are read
-// atomically).
+// (dist.Machine.RankSnapshots is safe to pass directly: it reads the copies
+// each rank publishes under its own lock at every barrier, so a scrape sees
+// each rank's whole supersteps).
 func (s *Server) RankSource(name string, fn func() []machine.Snapshot) {
 	s.mu.Lock()
 	s.ranks[name] = fn

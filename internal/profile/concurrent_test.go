@@ -12,10 +12,11 @@ import (
 	"writeavoid/internal/smp"
 )
 
-// Counting recorders must ignore the span marks concurrent drivers now emit:
-// RunParallel wraps every task in EvBegin/EvEnd, and the sharded totals have
-// to stay exact and interleaving-independent regardless. Run with -race.
-func TestRunParallelSpansThroughShardedRecorder(t *testing.T) {
+// Counting recorders must ignore the span marks concurrent drivers emit:
+// RunParallel wraps every task in EvBegin/EvEnd, and the totals of the one
+// ledger every worker records into have to stay exact and
+// interleaving-independent regardless. Run with -race.
+func TestRunParallelSpansThroughLedger(t *testing.T) {
 	const workers, tasksPer, opsPer = 4, 8, 64
 	sched := smp.Schedule{Queues: make([][]smp.Task, workers)}
 	var wantOps, wantWrites int64
@@ -33,7 +34,7 @@ func TestRunParallelSpansThroughShardedRecorder(t *testing.T) {
 			sched.Queues[w] = append(sched.Queues[w], task)
 		}
 	}
-	rec := machine.NewShardedRecorder(2)
+	rec := machine.NewLedger(nil)
 	res, err := smp.RunParallel(sched, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +42,7 @@ func TestRunParallelSpansThroughShardedRecorder(t *testing.T) {
 	if res.AccessesRun != wantOps {
 		t.Fatalf("ran %d accesses, want %d", res.AccessesRun, wantOps)
 	}
-	merged := rec.Merge()
+	merged := rec.Snapshot(true)
 	if merged.TouchReads+merged.TouchWrites != wantOps {
 		t.Errorf("merged touches %d+%d, want %d total",
 			merged.TouchReads, merged.TouchWrites, wantOps)

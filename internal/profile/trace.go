@@ -40,6 +40,9 @@ type traceFile struct {
 // TraceBuilder accumulates trace events; zero-cost until Write.
 type TraceBuilder struct {
 	events []traceEvent
+	// ifaceKeys[i] holds the "if<i>.loadWords" and "if<i>.storeWords" span
+	// argument keys, formatted once per builder.
+	ifaceKeys [][2]string
 }
 
 // NewTraceBuilder returns an empty builder.
@@ -101,7 +104,7 @@ func (b *TraceBuilder) AddRecorder(pid, tid int, name string, r *SpanRecorder) {
 		})
 		b.events = append(b.events, traceEvent{
 			Name: sp.name, Ph: "E", Ts: ts(end.clock, end.time), Pid: pid, Tid: tid,
-			Args: spanArgs(r.counters(&c, sp.start, sp.end)),
+			Args: b.spanArgs(r.counters(&c, sp.start, sp.end)),
 		})
 	}
 	// One counter track per interface, sampled at every span boundary.
@@ -133,13 +136,24 @@ func (r *SpanRecorder) tsScale() func(clock int64, t float64) float64 {
 }
 
 // spanArgs summarizes a span's counter delta for the E event's args pane.
-func spanArgs(d *machine.CounterSet) map[string]any {
-	args := map[string]any{"flops": d.FlopCount}
-	for i, ifc := range d.Iface {
-		args[fmt.Sprintf("if%d.loadWords", i)] = ifc.LoadWords
-		args[fmt.Sprintf("if%d.storeWords", i)] = ifc.StoreWords
+func (b *TraceBuilder) spanArgs(d *machine.CounterSet) map[string]any {
+	for i := len(b.ifaceKeys); i < len(d.Iface); i++ {
+		b.ifaceKeys = append(b.ifaceKeys, [2]string{
+			fmt.Sprintf("if%d.loadWords", i), fmt.Sprintf("if%d.storeWords", i),
+		})
 	}
-	if d.TouchReads != 0 || d.TouchWrites != 0 {
+	n := 1 + 2*len(d.Iface)
+	touched := d.TouchReads != 0 || d.TouchWrites != 0
+	if touched {
+		n += 2
+	}
+	args := make(map[string]any, n)
+	args["flops"] = d.FlopCount
+	for i, ifc := range d.Iface {
+		args[b.ifaceKeys[i][0]] = ifc.LoadWords
+		args[b.ifaceKeys[i][1]] = ifc.StoreWords
+	}
+	if touched {
 		args["touchReads"] = d.TouchReads
 		args["touchWrites"] = d.TouchWrites
 	}

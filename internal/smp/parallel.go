@@ -16,12 +16,8 @@ import (
 // touch totals are schedule- and interleaving-independent, equal to what the
 // serial replay counts. Result.Stats is zero.
 //
-// The recorder must be safe for concurrent use. When it offers per-worker
-// handles (machine.ShardedRecorder does), each worker records through its
-// own handle and the hot path is an uncontended atomic add; otherwise every
-// worker records through rec directly — with a ShardedRecorder that is the
-// lock-free shared-shard path, exact but contended on one shard's cache
-// lines.
+// The recorder must be safe for concurrent use, as a machine.Ledger is:
+// every worker records through it.
 func RunParallel(sched Schedule, rec machine.Recorder) (Result, error) {
 	return RunParallelPlaced(sched, rec, SocketPlan{})
 }
@@ -50,7 +46,6 @@ func RunParallelPlaced(sched Schedule, rec machine.Recorder, plan SocketPlan) (R
 	if rec == nil {
 		return Result{}, fmt.Errorf("smp: RunParallel needs a recorder")
 	}
-	handler, _ := rec.(interface{ Handle() machine.Recorder })
 	topo := plan.Topo.For(len(sched.Queues))
 	classify := plan.Home != nil && !topo.Flat()
 	type tally struct {
@@ -64,28 +59,24 @@ func RunParallelPlaced(sched Schedule, rec machine.Recorder, plan SocketPlan) (R
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			h := rec
-			if handler != nil {
-				h = handler.Handle()
-			}
 			socket := topo.SocketOf(w, plan.Placement)
 			// Each worker buffers its events in a private batch and delivers
 			// blocks at capacity and at the end of its queue — the recorder
-			// pays its per-call synchronization (atomics, locks) once per
-			// block instead of once per access. Order within the worker is
+			// pays its per-call synchronization (a lock) once per block
+			// instead of once per access. Order within the worker is
 			// preserved exactly; concurrently-recording recorders never
 			// guaranteed any cross-worker order, batched or not.
 			eb := machine.NewEventBatch(machine.DefaultBatchEvents)
 			emit := func(e machine.Event) {
 				if eb.Append(e) {
-					machine.RecordAll(h, eb.Events())
+					machine.RecordAll(rec, eb.Events())
 					eb.Reset()
 				}
 			}
 			for _, t := range sched.Queues[w] {
-				// Each task is one span on this worker's recorder; counting
-				// recorders (shards) ignore the marks, span recorders
-				// attribute the task's touches to its label.
+				// Each task is one span on the recorder; counters ignore
+				// the marks, span recorders attribute the task's touches
+				// to its label.
 				emit(machine.Event{Kind: machine.EvBegin, Label: t.Label})
 				for _, op := range t.Ops {
 					remote := classify && plan.Home(op.Addr) != socket
@@ -104,7 +95,7 @@ func RunParallelPlaced(sched Schedule, rec machine.Recorder, plan SocketPlan) (R
 				tallies[w].tasks++
 			}
 			if eb.Len() > 0 {
-				machine.RecordAll(h, eb.Events())
+				machine.RecordAll(rec, eb.Events())
 				eb.Reset()
 			}
 		}(w)

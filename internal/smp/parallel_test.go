@@ -19,7 +19,7 @@ func TestRunParallelMatchesSerialTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := machine.NewShardedRecorder(2)
+	rec := machine.NewLedger(nil)
 	par, err := RunParallel(sched, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func TestRunParallelMatchesSerialTotals(t *testing.T) {
 	if par.AccessesRun != serial.AccessesRun {
 		t.Fatalf("parallel ran %d accesses, serial %d", par.AccessesRun, serial.AccessesRun)
 	}
-	cs := rec.Merge()
+	cs := rec.Snapshot(true)
 	if got := cs.TouchReads + cs.TouchWrites; got != serial.AccessesRun {
 		t.Fatalf("merged touches %d != serial accesses %d", got, serial.AccessesRun)
 	}
@@ -55,11 +55,11 @@ func TestRunParallelMatchesSerialTotals(t *testing.T) {
 func TestRunParallelScheduleIndependentTotals(t *testing.T) {
 	tasks, _ := MatMulTasks(32, 32, 32, 8, lineB)
 	totals := func(s Schedule) (int64, int64) {
-		rec := machine.NewShardedRecorder(2)
+		rec := machine.NewLedger(nil)
 		if _, err := RunParallel(s, rec); err != nil {
 			t.Fatal(err)
 		}
-		cs := rec.Merge()
+		cs := rec.Snapshot(true)
 		return cs.TouchReads, cs.TouchWrites
 	}
 	dr, dw := totals(DepthFirst(tasks, 3))
@@ -75,37 +75,36 @@ func TestRunParallelNeedsRecorder(t *testing.T) {
 	}
 }
 
-// sharedOnly hides a ShardedRecorder's Handle method so RunParallel's
-// workers all drive the recorder's shared Record path — the path that is
-// now lock-free behind an atomic pointer. Run with -race: this is the
-// regression test for concurrent shared-path recording on real task traces,
-// and the totals must still be exact.
-type sharedOnly struct{ rec *machine.ShardedRecorder }
+// perEvent hides a Ledger's RecordBatch, so RunParallel's workers drive the
+// shared recorder one Record call per event. Run with -race: this is the
+// regression test for concurrent recording into one shared recorder on
+// real task traces, and the totals must still be exact.
+type perEvent struct{ rec *machine.Ledger }
 
-func (s sharedOnly) Record(e machine.Event) { s.rec.Record(e) }
+func (s perEvent) Record(e machine.Event) { s.rec.Record(e) }
 
 func TestRunParallelSharedRecorderPath(t *testing.T) {
 	tasks, _ := MatMulTasks(32, 32, 32, 8, lineB)
 	sched := DepthFirst(tasks, 8)
 
-	rec := machine.NewShardedRecorder(2)
-	par, err := RunParallel(sched, sharedOnly{rec})
+	rec := machine.NewLedger(nil)
+	par, err := RunParallel(sched, perEvent{rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := rec.Merge()
+	cs := rec.Snapshot(true)
 	if got := cs.TouchReads + cs.TouchWrites; got != par.AccessesRun {
-		t.Fatalf("shared-path touches %d != accesses %d", got, par.AccessesRun)
+		t.Fatalf("per-event touches %d != accesses %d", got, par.AccessesRun)
 	}
 
-	// The shared path and the per-handle path count identically.
-	rec2 := machine.NewShardedRecorder(2)
+	// The per-event path and the block path count identically.
+	rec2 := machine.NewLedger(nil)
 	if _, err := RunParallel(sched, rec2); err != nil {
 		t.Fatal(err)
 	}
-	cs2 := rec2.Merge()
+	cs2 := rec2.Snapshot(true)
 	if cs.TouchReads != cs2.TouchReads || cs.TouchWrites != cs2.TouchWrites {
-		t.Fatalf("shared path (%d,%d) != handle path (%d,%d)",
+		t.Fatalf("per-event path (%d,%d) != block path (%d,%d)",
 			cs.TouchReads, cs.TouchWrites, cs2.TouchReads, cs2.TouchWrites)
 	}
 }

@@ -13,7 +13,7 @@ func TestRunParallelPlacedSplitsButPreservesTotals(t *testing.T) {
 	tasks, _ := MatMulTasks(32, 32, 32, 8, lineB)
 	sched := DepthFirst(tasks, 4)
 
-	flatRec := machine.NewShardedRecorder(2)
+	flatRec := machine.NewLedger(nil)
 	flat, err := RunParallel(sched, flatRec)
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +24,7 @@ func TestRunParallelPlacedSplitsButPreservesTotals(t *testing.T) {
 
 	// Home every even line on socket 0, every odd line on socket 1: with
 	// round-robin worker placement some accesses must cross.
-	placedRec := machine.NewShardedRecorder(2)
+	placedRec := machine.NewLedger(nil)
 	plan := SocketPlan{
 		Topo:      machine.Topology{Sockets: 2},
 		Placement: machine.PlaceRoundRobin,
@@ -45,7 +45,7 @@ func TestRunParallelPlacedSplitsButPreservesTotals(t *testing.T) {
 			placed.RemoteAccesses, placed.AccessesRun)
 	}
 
-	fc, pc := flatRec.Merge(), placedRec.Merge()
+	fc, pc := flatRec.Snapshot(true), placedRec.Snapshot(true)
 	if fc.TouchReads != pc.TouchReads || fc.TouchWrites != pc.TouchWrites {
 		t.Fatalf("touch totals differ: flat (%d,%d) placed (%d,%d)",
 			fc.TouchReads, fc.TouchWrites, pc.TouchReads, pc.TouchWrites)
@@ -70,7 +70,7 @@ func TestRunParallelPlacedFlatIsIdentity(t *testing.T) {
 		{Topo: machine.Topology{Sockets: 1}, // Home but one socket
 			Home: func(addr uint64) int { return 1 }},
 	} {
-		rec := machine.NewShardedRecorder(2)
+		rec := machine.NewLedger(nil)
 		res, err := RunParallelPlaced(sched, rec, plan)
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +78,7 @@ func TestRunParallelPlacedFlatIsIdentity(t *testing.T) {
 		if res.RemoteAccesses != 0 {
 			t.Fatalf("plan %+v tallied %d remote accesses", plan, res.RemoteAccesses)
 		}
-		cs := rec.Merge()
+		cs := rec.Snapshot(true)
 		if cs.RemoteTouchReads != 0 || cs.RemoteTouchWrites != 0 {
 			t.Fatalf("plan %+v recorded remote touches", plan)
 		}
