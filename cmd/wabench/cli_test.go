@@ -53,8 +53,8 @@ func TestConformanceVerdictExitCodes(t *testing.T) {
 		sess := experiments.NewSession()
 		sess.SetMonitor(mon)
 		mon.Phase("p")
-		mon.Record(machine.Event{Kind: machine.EvLoad, Arg: 0, Words: 100})
-		mon.Record(machine.Event{Kind: machine.EvStore, Arg: 0, Words: 50})
+		mon.Ledger().Record([]machine.Event{{Kind: machine.EvLoad, Arg: 0, Words: 100}})
+		mon.Ledger().Record([]machine.Event{{Kind: machine.EvStore, Arg: 0, Words: 50}})
 		return conformanceVerdict(sess, mon, mode, testLogger())
 	}
 	if rc := verdict(1<<40, "strict"); rc != 1 {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"writeavoid/internal/access"
+	"writeavoid/internal/core"
 )
 
 // Regression: exact totals on a hand-worked Belady replay with no eviction
@@ -43,6 +44,23 @@ func TestOPTWritebackRegression(t *testing.T) {
 	}
 	if st.Writebacks() != 2 || st.MemoryWrites() != 2 {
 		t.Fatalf("writebacks %d memoryWrites %d want 2", st.Writebacks(), st.MemoryWrites())
+	}
+}
+
+// Belady's replay of a traced matmul's byte-addressed touch stream never
+// writes back less than the output size: Proposition 6.1 applies to any
+// replacement policy, the ideal one included.
+func TestSimulateOPTOnMatMulTrace(t *testing.T) {
+	const n, b = 16, 4
+	const size, line = 3 * b * b * 8, 8
+	tr := core.NewMatMulTrace(n, n, n, line, core.TraceLevel{Block: b, ContractionInner: true})
+	var rec access.Recorder
+	tr.Run(&rec)
+	if len(rec.Ops) == 0 {
+		t.Fatal("trace emitted no touches")
+	}
+	if st := SimulateOPT(rec.Ops, size, line); st.VictimsM < n*n {
+		t.Errorf("ideal write-backs %d below output size %d", st.VictimsM, n*n)
 	}
 }
 

@@ -25,8 +25,15 @@ func NewRecorder(hw HW) *Recorder {
 	return &Recorder{hw: hw}
 }
 
-// Record implements machine.Recorder.
-func (r *Recorder) Record(e machine.Event) {
+// Record charges a block of events in order, so the float accumulation is
+// the same at any batch capacity.
+func (r *Recorder) Record(events []machine.Event) {
+	for i := range events {
+		r.charge(&events[i])
+	}
+}
+
+func (r *Recorder) charge(e *machine.Event) {
 	if e.Arg < 0 || e.Arg > 1 {
 		return
 	}
@@ -44,14 +51,6 @@ func (r *Recorder) Record(e machine.Event) {
 		} else {
 			r.storeT[1] += r.hw.Alpha23 + r.hw.Beta23*w
 		}
-	}
-}
-
-// RecordBatch charges a block of events in order, so the float accumulation
-// matches per-event charging bit for bit.
-func (r *Recorder) RecordBatch(events []machine.Event) {
-	for i := range events {
-		r.Record(events[i])
 	}
 }
 

@@ -173,9 +173,20 @@ func TestExternalSortIdentical(t *testing.T) {
 	})
 }
 
+// oneByOne splits every block it is handed into one-event blocks, so the
+// ledger behind it is recorded into once per event: the reference delivery
+// for a recorder that concurrent workers share.
+type oneByOne struct{ l *machine.Ledger }
+
+func (o oneByOne) Record(events []machine.Event) {
+	for i := range events {
+		o.l.Record(events[i : i+1])
+	}
+}
+
 // TestRunParallelIdentical checks the smp worker-side batching: the touch
-// totals of the one ledger concurrent workers record into equal the
-// per-event engine's, which are schedule-independent by construction.
+// totals of the one ledger concurrent workers record into equal those of
+// one-event delivery, which are schedule-independent by construction.
 func TestRunParallelIdentical(t *testing.T) {
 	sched := smp.Schedule{Queues: make([][]smp.Task, 4)}
 	for w := range sched.Queues {
@@ -194,7 +205,7 @@ func TestRunParallelIdentical(t *testing.T) {
 		l := machine.NewLedger(levels2())
 		var rec machine.Recorder = l
 		if ref {
-			rec = PerEventOnly{R: l}
+			rec = oneByOne{l}
 		}
 		if _, err := smp.RunParallel(sched, rec); err != nil {
 			t.Fatal(err)
@@ -275,7 +286,7 @@ func TestDist2SocketIdentical(t *testing.T) {
 // observed Session: two streams, the profiler, the monitor with a violation
 // hook freezing the flight ring, the histograms and the flight recorder all
 // read the session's one ledger, over three kernels on hierarchies of two
-// depths. Under the per-event engine (batch capacity 1, so every event
+// depths. Under the reference engine (batch capacity 1, so every event
 // reaches the ledger as it is emitted) and the batched one, every stream
 // byte, span, trace byte, violation, histogram bucket and flight window
 // must be identical.

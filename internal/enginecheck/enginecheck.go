@@ -1,8 +1,7 @@
 // Package enginecheck is the differential harness for the batched event
-// engine: it runs the same kernel under the per-event reference engine
-// (batch capacity 1 plus a wrapper hiding every batch-path interface, so
-// delivery goes through the legacy Record shim) and under the batched engine
-// (default capacity, native RecordBatch recorders), and requires every
+// engine: it runs the same kernel under the reference engine (batch
+// capacity 1: every event is delivered on its own, as a one-element block)
+// and under the batched engine (default capacity), and requires every
 // observable — the raw event sequence, counter snapshots, the JSONL byte
 // stream of a StreamRecorder, the full span tree of a profile.SpanRecorder —
 // to be bit-identical. Batching is allowed to change when events are
@@ -19,38 +18,14 @@ import (
 	"writeavoid/internal/profile"
 )
 
-// PerEventOnly wraps a recorder so the hierarchy sees none of the batch-path
-// interfaces: no RecordBatch (delivery falls back to the per-event shim) and
-// no BatchAware (no dirty-source tracking). Touch and span interest pass
-// through, since they shape which events the recorder receives at all.
-type PerEventOnly struct {
-	R machine.Recorder
-}
-
-// Record forwards one event.
-func (w PerEventOnly) Record(e machine.Event) { w.R.Record(e) }
-
-// WantsTouch forwards the wrapped recorder's touch interest.
-func (w PerEventOnly) WantsTouch() bool {
-	ti, ok := w.R.(machine.TouchInterest)
-	return ok && ti.WantsTouch()
-}
-
-// WantsSpans forwards the wrapped recorder's span interest.
-func (w PerEventOnly) WantsSpans() bool {
-	si, ok := w.R.(machine.SpanInterest)
-	return ok && si.WantsSpans()
-}
-
-// capture records the raw event sequence through the legacy shim path (it
-// deliberately implements no RecordBatch, so both engines drive it one event
-// at a time and the captured order is the delivered order).
+// capture records the raw delivered event sequence, touches and marks
+// included.
 type capture struct {
 	events []machine.Event
 }
 
-func (c *capture) Record(e machine.Event) { c.events = append(c.events, e) }
-func (c *capture) WantsTouch() bool       { return true }
+func (c *capture) Record(events []machine.Event) { c.events = append(c.events, events...) }
+func (c *capture) WantsTouch() bool              { return true }
 
 // Result is everything one engine run exposes to comparison.
 type Result struct {
@@ -72,8 +47,9 @@ type Result struct {
 const streamEvery = 7
 
 // Run executes drive against a fresh non-strict hierarchy with the given
-// levels and the full recorder complement attached, under the reference
-// engine (ref=true: capacity 1, shim-only delivery) or the batched engine.
+// levels and the full recorder complement attached (the capture, the
+// stream's ledger and the span tree's ledger), under the reference engine
+// (ref=true: capacity 1) or the batched engine.
 func Run(levels []machine.Level, ref bool, drive func(h *machine.Hierarchy)) Result {
 	h := machine.New(false, levels...)
 	if ref {
@@ -83,16 +59,9 @@ func Run(levels []machine.Level, ref bool, drive func(h *machine.Hierarchy)) Res
 	var buf bytes.Buffer
 	stream := machine.NewStreamRecorder(&buf, levels, streamEvery)
 	spans := profile.NewSpanRecorder(levels)
-	attach := func(r machine.Recorder) {
-		if ref {
-			h.Attach(PerEventOnly{R: r})
-		} else {
-			h.Attach(r)
-		}
-	}
-	attach(cap)
-	attach(stream)
-	attach(spans)
+	h.Attach(cap)
+	h.Attach(stream.Ledger())
+	h.Attach(spans.Ledger())
 
 	drive(h)
 	h.Flush()

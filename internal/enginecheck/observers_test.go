@@ -18,7 +18,8 @@ import (
 // stores, residency marks, flops, touches and ranges on one hierarchy at a
 // time (switching flushes the one left, so delivery order is emission
 // order), nested spans, and — through direct — charges made straight into
-// the profiler's main tree the way krylov's Traffic meter makes them.
+// the profiler's main tree's ledger the way krylov's Traffic meter makes
+// them.
 type program struct {
 	rng    *rand.Rand
 	attach func(h *machine.Hierarchy)
@@ -92,21 +93,30 @@ func (p *program) step() {
 		}
 		switch r.Intn(3) {
 		case 0:
-			p.direct(machine.Event{Kind: machine.EvBegin, Label: "direct"})
+			p.charge(machine.Event{Kind: machine.EvBegin, Label: "direct"})
 			p.open = append(p.open, true)
 		case 1:
-			p.direct(machine.Event{Kind: machine.EvStore, Words: words})
+			p.charge(machine.Event{Kind: machine.EvStore, Words: words})
 		default:
-			p.direct(machine.Event{Kind: machine.EvLoad, Words: words})
+			p.charge(machine.Event{Kind: machine.EvLoad, Words: words})
 		}
 	}
+}
+
+// charge makes one direct charge. Recording directly syncs nothing, so the
+// current hierarchy — the only one that can hold buffered events, since
+// switching flushes the one left — is flushed first: every event emitted
+// before the charge reaches every recorder before it does.
+func (p *program) charge(e machine.Event) {
+	p.cur.Flush()
+	p.direct(e)
 }
 
 // end closes the innermost open span through whichever path opened it.
 func (p *program) end() {
 	n := len(p.open) - 1
 	if p.open[n] {
-		p.direct(machine.Event{Kind: machine.EvEnd})
+		p.charge(machine.Event{Kind: machine.EvEnd})
 	} else {
 		p.cur.End()
 	}
@@ -205,8 +215,8 @@ func TestSessionObserversMatchReference(t *testing.T) {
 				}
 			}
 			p.direct = func(e machine.Event) {
-				prof.Main.Record(e)
-				rs.Record(e)
+				prof.Main.Ledger().Record([]machine.Event{e})
+				rs.record(e)
 			}
 			flushAll := func() {
 				for _, h := range p.hs {

@@ -23,7 +23,7 @@ import (
 )
 
 // refGrowing is the per-sink fold: a counter set and a level list that grow
-// on demand, the old machine.GrowingCounters.
+// on demand, as the ledger's own counters do.
 type refGrowing struct {
 	levels []machine.Level
 	cur    *machine.CounterSet
@@ -36,7 +36,7 @@ func newRefGrowing(levels []machine.Level) *refGrowing {
 	return &refGrowing{levels: append([]machine.Level(nil), levels...), cur: machine.NewCounterSet(len(levels))}
 }
 
-func (g *refGrowing) Record(e machine.Event) {
+func (g *refGrowing) record(e machine.Event) {
 	switch e.Kind {
 	case machine.EvBegin, machine.EvEnd, machine.EvRange:
 		return
@@ -60,7 +60,7 @@ func (g *refGrowing) Record(e machine.Event) {
 		grown.RemoteTouchReads, grown.RemoteTouchWrites = g.cur.RemoteTouchReads, g.cur.RemoteTouchWrites
 		g.cur = grown
 	}
-	g.cur.Record(e)
+	g.cur.Record([]machine.Event{e})
 }
 
 func (g *refGrowing) Snapshot() machine.Snapshot { return machine.SnapshotOf(g.levels, g.cur) }
@@ -82,12 +82,18 @@ func newRefStream(w io.Writer, levels []machine.Level, every int64) *refStream {
 
 func (s *refStream) WantsTouch() bool { return true }
 
-func (s *refStream) Record(e machine.Event) {
+func (s *refStream) Record(events []machine.Event) {
+	for _, e := range events {
+		s.record(e)
+	}
+}
+
+func (s *refStream) record(e machine.Event) {
 	switch e.Kind {
 	case machine.EvBegin, machine.EvEnd, machine.EvRange:
 		return
 	}
-	s.g.Record(e)
+	s.g.record(e)
 	s.events++
 	s.total++
 	if s.every > 0 && s.events >= s.every {
@@ -135,12 +141,18 @@ func newRefMonitor(levels []machine.Level, preds []monitor.Prediction) *refMonit
 	return m
 }
 
-func (m *refMonitor) Record(e machine.Event) {
+func (m *refMonitor) Record(events []machine.Event) {
+	for _, e := range events {
+		m.record(e)
+	}
+}
+
+func (m *refMonitor) record(e machine.Event) {
 	switch e.Kind {
 	case machine.EvBegin, machine.EvEnd, machine.EvRange:
 		return
 	}
-	m.g.Record(e)
+	m.g.record(e)
 	m.events++
 	m.total++
 }
@@ -215,12 +227,18 @@ func newRefHistograms(levels []machine.Level, now func() time.Time) *refHistogra
 	return h
 }
 
-func (h *refHistograms) Record(e machine.Event) {
+func (h *refHistograms) Record(events []machine.Event) {
+	for _, e := range events {
+		h.record(e)
+	}
+}
+
+func (h *refHistograms) record(e machine.Event) {
 	switch e.Kind {
 	case machine.EvBegin, machine.EvEnd, machine.EvRange:
 		return
 	}
-	h.g.Record(e)
+	h.g.record(e)
 	h.events++
 }
 
@@ -311,7 +329,13 @@ func newRefFlight(capacity int, levels []machine.Level, touch bool) *refFlight {
 func (r *refFlight) WantsSpans() bool { return true }
 func (r *refFlight) WantsTouch() bool { return r.touch }
 
-func (r *refFlight) Record(e machine.Event) {
+func (r *refFlight) Record(events []machine.Event) {
+	for _, e := range events {
+		r.record(e)
+	}
+}
+
+func (r *refFlight) record(e machine.Event) {
 	r.ring[r.pos] = e
 	r.pos++
 	if r.pos == len(r.ring) {
@@ -330,7 +354,7 @@ func (r *refFlight) Record(e machine.Event) {
 		}
 	case machine.EvRange:
 	default:
-		r.g.Record(e)
+		r.g.record(e)
 		r.events++
 	}
 }
@@ -435,7 +459,13 @@ func newRefSpanRecorder(levels []machine.Level) *refSpanRecorder {
 func (r *refSpanRecorder) WantsTouch() bool { return true }
 func (r *refSpanRecorder) WantsSpans() bool { return true }
 
-func (r *refSpanRecorder) Record(e machine.Event) {
+func (r *refSpanRecorder) Record(events []machine.Event) {
+	for _, e := range events {
+		r.record(e)
+	}
+}
+
+func (r *refSpanRecorder) record(e machine.Event) {
 	switch e.Kind {
 	case machine.EvBegin:
 		r.push(e.Label)
@@ -446,7 +476,7 @@ func (r *refSpanRecorder) Record(e machine.Event) {
 	case machine.EvRange:
 		return
 	}
-	r.g.Record(e)
+	r.g.record(e)
 	r.clock++
 	if r.hasModel {
 		switch e.Kind {

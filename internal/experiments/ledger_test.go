@@ -65,12 +65,14 @@ func TestMonitorFinishFreezesLastPhase(t *testing.T) {
 // counting counts the counter-bearing events a hierarchy delivers to it.
 type counting struct{ n int64 }
 
-func (c *counting) Record(e machine.Event) {
-	switch e.Kind {
-	case machine.EvBegin, machine.EvEnd, machine.EvRange:
-		return
+func (c *counting) Record(events []machine.Event) {
+	for _, e := range events {
+		switch e.Kind {
+		case machine.EvBegin, machine.EvEnd, machine.EvRange:
+			continue
+		}
+		c.n++
 	}
-	c.n++
 }
 func (c *counting) WantsTouch() bool { return true }
 

@@ -336,14 +336,15 @@ func (s *Session) conformPerSocket(check, kernel string, observed []float64, exp
 	s.mon.CheckPerSocket(check, kernel, observed, expected, slack, ceiling)
 }
 
-// profRec returns the profiler's main recorder for sinks that are driven
-// directly rather than through a Hierarchy (the krylov Traffic counter), or
-// nil when no profiler is installed.
+// profRec returns the ledger of the profiler's main span tree for charges
+// recorded directly rather than through a Hierarchy (the krylov Traffic
+// counter), or nil when no profiler is installed. Direct charges are not
+// synced: the caller marks a phase first, which syncs every hierarchy.
 func (s *Session) profRec() machine.Recorder {
 	if s == nil || s.prof == nil {
 		return nil
 	}
-	return s.prof.Main
+	return s.prof.Main.Ledger()
 }
 
 // FlightCapture freezes the installed flight recorder into a forensic bundle

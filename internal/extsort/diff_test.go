@@ -14,7 +14,7 @@ import (
 // eventLog keeps every event a hierarchy delivers, in order.
 type eventLog []machine.Event
 
-func (l *eventLog) Record(e machine.Event) { *l = append(*l, e) }
+func (l *eventLog) Record(events []machine.Event) { *l = append(*l, events...) }
 
 // logged returns a fresh two-level machine of m words with an event log
 // attached.

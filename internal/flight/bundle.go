@@ -155,9 +155,9 @@ func NewGroup(name string, capacity int, levels []machine.Level) *Group {
 	return &Group{Name: name, capacity: capacity, levels: levels, recs: map[int]*Recorder{}}
 }
 
-// Recorder returns rank's flight recorder, creating it on first use with a
-// private ledger. Safe for concurrent use (dist ranks construct
-// concurrently).
+// Recorder returns the ledger of rank's flight recorder, creating the
+// recorder on first use with a private ledger. It matches the dist.Observer
+// signature. Safe for concurrent use (dist ranks construct concurrently).
 func (g *Group) Recorder(rank int) machine.Recorder {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -166,7 +166,7 @@ func (g *Group) Recorder(rank int) machine.Recorder {
 		r = New(g.capacity, g.levels)
 		g.recs[rank] = r
 	}
-	return r
+	return r.Ledger()
 }
 
 // Follow gives rank a flight recorder whose ring is fed by l, the rank's

@@ -24,7 +24,7 @@ var update = flag.Bool("update", false, "rewrite the golden bundle")
 func testBundle() *flight.Bundle {
 	h := machine.New(false, machine.GenericLevels(3)...)
 	fr := flight.New(8, nil)
-	h.Attach(fr)
+	h.Attach(fr.Ledger())
 	fr.Phase("setup")
 	h.Begin("step 0")
 	h.Load(0, 64)
@@ -41,9 +41,9 @@ func testBundle() *flight.Bundle {
 	g := flight.NewGroup("mm", 8, nil)
 	for rank := 0; rank < 2; rank++ {
 		rec := g.Recorder(rank)
-		rec.Record(machine.Event{Kind: machine.EvBegin, Label: "step 1"})
-		rec.Record(machine.Event{Kind: machine.EvLoad, Arg: 0, Words: int64(10 + rank)})
-		rec.Record(machine.Event{Kind: machine.EvEnd})
+		rec.Record([]machine.Event{{Kind: machine.EvBegin, Label: "step 1"}})
+		rec.Record([]machine.Event{{Kind: machine.EvLoad, Arg: 0, Words: int64(10 + rank)}})
+		rec.Record([]machine.Event{{Kind: machine.EvEnd}})
 	}
 
 	return &flight.Bundle{
@@ -136,13 +136,13 @@ func TestWriteTraceValidates(t *testing.T) {
 	// Make the truncation case explicit: a ring so small the Begin of the
 	// final span was overwritten, leaving a bare End plus an open span.
 	fr := flight.New(4, nil)
-	fr.Record(machine.Event{Kind: machine.EvBegin, Label: "lost"})
+	fr.Ledger().Record([]machine.Event{{Kind: machine.EvBegin, Label: "lost"}})
 	for i := 0; i < 6; i++ {
-		fr.Record(machine.Event{Kind: machine.EvLoad, Arg: 0, Words: 1})
+		fr.Ledger().Record([]machine.Event{{Kind: machine.EvLoad, Arg: 0, Words: 1}})
 	}
-	fr.Record(machine.Event{Kind: machine.EvEnd})
-	fr.Record(machine.Event{Kind: machine.EvBegin, Label: "open"})
-	fr.Record(machine.Event{Kind: machine.EvStore, Arg: 0, Words: 2})
+	fr.Ledger().Record([]machine.Event{{Kind: machine.EvEnd}})
+	fr.Ledger().Record([]machine.Event{{Kind: machine.EvBegin, Label: "open"}})
+	fr.Ledger().Record([]machine.Event{{Kind: machine.EvStore, Arg: 0, Words: 2}})
 	b.Ranks = append(b.Ranks, flight.RankWindow{Run: "torn", Rank: 0, Window: fr.Peek("violation")})
 
 	var buf bytes.Buffer

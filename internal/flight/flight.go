@@ -6,14 +6,15 @@
 // immutable forensic bundle instead of being gone with the counters.
 //
 // The Recorder folds no counters of its own. It reads a machine.Ledger: a
-// private one when built with New and attached on its own, or a run's
-// shared one (Follow), which experiments.Session gives its monitor, streams
-// and histograms too. The ledger hands the ring every block it folds, and
-// the phase context a capture freezes — the running label, the last closed
-// phase's delta, the cumulative snapshot — is the ledger's. Because the
-// ledger closes each phase once for all of its readers, the delta a frozen
-// bundle carries is word-for-word the delta the monitor's check evaluated,
-// whichever sink closed the phase and in whatever order the marks run.
+// private one when built with New, whose Ledger() is then attached on its
+// own, or a run's shared one (Follow), which experiments.Session gives its
+// monitor, streams and histograms too. The ledger hands the ring every
+// block it folds, and the phase context a capture freezes — the running
+// label, the last closed phase's delta, the cumulative snapshot — is the
+// ledger's. Because the ledger closes each phase once for all of its
+// readers, the delta a frozen bundle carries is word-for-word the delta the
+// monitor's check evaluated, whichever sink closed the phase and in
+// whatever order the marks run.
 //
 // Ring layout: each event is kept in a 24-byte slot that holds no pointers
 // (Words, Addr, a 32-bit Arg, and the kind, flags and a label index packed
@@ -69,11 +70,14 @@ const (
 	maxLabels = 1 << (32 - labelShift)
 )
 
-// Recorder is the flight recorder: a machine.Recorder/BatchRecorder keeping
-// the last N events in a ring plus the open span stack, over the phase
-// context of the ledger it reads. It is internally locked — smp.RunParallel
-// delivers batches from many goroutines at once, and captures may come from
-// HTTP handlers — with one lock round-trip per batch, not per event. Capture
+// Recorder is the flight recorder: the last N events in a ring plus the
+// open span stack, over the phase context of the ledger it reads. It is not
+// a machine.Recorder: it is a tap of its ledger, which feeds the ring every
+// block it folds, and attaching or recording goes through Ledger(). The
+// ledger asks for span marks on its behalf (WantsSpans) and for touches
+// when WithTouch is set. It is internally locked — smp.RunParallel delivers
+// batches from many goroutines at once, and captures may come from HTTP
+// handlers — with one lock round-trip per batch, not per event. Capture
 // syncs the ledger's batch sources, so it belongs to the run goroutine;
 // concurrent readers use Peek, which accepts batch granularity instead.
 type Recorder struct {
@@ -148,21 +152,9 @@ func (r *Recorder) WantsSpans() bool { return true }
 // WantsTouch reports the configured touch interest (see WithTouch).
 func (r *Recorder) WantsTouch() bool { return r.touch }
 
-// SourceDirty and SourceClean hand batch-source tracking to the ledger (run
-// goroutine only).
-func (r *Recorder) SourceDirty(f machine.Flusher) { r.led.SourceDirty(f) }
-func (r *Recorder) SourceClean(f machine.Flusher) { r.led.SourceClean(f) }
-
-// Record folds one event into the recorder's ledger, which appends it to
-// the ring.
-func (r *Recorder) Record(e machine.Event) { r.led.Record(e) }
-
-// RecordBatch folds a block into the recorder's ledger, which appends it to
-// the ring under one lock acquisition — the steady-state fast path: a slot
-// copy and a stack push/pop per event, no allocation.
-func (r *Recorder) RecordBatch(events []machine.Event) { r.led.RecordBatch(events) }
-
-// TapBatch appends a block the ledger folded to the ring.
+// TapBatch appends a block the ledger folded to the ring under one lock
+// acquisition — the steady-state path: a slot copy and a stack push/pop
+// per event, no allocation.
 func (r *Recorder) TapBatch(events []machine.Event) {
 	r.mu.Lock()
 	for i := range events {

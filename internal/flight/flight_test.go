@@ -14,15 +14,15 @@ import (
 // touchless flight recorder rides) is actually exercised.
 type touchSink struct{}
 
-func (touchSink) Record(machine.Event) {}
-func (touchSink) WantsTouch() bool     { return true }
+func (touchSink) Record([]machine.Event) {}
+func (touchSink) WantsTouch() bool       { return true }
 
-// capture is a plain per-event touchless recorder: with the reference engine
-// (batch capacity 1) it receives exactly the event set, in exactly the
-// order, that a default flight recorder subscribes to.
+// capture is a plain touchless recorder: with the reference engine (batch
+// capacity 1) it receives exactly the event set, in exactly the order, that
+// a default flight recorder subscribes to.
 type capture struct{ events []machine.Event }
 
-func (c *capture) Record(e machine.Event) { c.events = append(c.events, e) }
+func (c *capture) Record(events []machine.Event) { c.events = append(c.events, events...) }
 
 // drive emits a mixed workload: nested spans, loads/stores on two
 // interfaces, flops, residency marks, plus touch/range annotations that a
@@ -44,7 +44,7 @@ func drive(h *machine.Hierarchy) {
 	}
 }
 
-// referenceEvents runs drive under the per-event reference engine and
+// referenceEvents runs drive under the reference engine (capacity 1) and
 // returns the sequence a touchless recorder was delivered.
 func referenceEvents() []machine.Event {
 	h := machine.New(false, machine.GenericLevels(3)...)
@@ -68,7 +68,7 @@ func TestRingTailMatchesReferenceEngine(t *testing.T) {
 	for _, capN := range []int{16, 128, 4096} {
 		h := machine.New(false, machine.GenericLevels(3)...)
 		fr := flight.New(capN, nil)
-		h.Attach(fr)
+		h.Attach(fr.Ledger())
 		h.Attach(touchSink{})
 		drive(h)
 		w := fr.Capture("test")
@@ -101,7 +101,7 @@ func TestRingTailMatchesReferenceEngine(t *testing.T) {
 func TestTouchInterestGatesDenseEvents(t *testing.T) {
 	run := func(fr *flight.Recorder) *flight.Window {
 		h := machine.New(false, machine.GenericLevels(3)...)
-		h.Attach(fr)
+		h.Attach(fr.Ledger())
 		h.Attach(touchSink{})
 		drive(h)
 		return fr.Capture("test")
@@ -133,7 +133,7 @@ func TestTouchInterestGatesDenseEvents(t *testing.T) {
 func TestPhaseDeltaTelescopes(t *testing.T) {
 	h := machine.New(false, machine.GenericLevels(3)...)
 	fr := flight.New(0, nil)
-	h.Attach(fr)
+	h.Attach(fr.Ledger())
 
 	fr.Phase("a")
 	h.Load(0, 100)
@@ -185,27 +185,28 @@ func steadyBatch() []machine.Event {
 	return append(batch, machine.Event{Kind: machine.EvEnd})
 }
 
-// The steady-state pin: once warm, RecordBatch allocates nothing.
-func TestRecordBatchSteadyStateAllocsNothing(t *testing.T) {
+// The steady-state pin: once warm, recording a block into the ring's
+// ledger allocates nothing.
+func TestRecordSteadyStateAllocsNothing(t *testing.T) {
 	fr := flight.New(256, nil)
 	batch := steadyBatch()
-	fr.RecordBatch(batch) // warm: counter geometry, stack backing
-	allocs := testing.AllocsPerRun(100, func() { fr.RecordBatch(batch) })
+	fr.Ledger().Record(batch) // warm: counter geometry, stack backing
+	allocs := testing.AllocsPerRun(100, func() { fr.Ledger().Record(batch) })
 	if allocs != 0 {
-		t.Fatalf("RecordBatch allocates %v per batch in steady state, want 0", allocs)
+		t.Fatalf("Record allocates %v per batch in steady state, want 0", allocs)
 	}
 }
 
-// BenchmarkRecordBatch pins the per-event cost of the always-on ring: one
-// lock round-trip per batch, then a slot copy and counter fold per event.
-func BenchmarkRecordBatch(b *testing.B) {
+// BenchmarkRecord pins the per-event cost of the always-on ring: one lock
+// round-trip per batch, then a slot copy and counter fold per event.
+func BenchmarkRecord(b *testing.B) {
 	fr := flight.New(4096, nil)
 	batch := steadyBatch()
-	fr.RecordBatch(batch)
+	fr.Ledger().Record(batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fr.RecordBatch(batch)
+		fr.Ledger().Record(batch)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/event")
 }
@@ -238,7 +239,7 @@ func TestConcurrentRunParallelAndPeek(t *testing.T) {
 		}
 	}()
 
-	res, err := smp.RunParallel(sched, fr)
+	res, err := smp.RunParallel(sched, fr.Ledger())
 	close(done)
 	peeks := <-probed
 	if err != nil {
@@ -283,7 +284,7 @@ func TestPeekWindowAgreesWithItsCounters(t *testing.T) {
 		defer close(done)
 		for k := int64(1); k <= blocks; k++ {
 			fr.Phase(label(k))
-			fr.RecordBatch(batch)
+			fr.Ledger().Record(batch)
 		}
 	}()
 	for running := true; running; {

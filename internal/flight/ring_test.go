@@ -55,7 +55,7 @@ func TestLabelTableCompactsAndDecodesExactly(t *testing.T) {
 			e = machine.Event{Kind: machine.EvStore, Arg: i % 2, Words: int64(i), Addr: uint64(i) << 20,
 				Write: i%2 == 0, Remote: i%5 == 0, Label: fmt.Sprintf("x%d", i)}
 		}
-		r.Record(e)
+		r.Ledger().Record([]machine.Event{e})
 		all = append(all, e)
 		if len(r.names) > 2*capN+17 {
 			t.Fatalf("after %d events the label table holds %d labels for an %d-event ring", i+1, len(r.names), capN)

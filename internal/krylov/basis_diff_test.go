@@ -94,7 +94,7 @@ func TestBasisBlocksMatchReference(t *testing.T) {
 // eventLog keeps every Traffic charge and phase mark in order.
 type eventLog []machine.Event
 
-func (l *eventLog) Record(e machine.Event) { *l = append(*l, e) }
+func (l *eventLog) Record(events []machine.Event) { *l = append(*l, events...) }
 
 // CACG with one CSR and one basis per solve computes the reference's
 // iterates, flop count, traffic and phase-marked charge sequence bit for

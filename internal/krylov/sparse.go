@@ -170,16 +170,29 @@ type Traffic struct {
 	Writes int64
 	// Rec, when non-nil, additionally receives every charge as an EvLoad or
 	// EvStore at interface 0, plus the solvers' Begin/End phase marks, so an
-	// attribution recorder (profile.SpanRecorder) can split the W12 totals
-	// by solver phase. The plain counters above are unaffected.
+	// attribution recorder (a profile.SpanRecorder's ledger) can split the
+	// W12 totals by solver phase. The plain counters above are unaffected.
+	// Each charge is recorded at once as a one-event block and nothing is
+	// synced: a caller that interleaves charges with hierarchies buffering
+	// events for the same recorder syncs it first (experiments.Session's
+	// krylov section drives no hierarchy and starts with a phase mark,
+	// which syncs).
 	Rec machine.Recorder
+	one [1]machine.Event // the block each charge is recorded in
+}
+
+// record hands e to Rec as a one-event block held in t, so no charge
+// allocates.
+func (t *Traffic) record(e machine.Event) {
+	t.one[0] = e
+	t.Rec.Record(t.one[:])
 }
 
 // R charges n words read from slow memory.
 func (t *Traffic) R(n int) {
 	t.Reads += int64(n)
 	if t.Rec != nil {
-		t.Rec.Record(machine.Event{Kind: machine.EvLoad, Words: int64(n)})
+		t.record(machine.Event{Kind: machine.EvLoad, Words: int64(n)})
 	}
 }
 
@@ -187,7 +200,7 @@ func (t *Traffic) R(n int) {
 func (t *Traffic) W(n int) {
 	t.Writes += int64(n)
 	if t.Rec != nil {
-		t.Rec.Record(machine.Event{Kind: machine.EvStore, Words: int64(n)})
+		t.record(machine.Event{Kind: machine.EvStore, Words: int64(n)})
 	}
 }
 
@@ -195,14 +208,14 @@ func (t *Traffic) W(n int) {
 // one.
 func (t *Traffic) Begin(label string) {
 	if t.Rec != nil {
-		t.Rec.Record(machine.Event{Kind: machine.EvBegin, Label: label})
+		t.record(machine.Event{Kind: machine.EvBegin, Label: label})
 	}
 }
 
 // End closes the innermost open span; a no-op without a recorder.
 func (t *Traffic) End() {
 	if t.Rec != nil {
-		t.Rec.Record(machine.Event{Kind: machine.EvEnd})
+		t.record(machine.Event{Kind: machine.EvEnd})
 	}
 }
 

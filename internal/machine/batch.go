@@ -1,23 +1,21 @@
 package machine
 
-// This file is the batched dispatch layer of the event engine. The per-event
-// path (one Recorder.Record interface call per Load/Store/Touch) priced every
-// primitive at an indirect call plus, for locked or atomic sinks, a
-// synchronization hop. Batching amortizes all of that: the Hierarchy appends
-// events to a fixed-capacity buffer and delivers them as one block — recorders
-// implementing BatchRecorder consume the block natively (one lock, one atomic
-// commit, one switch-loop without call overhead), everyone else gets the block
-// unrolled through the RecordAll shim, one Record call per event, in order.
+// This file is the batched dispatch layer of the event engine. A Hierarchy
+// appends events to a fixed-capacity buffer and hands each recorder the
+// whole block in one Record call, so a locked or atomic sink pays its
+// synchronization once per block instead of once per primitive.
 //
-// Equivalence contract (pinned by internal/enginecheck): for every recorder,
-// the sequence of events delivered — and therefore every Snapshot, stream
-// record, span delta, and conformance verdict derived from it — is
-// bit-identical to the per-event engine's. Batching changes WHEN events
-// arrive (at flush boundaries instead of at each primitive), never WHICH
-// events arrive or in what order. Recorders whose state is read between
-// flushes bridge the gap with Sources: the hierarchy registers itself as a
-// dirty source while it holds buffered events, and the recorder's read/mark
-// methods call Sync first, so no reader ever observes a torn prefix.
+// Delivery contract (pinned by internal/enginecheck): every recorder gets
+// the same events in the same order at any batch capacity, so every
+// Snapshot, stream record, span delta and conformance verdict derived from
+// them is bit-identical to delivery one event at a time (capacity 1).
+// Batching changes WHEN events arrive, never WHICH events or in what order.
+// A recorder whose state is read between flushes bridges the gap with
+// Sources: the hierarchy registers itself as a dirty source while it holds
+// buffered events, and the recorder's read and mark methods call Sync
+// first, so no reader observes a torn prefix. A flush never syncs. Whoever
+// records into such a recorder directly, beside buffered hierarchies, calls
+// Sync first, so that the direct events do not overtake buffered ones.
 
 import "sync"
 
@@ -29,15 +27,15 @@ const DefaultBatchEvents = 256
 
 // batchPool recycles default-capacity event buffers between hierarchies
 // (see Hierarchy.Release). Reuse is safe because no recorder keeps a
-// delivered block past RecordBatch: a hierarchy already overwrites its
-// buffer after every flush.
+// delivered block past Record: a hierarchy already overwrites its buffer
+// after every flush.
 var batchPool = sync.Pool{New: func() any { return new([DefaultBatchEvents]Event) }}
 
 // EventBatch is a fixed-capacity append-only event buffer: the unit of block
 // dispatch. Producers append until Append reports the buffer full, hand
-// Events() to RecordAll (or a BatchRecorder directly), then Reset. The
-// capacity is fixed at construction; Append never reallocates, so a filled
-// batch costs zero allocations in steady state.
+// Events() to a Recorder, then Reset. The capacity is fixed at
+// construction; Append never reallocates, so a filled batch costs zero
+// allocations in steady state.
 type EventBatch struct {
 	buf []Event
 }
@@ -73,38 +71,6 @@ func (b *EventBatch) Cap() int { return cap(b.buf) }
 
 // Reset empties the batch, keeping its capacity.
 func (b *EventBatch) Reset() { b.buf = b.buf[:0] }
-
-// BatchRecorder is the block-dispatch fast path: a Recorder that can consume
-// a whole event slice in one call. RecordBatch(events) must be observably
-// identical to calling Record(e) for each event in order — same counters,
-// same emitted records, same span trees — it only gets to do so cheaper
-// (accumulate into locals, lock once, commit once). The slice is owned by the
-// caller and invalid after RecordBatch returns; implementations must not
-// retain it.
-//
-// Implement BatchRecorder when the recorder pays a fixed cost per Record call
-// that a block can amortize: a lock (Ledger), or simply interface-dispatch on
-// a very dense stream (counters, streams, span recorders). Recorders that are
-// cheap per event or rarely on a hot path can skip it and rely on the
-// RecordAll shim.
-type BatchRecorder interface {
-	Recorder
-	RecordBatch(events []Event)
-}
-
-// RecordAll delivers a block of events to any recorder: natively when it
-// implements BatchRecorder, otherwise unrolled into per-event Record calls in
-// order — the compatibility shim that keeps every pre-batch Recorder working
-// unchanged behind a flush boundary.
-func RecordAll(r Recorder, events []Event) {
-	if br, ok := r.(BatchRecorder); ok {
-		br.RecordBatch(events)
-		return
-	}
-	for i := range events {
-		r.Record(events[i])
-	}
-}
 
 // Flusher is anything holding buffered events it can push downstream;
 // Hierarchy is the canonical implementation.

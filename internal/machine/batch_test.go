@@ -51,13 +51,12 @@ func TestEventBatchBasics(t *testing.T) {
 	b.Append(Event{Kind: EvFlops})
 }
 
-// collectRecorder captures the raw per-event stream through the shim path
-// (no RecordBatch), so it sees exactly what a legacy recorder sees.
+// collectRecorder captures the raw delivered stream, touches included.
 type collectRecorder struct {
 	events []Event
 }
 
-func (c *collectRecorder) Record(e Event) { c.events = append(c.events, e) }
+func (c *collectRecorder) Record(events []Event) { c.events = append(c.events, events...) }
 func (c *collectRecorder) WantsTouch() bool {
 	return true
 }
@@ -105,7 +104,7 @@ func TestStreamCadencePinnedUnderBatching(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("stream close: %v", err)
 		}
-		h.Detach(s)
+		h.Detach(s.Ledger())
 		return buf.Bytes()
 	}
 	ref := run(1)

@@ -264,111 +264,3 @@ func (cm CostModel) Breakdown(h *Hierarchy) string {
 	}
 	return b.String()
 }
-
-// CostRecorder accumulates alpha-beta time from the event stream as the
-// algorithm runs, instead of evaluating the model against final counters.
-// For any event sequence its Time equals CostModel.Time on the hierarchy that
-// dispatched it (the model is linear in the counters), but a streaming
-// recorder also composes with sinks that never keep a hierarchy around, and
-// supports per-phase readings without counter resets.
-type CostRecorder struct {
-	Sources
-	Model  CostModel
-	loadT  []float64 // per-interface accumulated load time
-	storeT []float64 // per-interface accumulated store time
-	flopT  float64
-}
-
-// NewCostRecorder builds a recorder charging events with the model's
-// coefficients. The model must have one CostParams entry per interface of the
-// hierarchy it is attached to.
-func NewCostRecorder(cm CostModel) *CostRecorder {
-	return &CostRecorder{
-		Model:  cm,
-		loadT:  make([]float64, len(cm.Iface)),
-		storeT: make([]float64, len(cm.Iface)),
-	}
-}
-
-// Record charges one event.
-func (c *CostRecorder) Record(e Event) {
-	switch e.Kind {
-	case EvLoad:
-		p := c.Model.Iface[e.Arg]
-		if e.Remote {
-			c.loadT[e.Arg] += p.AlphaLoad + p.betaRemoteLoad()*float64(e.Words)
-		} else {
-			c.loadT[e.Arg] += p.AlphaLoad + p.BetaLoad*float64(e.Words)
-		}
-	case EvStore:
-		p := c.Model.Iface[e.Arg]
-		if e.Remote {
-			c.storeT[e.Arg] += p.AlphaStore + p.betaRemoteStore()*float64(e.Words)
-		} else {
-			c.storeT[e.Arg] += p.AlphaStore + p.BetaStore*float64(e.Words)
-		}
-	case EvFlops:
-		c.flopT += c.Model.PerFlop * float64(e.Words)
-	}
-}
-
-// RecordBatch charges a block of events: per-interface times accumulate in
-// the same float64 order as per-event charging, so Time is bit-identical.
-func (c *CostRecorder) RecordBatch(events []Event) {
-	for i := range events {
-		c.Record(events[i])
-	}
-}
-
-// Time returns the accumulated model time, honoring WriteBuffer overlap.
-// Buffered events are synced out of the attached hierarchies first.
-func (c *CostRecorder) Time() float64 {
-	c.Sync()
-	t := c.flopT
-	for i := range c.loadT {
-		if c.Model.WriteBuffer {
-			t += math.Max(c.loadT[i], c.storeT[i])
-		} else {
-			t += c.loadT[i] + c.storeT[i]
-		}
-	}
-	return t
-}
-
-// LoadTime returns the accumulated read-direction time summed over all
-// interfaces — the side of the asymmetry a write-efficient algorithm is
-// allowed to grow. Buffered events are synced first.
-func (c *CostRecorder) LoadTime() float64 {
-	c.Sync()
-	var t float64
-	for i := range c.loadT {
-		t += c.loadT[i]
-	}
-	return t
-}
-
-// StoreTime returns the accumulated write-direction time summed over all
-// interfaces — the side ω makes expensive.
-func (c *CostRecorder) StoreTime() float64 {
-	c.Sync()
-	var t float64
-	for i := range c.storeT {
-		t += c.storeT[i]
-	}
-	return t
-}
-
-// Omega reports the ω of the recorder's model (see CostModel.Omega), so a
-// streaming read-out carries the asymmetry it charged events under.
-func (c *CostRecorder) Omega() float64 { return c.Model.Omega() }
-
-// Reset zeroes the accumulated time (draining any buffered events first, so
-// they do not leak into the next reading).
-func (c *CostRecorder) Reset() {
-	c.Sync()
-	for i := range c.loadT {
-		c.loadT[i] = 0
-		c.storeT[i] = 0
-	}
-	c.flopT = 0
-}

@@ -63,14 +63,11 @@ func TestTimeOfMatchesTime(t *testing.T) {
 	cm.TimeOf(NewCounterSet(3))
 }
 
-// The streaming cost recorder charges remote events with the remote β, so its
-// running total equals the model evaluated on the final counters — the
-// linearity invariant, now including the remote split.
-func TestCostRecorderMatchesModelWithRemoteEvents(t *testing.T) {
+// Time and WriteEnergy both price the remote share of an interface's words
+// at the remote βs and the rest at the local ones.
+func TestWriteEnergySplitsRemoteWords(t *testing.T) {
 	cm := NUMA(SymmetricDRAM(1, 0.5, 2), 2, 4)
-	rec := NewCostRecorder(cm)
 	h := TwoLevel(64)
-	h.Attach(rec)
 
 	h.Load(0, 10)
 	h.LoadRemote(0, 5)
@@ -78,8 +75,10 @@ func TestCostRecorderMatchesModelWithRemoteEvents(t *testing.T) {
 	h.Store(0, 3)
 	h.Flops(100)
 
-	if got, want := rec.Time(), cm.Time(h); !almostEq(got, want) {
-		t.Fatalf("recorder time %g != model time %g", got, want)
+	// Four messages at α=0.5, 10+3 local words at β=2, 5 remote loads at
+	// 2·2 and 7 remote stores at 2·4; flops are free.
+	if got, want := cm.Time(h), 4*0.5+2.0*13+4.0*5+8.0*7; !almostEq(got, want) {
+		t.Fatalf("model time %g want %g", got, want)
 	}
 
 	// WriteEnergy splits local and remote store prices the same way.

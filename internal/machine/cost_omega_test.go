@@ -111,26 +111,28 @@ func TestRemoteBetaZeroExpressible(t *testing.T) {
 	}
 }
 
-// CostRecorder read-outs split the accumulated time by direction and carry
-// the model's ω, matching the post-hoc evaluation exactly.
-func TestCostRecorderDirectionalReadouts(t *testing.T) {
+// A ledger priced by an asymmetric model charges loads at β and stores at
+// ωβ, each as it is folded, and its total matches the post-hoc evaluation.
+func TestLedgerTimePricesStoresAtOmega(t *testing.T) {
 	cm := Asymmetric(4)
-	rec := NewCostRecorder(cm)
+	if got := cm.Omega(); got != 4 {
+		t.Fatalf("model ω = %g want 4", got)
+	}
+	l := NewLedger(nil)
+	l.SetCostModel(cm)
 	h := TwoLevel(64)
-	h.Attach(rec)
+	h.Attach(l)
 	h.Load(0, 6)
+	h.Flush()
+	if got := l.Time(); !almostEq(got, 6) {
+		t.Fatalf("load time %g want 6", got)
+	}
 	h.Store(0, 5)
-
-	if got := rec.Omega(); got != 4 {
-		t.Fatalf("recorder ω = %g want 4", got)
+	h.Flush()
+	if got := l.Time(); !almostEq(got, 6+4*5) {
+		t.Fatalf("load+store time %g want 26", got)
 	}
-	if got := rec.LoadTime(); !almostEq(got, 6) {
-		t.Fatalf("LoadTime %g want 6", got)
-	}
-	if got := rec.StoreTime(); !almostEq(got, 20) {
-		t.Fatalf("StoreTime %g want 20", got)
-	}
-	if got, want := rec.Time(), cm.Time(h); !almostEq(got, want) {
-		t.Fatalf("recorder time %g != model time %g", got, want)
+	if got, want := l.Time(), cm.Time(h); !almostEq(got, want) {
+		t.Fatalf("ledger time %g != model time %g", got, want)
 	}
 }

@@ -12,9 +12,8 @@ import (
 // benchmark times the engine's touch path alone.
 type touchSink struct{}
 
-func (touchSink) Record(Event)        {}
-func (touchSink) RecordBatch([]Event) {}
-func (touchSink) WantsTouch() bool    { return true }
+func (touchSink) Record([]Event)   {}
+func (touchSink) WantsTouch() bool { return true }
 
 func BenchmarkTouchToRecorder(b *testing.B) {
 	h := New(false, Level{Name: "DRAM"}, Level{Name: "NVM"})

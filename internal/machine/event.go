@@ -4,10 +4,10 @@ package machine
 // Hierarchy executes (Load, Store, Init, Discard, Flops, and — when tracing —
 // per-element Touch) is described by an Event value and dispatched to any
 // number of Recorder sinks. The default sink is a CounterSet, which keeps the
-// per-interface and per-level counters the paper's bounds are stated in;
-// other sinks in this package turn the same event stream into alpha-beta
-// times (CostRecorder), JSON lines (StreamRecorder), or one locked fold that
-// every observing sink reads (Ledger).
+// per-interface and per-level counters the paper's bounds are stated in; the
+// other sink in this package is the Ledger, one locked fold that every
+// observing sink (JSON-line streams, phase monitors, span trees, flight
+// rings) reads.
 
 // EventKind identifies a machine primitive.
 type EventKind uint8
@@ -83,11 +83,14 @@ type Event struct {
 	Label  string // span name, EvBegin only
 }
 
-// Recorder consumes the event stream of a Hierarchy. Record is called
-// synchronously from the algorithm's goroutine; a recorder that needs to be
-// shared across goroutines must synchronize internally (see Ledger).
+// Recorder consumes the event stream of a Hierarchy, one block at a time:
+// Record gets the events in emission order, and a single event is a
+// one-element block. The slice belongs to the caller and is overwritten
+// after Record returns, so a recorder must not retain it. Record is called
+// synchronously from the emitting goroutine; a recorder shared across
+// goroutines must synchronize internally (see Ledger).
 type Recorder interface {
-	Record(Event)
+	Record(events []Event)
 }
 
 // TouchInterest is an optional Recorder refinement: recorders that want the
@@ -138,8 +141,16 @@ func NewCounterSet(levels int) *CounterSet {
 	}
 }
 
-// Record accumulates one event.
-func (c *CounterSet) Record(e Event) {
+// Record accumulates a block of events in order.
+func (c *CounterSet) Record(events []Event) {
+	for i := range events {
+		c.record(&events[i])
+	}
+}
+
+// record accumulates one event: the per-event fold behind Record, which the
+// hierarchy's default counters and the ledger call directly.
+func (c *CounterSet) record(e *Event) {
 	switch e.Kind {
 	case EvLoad:
 		c.Iface[e.Arg].LoadWords += e.Words
@@ -176,41 +187,6 @@ func (c *CounterSet) Record(e Event) {
 			}
 		}
 	}
-}
-
-// RecordBatch accumulates a block of events. The occupancy-bearing kinds
-// (loads, stores, inits, discards) are order-dependent — Occupancy clamps at
-// zero and PeakOccupancy is a running max — so they go through Record one by
-// one; the linear counters (flops, touches) accumulate into locals and commit
-// once, which is the bulk of a traced stream.
-func (c *CounterSet) RecordBatch(events []Event) {
-	var flops, tr, tw, rtr, rtw int64
-	for i := range events {
-		e := &events[i]
-		switch e.Kind {
-		case EvFlops:
-			flops += e.Words
-		case EvTouch:
-			if e.Write {
-				tw++
-				if e.Remote {
-					rtw++
-				}
-			} else {
-				tr++
-				if e.Remote {
-					rtr++
-				}
-			}
-		case EvLoad, EvStore, EvInit, EvDiscard:
-			c.Record(*e)
-		}
-	}
-	c.FlopCount += flops
-	c.TouchReads += tr
-	c.TouchWrites += tw
-	c.RemoteTouchReads += rtr
-	c.RemoteTouchWrites += rtw
 }
 
 // WantsTouch opts the counter set into the EvTouch stream so TouchReads and

@@ -11,8 +11,8 @@ type collector struct {
 	wantTouch bool
 }
 
-func (c *collector) Record(e Event)   { c.events = append(c.events, e) }
-func (c *collector) WantsTouch() bool { return c.wantTouch }
+func (c *collector) Record(events []Event) { c.events = append(c.events, events...) }
+func (c *collector) WantsTouch() bool      { return c.wantTouch }
 
 func TestTheorem1HoldsWithZeroTraffic(t *testing.T) {
 	h := TwoLevel(64)
@@ -123,35 +123,56 @@ func TestCounterSetMirrorsHierarchy(t *testing.T) {
 	}
 }
 
-func TestCostRecorderMatchesPostHocModel(t *testing.T) {
+// A ledger with a cost model charges every folded event as it arrives: its
+// running time equals the model evaluated on the dispatching hierarchy's
+// final counters.
+func TestLedgerTimeMatchesPostHocModel(t *testing.T) {
 	cm := NVMBacked(1, 2e-6, 1e-9, 10, 1)
 	cm.PerFlop = 1e-10
-	cr := NewCostRecorder(cm)
+	l := NewLedger(nil)
+	l.SetCostModel(cm)
 	h := TwoLevel(1 << 20)
-	h.Attach(cr)
+	h.Attach(l)
 	h.Load(0, 1000)
 	h.Load(0, 24)
 	h.Flops(5000)
 	h.Store(0, 1000)
 	h.Discard(0, 24)
-	if got, want := cr.Time(), cm.Time(h); got != want {
-		t.Errorf("streaming time = %g, post-hoc time = %g", got, want)
+	h.Flush()
+	if got, want := l.Time(), cm.Time(h); got != want {
+		t.Errorf("ledger time = %g, post-hoc time = %g", got, want)
 	}
+}
 
-	// WriteBuffer overlap must match too.
-	cm.WriteBuffer = true
-	cr2 := NewCostRecorder(cm)
-	h2 := TwoLevel(1 << 20)
-	h2.Attach(cr2)
-	h2.Load(0, 100)
-	h2.Store(0, 100)
-	if got, want := cr2.Time(), cm.Time(h2); got != want {
-		t.Errorf("write-buffered streaming time = %g, post-hoc = %g", got, want)
+// spanTap is a SpanTap that ignores the marks.
+type spanTap struct{}
+
+func (spanTap) SpanBegin(string) {}
+func (spanTap) SpanEnd()         {}
+
+// Detach undoes the interests a recorder declared when it was attached, not
+// what it would answer now: a ledger that gained a span tap after it was
+// attached must not take the marking count below zero as it leaves, or a
+// span-tapped ledger attached next would read Marking() false and the
+// drivers would skip their span labels.
+func TestDetachUndoesInterestsDeclaredAtAttach(t *testing.T) {
+	h := TwoLevel(64)
+	l := NewLedger(nil)
+	h.Attach(l)
+	l.SetSpanTap(spanTap{})
+	h.Detach(l)
+	if h.Marking() || h.Tracing() {
+		t.Fatalf("after Detach: Marking %v, Tracing %v, want both false", h.Marking(), h.Tracing())
 	}
-
-	cr.Reset()
-	if cr.Time() != 0 {
-		t.Errorf("time after Reset = %g, want 0", cr.Time())
+	tapped := NewLedger(nil)
+	tapped.SetSpanTap(spanTap{})
+	h.Attach(tapped)
+	if !h.Marking() || !h.Tracing() {
+		t.Fatalf("span-tapped ledger attached: Marking %v, Tracing %v, want both true", h.Marking(), h.Tracing())
+	}
+	h.Detach(tapped)
+	if h.Marking() || h.Tracing() {
+		t.Fatalf("after the second Detach: Marking %v, Tracing %v, want both false", h.Marking(), h.Tracing())
 	}
 }
 

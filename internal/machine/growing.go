@@ -2,7 +2,7 @@ package machine
 
 import "fmt"
 
-// GrowingCounters is the grow-on-demand counter core of a Ledger: a
+// growingCounters is the grow-on-demand counter core of a Ledger: a
 // CounterSet plus a level list that both extend themselves (with generically
 // named levels "L2", "L3", ...) whenever an event addresses a level or
 // interface beyond the geometry seen so far, so one ledger can observe a
@@ -12,19 +12,19 @@ import "fmt"
 //
 // Like CounterSet it is plain state driven synchronously; callers that read
 // it from other goroutines must serialize.
-type GrowingCounters struct {
+type growingCounters struct {
 	levels  []Level
 	between []string // between[i] names interface i; rebuilt only on growth
 	cur     *CounterSet
 }
 
-// NewGrowingCounters seeds the geometry with the given levels (nil or a
+// newGrowingCounters seeds the geometry with the given levels (nil or a
 // single level: starts at two generic levels). The slice is copied.
-func NewGrowingCounters(levels []Level) *GrowingCounters {
+func newGrowingCounters(levels []Level) *growingCounters {
 	if len(levels) < 2 {
 		levels = GenericLevels(2)
 	}
-	g := &GrowingCounters{
+	g := &growingCounters{
 		levels: append([]Level(nil), levels...),
 		cur:    NewCounterSet(len(levels)),
 	}
@@ -32,20 +32,10 @@ func NewGrowingCounters(levels []Level) *GrowingCounters {
 	return g
 }
 
-// Record grows the geometry to fit e and accumulates it. Span marks and
-// range annotations carry no counter delta and are ignored.
-func (g *GrowingCounters) Record(e Event) {
-	switch e.Kind {
-	case EvBegin, EvEnd, EvRange:
-		return
-	}
-	g.fold(&e)
-}
-
 // fold accumulates one counter-bearing event, first growing the geometry
 // when the event addresses a deeper level or interface than seen so far:
 // interface i spans levels i and i+1, a level event needs level i itself.
-func (g *GrowingCounters) fold(e *Event) {
+func (g *growingCounters) fold(e *Event) {
 	switch e.Kind {
 	case EvLoad, EvStore:
 		if e.Arg+2 > len(g.levels) {
@@ -56,10 +46,10 @@ func (g *GrowingCounters) fold(e *Event) {
 			g.grow(e.Arg + 1)
 		}
 	}
-	g.cur.Record(*e)
+	g.cur.record(e)
 }
 
-func (g *GrowingCounters) grow(need int) {
+func (g *growingCounters) grow(need int) {
 	old := len(g.levels)
 	for i := old; i < need; i++ {
 		g.levels = append(g.levels, Level{Name: fmt.Sprintf("L%d", i)})
@@ -69,26 +59,20 @@ func (g *GrowingCounters) grow(need int) {
 }
 
 // name builds the interface names from interface from on.
-func (g *GrowingCounters) name(from int) {
+func (g *growingCounters) name(from int) {
 	g.between = g.between[:max(from, 0)]
 	for i := len(g.between); i+1 < len(g.levels); i++ {
 		g.between = append(g.between, g.levels[i].Name+"<->"+g.levels[i+1].Name)
 	}
 }
 
-// Levels returns the current level list (not a copy; do not mutate).
-func (g *GrowingCounters) Levels() []Level { return g.levels }
-
-// Counters returns the cumulative counter set (not a copy).
-func (g *GrowingCounters) Counters() *CounterSet { return g.cur }
-
 // Snapshot renders the cumulative counters under the current geometry.
-func (g *GrowingCounters) Snapshot() Snapshot { return g.render(g.cur) }
+func (g *growingCounters) Snapshot() Snapshot { return g.render(g.cur) }
 
 // render renders c, which has at most as many levels as the geometry, under
 // the geometry's names: levels only ever grow at the end, so a smaller
 // counter set's names are a prefix of the current ones.
-func (g *GrowingCounters) render(c *CounterSet) Snapshot {
+func (g *growingCounters) render(c *CounterSet) Snapshot {
 	return snapshotOf(g.levels[:len(c.Lvl)], g.between[:len(c.Iface)], c)
 }
 

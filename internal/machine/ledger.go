@@ -22,9 +22,11 @@ import (
 // A Ledger closes each phase once, and every reader sees the same delta: the
 // last closed phase a flight recorder freezes is, by construction, the phase
 // the monitor's checks are evaluating, whichever sink's Phase or Finish
-// closed it. Sinks built on their own (monitor.New, flight.New, ...) get a
-// private ledger; experiments.Session gives its sinks one shared ledger and
-// attaches only that to every hierarchy it observes.
+// closed it. The sinks are not recorders themselves: each is attached to a
+// hierarchy, or recorded into, through its Ledger(). Sinks built on their
+// own (monitor.New, flight.New, ...) get a private ledger;
+// experiments.Session gives its sinks one shared ledger and attaches only
+// that to every hierarchy it observes.
 //
 // Two views. The ledger folds whatever it is delivered, touches included
 // when a touch-interested reader (a stream, a span tree, a touch-enabled
@@ -80,10 +82,9 @@ type Ledger struct {
 	Sources
 
 	mu      sync.Mutex
-	g       *GrowingCounters
+	g       *growingCounters
 	prev    *CounterSet // cumulative at the last phase boundary
 	scratch *CounterSet // delta scratch
-	one     [1]Event    // Record's one-event block for the taps
 
 	phase               string
 	totalWord, totalAll int64 // counter-bearing events folded, touches excluded / included
@@ -115,7 +116,7 @@ type cutRecord struct {
 // NewLedger builds a ledger seeded with the given level geometry (nil or
 // short: two generic levels, growing on demand).
 func NewLedger(levels []Level) *Ledger {
-	l := &Ledger{g: NewGrowingCounters(levels), nextCut: math.MaxInt64}
+	l := &Ledger{g: newGrowingCounters(levels), nextCut: math.MaxInt64}
 	l.prev = NewCounterSet(len(l.g.levels))
 	l.scratch = NewCounterSet(len(l.g.levels))
 	return l
@@ -183,7 +184,7 @@ func (l *Ledger) Unchain(down *Ledger) {
 }
 
 // TapBatch folds a block an upstream ledger folded (see Chain).
-func (l *Ledger) TapBatch(events []Event) { l.RecordBatch(events) }
+func (l *Ledger) TapBatch(events []Event) { l.Record(events) }
 
 // Sync flushes every hierarchy holding buffered events for this ledger (or,
 // when chained, for the ledger above it). No-op when nothing is buffered.
@@ -251,19 +252,12 @@ func (l *Ledger) WantsSpans() bool {
 	return false
 }
 
-// Record folds one event. Events still buffered in attached hierarchies are
-// synced first, so a directly driven event never overtakes them.
-func (l *Ledger) Record(e Event) {
-	l.Sync()
-	l.mu.Lock()
-	l.one[0] = e
-	l.deliverLocked(l.one[:])
-	l.unlock()
-}
-
-// RecordBatch folds a block under one lock acquisition, then hands it to
-// the taps.
-func (l *Ledger) RecordBatch(events []Event) {
+// Record folds a block under one lock acquisition, then hands it to the
+// taps. It never syncs: a hierarchy's flush calls it, and a caller that
+// records directly while attached hierarchies may still hold buffered
+// events (krylov's Traffic into a profiler's span tree) calls Sync first,
+// or it overtakes them.
+func (l *Ledger) Record(events []Event) {
 	l.mu.Lock()
 	l.deliverLocked(events)
 	l.unlock()
@@ -311,7 +305,7 @@ func (l *Ledger) fold(events []Event) {
 		case EvRange:
 			continue
 		case EvTouch:
-			g.cur.Record(*e)
+			g.cur.record(e)
 		default:
 			g.fold(e)
 			l.totalWord++

@@ -60,24 +60,13 @@ type LevelCounters struct {
 	PeakOccupancy int64
 }
 
-// attached is one subscribed recorder with its dispatch refinements resolved
-// once at Attach time, so the flush loop never repeats type assertions.
+// attached is one subscribed recorder with its interests resolved once at
+// Attach time, so neither the flush loop nor Detach asks the recorder again.
 type attached struct {
 	rec   Recorder
-	fast  BatchRecorder // non-nil when rec implements the native block path
-	aware BatchAware    // non-nil when rec tracks dirty sources
-	touch bool          // wants the EvTouch/EvRange stream
-}
-
-// deliver hands a block to the recorder: natively or via per-event unrolling.
-func (a *attached) deliver(events []Event) {
-	if a.fast != nil {
-		a.fast.RecordBatch(events)
-		return
-	}
-	for i := range events {
-		a.rec.Record(events[i])
-	}
+	aware BatchAware // non-nil when rec tracks dirty sources
+	touch bool       // wants the EvTouch/EvRange stream
+	spans bool       // wants span marks (counted in marking)
 }
 
 // Hierarchy is a concrete machine with explicit, programmer-controlled data
@@ -145,20 +134,21 @@ func (h *Hierarchy) LevelInfo(i int) Level { return h.levels[i] }
 func (h *Hierarchy) Attach(r Recorder) {
 	h.Flush()
 	a := attached{rec: r}
-	a.fast, _ = r.(BatchRecorder)
 	a.aware, _ = r.(BatchAware)
 	if ti, ok := r.(TouchInterest); ok && ti.WantsTouch() {
 		a.touch = true
 		h.touchN++
 	}
-	h.recs = append(h.recs, a)
 	if si, ok := r.(SpanInterest); ok && si.WantsSpans() {
+		a.spans = true
 		h.marking++
 	}
+	h.recs = append(h.recs, a)
 }
 
 // Detach unsubscribes a previously attached recorder, flushing pending events
-// to it (and everyone else) first.
+// to it (and everyone else) first. It undoes the interests the recorder
+// declared when it was attached, whatever the recorder would answer now.
 func (h *Hierarchy) Detach(r Recorder) {
 	h.Flush()
 	for i := range h.recs {
@@ -166,10 +156,10 @@ func (h *Hierarchy) Detach(r Recorder) {
 			if h.recs[i].touch {
 				h.touchN--
 			}
-			h.recs = append(h.recs[:i], h.recs[i+1:]...)
-			if si, ok := r.(SpanInterest); ok && si.WantsSpans() {
+			if h.recs[i].spans {
 				h.marking--
 			}
+			h.recs = append(h.recs[:i], h.recs[i+1:]...)
 			return
 		}
 	}
@@ -188,9 +178,9 @@ func (h *Hierarchy) Marking() bool { return h.marking > 0 }
 // Touch dispatches one element access to the touch-interested recorders. It
 // is the tracing fast path: a no-op unless Tracing() is true, and it never
 // touches the word counters (the enclosing Load/Store/Flops already did).
-// Touches bypass the default counters entirely, exactly like the per-event
-// engine did: non-touch recorders never see them either (the flush strips
-// them), so a Hierarchy's own CounterSet reports zero touches always.
+// Touches bypass the default counters entirely: non-touch recorders never
+// see them either (the flush strips them), so a Hierarchy's own CounterSet
+// reports zero touches always.
 func (h *Hierarchy) Touch(addr uint64, write bool) {
 	if h.touchN == 0 {
 		return
@@ -259,7 +249,7 @@ func (h *Hierarchy) Range(iface int, addr uint64, words int64, store bool) {
 // dispatch records an event in the default counters and buffers it for the
 // attached recorders.
 func (h *Hierarchy) dispatch(e Event) {
-	h.def.Record(e)
+	h.def.record(&e)
 	if len(h.recs) == 0 {
 		return
 	}
@@ -302,11 +292,11 @@ func (h *Hierarchy) pushEdge(e Event) {
 }
 
 // Flush delivers every buffered event to the attached recorders, in attach
-// order, each recorder seeing the events in emission order: natively for
-// BatchRecorders, unrolled through Record otherwise. Non-touch recorders get
-// the block with EvTouch/EvRange stripped (they never see those kinds, same
-// as the per-event engine). Safe to call any time; a no-op when nothing is
-// buffered or when called re-entrantly from inside a delivery.
+// order: one Record call per recorder with the block in emission order.
+// Non-touch recorders get the block with EvTouch/EvRange stripped (they
+// never see those kinds). It never syncs. Safe to call any time; a no-op
+// when nothing is buffered or when called re-entrantly from inside a
+// delivery.
 func (h *Hierarchy) Flush() {
 	if h.flushing || len(h.batch) == 0 {
 		return
@@ -317,7 +307,7 @@ func (h *Hierarchy) Flush() {
 	for i := range h.recs {
 		a := &h.recs[i]
 		if a.touch {
-			a.deliver(h.batch)
+			a.rec.Record(h.batch)
 			continue
 		}
 		if !filtered {
@@ -325,7 +315,7 @@ func (h *Hierarchy) Flush() {
 			filtered = true
 		}
 		if len(plain) > 0 {
-			a.deliver(plain)
+			a.rec.Record(plain)
 		}
 	}
 	h.batch = h.batch[:0]
@@ -379,7 +369,7 @@ func (h *Hierarchy) stripTouches() []Event {
 }
 
 // SetBatchCapacity resizes the event buffer (minimum 1: every event flushes
-// immediately, which is the per-event engine's delivery timing and what the
+// immediately as a one-element block, the reference delivery timing the
 // differential tests pin the batched engine against). Pending events are
 // flushed first. The capacity only affects WHEN attached recorders see
 // events, never what they see.

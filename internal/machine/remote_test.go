@@ -41,15 +41,19 @@ func TestRemoteAccessesAreSubCounters(t *testing.T) {
 }
 
 // A remote-flagged event reaches per-worker counter shards (merged with Add,
-// as a dist machine merges its ranks) and growing counters the same way,
-// and the remote touch tallies ride EvTouch.
+// as a dist machine merges its ranks) and a ledger's growing counters the
+// same way, and the remote touch tallies ride EvTouch.
 func TestRemoteEventsInShardsAndGrowingCounters(t *testing.T) {
 	a, b := NewCounterSet(2), NewCounterSet(2)
-	a.Record(Event{Kind: EvLoad, Arg: 0, Words: 10})
-	b.Record(Event{Kind: EvLoad, Arg: 0, Words: 4, Remote: true})
-	b.Record(Event{Kind: EvStore, Arg: 0, Words: 3, Remote: true})
-	a.Record(Event{Kind: EvTouch, Addr: 1, Write: true, Remote: true})
-	b.Record(Event{Kind: EvTouch, Addr: 2})
+	a.Record([]Event{
+		{Kind: EvLoad, Arg: 0, Words: 10},
+		{Kind: EvTouch, Addr: 1, Write: true, Remote: true},
+	})
+	b.Record([]Event{
+		{Kind: EvLoad, Arg: 0, Words: 4, Remote: true},
+		{Kind: EvStore, Arg: 0, Words: 3, Remote: true},
+		{Kind: EvTouch, Addr: 2},
+	})
 
 	cs := NewCounterSet(2)
 	cs.Add(a)
@@ -64,9 +68,9 @@ func TestRemoteEventsInShardsAndGrowingCounters(t *testing.T) {
 		t.Fatalf("merged touches: %+v", cs)
 	}
 
-	g := NewGrowingCounters(GenericLevels(2))
-	g.Record(Event{Kind: EvLoad, Arg: 0, Words: 4, Remote: true})
-	if s := g.Snapshot(); s.Interfaces[0].RemoteLoadWords != 4 || s.Interfaces[0].LoadWords != 4 {
+	l := NewLedger(GenericLevels(2))
+	l.Record([]Event{{Kind: EvLoad, Arg: 0, Words: 4, Remote: true}})
+	if s := l.Snapshot(false); s.Interfaces[0].RemoteLoadWords != 4 || s.Interfaces[0].LoadWords != 4 {
 		t.Fatalf("growing snapshot: %+v", s.Interfaces[0])
 	}
 

@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the live-observability layer over the event engine: a
-// StreamRecorder attaches to one or more hierarchies like any other Recorder
-// and periodically flushes JSON-line records pairing a delta snapshot (events
+// StreamRecorder reads the ledger attached to one or more hierarchies and
+// periodically flushes JSON-line records pairing a delta snapshot (events
 // since the previous record) with the cumulative snapshot, so a long run can
 // be monitored and plotted while it executes instead of only post-hoc. The
 // paper's claims are trajectories — writes to slow memory staying flat at
@@ -106,17 +106,19 @@ func (sw *StreamWriter) Err() error { return sw.err }
 // records at the exact N-th event and at every Phase, so it costs the fold
 // of no extra counter set. Built on its own it reads a private ledger;
 // Follow makes it read a shared one (experiments.Session does, so all of a
-// run's sinks share one fold). Attach it to a Hierarchy (or several,
-// sequentially — the counters accumulate across all attached sources, which
-// is how wabench streams a whole multi-section run as one trajectory) and
-// Close it when the run ends to emit the final cumulative record.
+// run's sinks share one fold). Attach its Ledger() to a Hierarchy (or to
+// several, sequentially — the counters accumulate across all attached
+// sources, which is how wabench streams a whole multi-section run as one
+// trajectory) and Close it when the run ends to emit the final cumulative
+// record. The ledger asks for the per-element touch stream for it, so
+// traced runs expose read/write touch trajectories too.
 //
 // The geometry grows on demand: observing an event for a level or
 // interface beyond the current level list extends it with generically
 // named levels ("L2", "L3", ...), so one stream can watch hierarchies of
-// different depths. Like every Recorder, it is driven synchronously and is
-// not safe for concurrent use; concurrent machines stream through
-// dist.Machine's aggregate stream instead.
+// different depths. It is driven synchronously and is not safe for
+// concurrent use; concurrent machines stream through dist.Machine's
+// aggregate stream instead.
 type StreamRecorder struct {
 	led   *Ledger
 	sw    *StreamWriter
@@ -173,33 +175,14 @@ func (s *StreamRecorder) Unfollow() {
 // Ledger returns the ledger the stream reads.
 func (s *StreamRecorder) Ledger() *Ledger { return s.led }
 
-// StreamTo attaches a new StreamRecorder with this hierarchy's geometry to
-// the hierarchy and returns it. The caller owns the recorder: call Phase to
-// mark sections and Close when done.
+// StreamTo attaches the ledger of a new StreamRecorder with this
+// hierarchy's geometry to the hierarchy and returns the recorder. The caller
+// owns it: call Phase to mark sections and Close when done.
 func (h *Hierarchy) StreamTo(w io.Writer, every int64) *StreamRecorder {
 	s := NewStreamRecorder(w, h.levels, every)
-	h.Attach(s)
+	h.Attach(s.Ledger())
 	return s
 }
-
-// Record folds one event into the stream's ledger; span marks and range
-// annotations carry no counter deltas and are not counted as events.
-func (s *StreamRecorder) Record(e Event) { s.led.Record(e) }
-
-// RecordBatch folds a block into the stream's ledger. The every-N
-// threshold is checked after each event of the block, so an Every smaller
-// than the batch capacity still emits one record per N events, with exactly
-// the per-event engine's deltas, from inside the block.
-func (s *StreamRecorder) RecordBatch(events []Event) { s.led.RecordBatch(events) }
-
-// SourceDirty and SourceClean hand batch-source tracking to the ledger,
-// whose Sync the stream's read and mark methods call.
-func (s *StreamRecorder) SourceDirty(f Flusher) { s.led.SourceDirty(f) }
-func (s *StreamRecorder) SourceClean(f Flusher) { s.led.SourceClean(f) }
-
-// WantsTouch subscribes the stream to the per-element touch stream so traced
-// runs expose read/write touch trajectories too.
-func (s *StreamRecorder) WantsTouch() bool { return true }
 
 // Phase marks a phase boundary on the stream's ledger: buffered events are
 // synced in first (no event emitted before the mark is ever deferred past

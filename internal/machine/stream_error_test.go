@@ -30,10 +30,10 @@ func TestStreamRecorderSurvivesWriterFailure(t *testing.T) {
 	s := NewStreamRecorder(fw, GenericLevels(2), 1) // flush on every event
 
 	for i := 0; i < 10; i++ {
-		s.Record(Event{Kind: EvLoad, Arg: 0, Words: 64})
+		s.Ledger().Record([]Event{{Kind: EvLoad, Arg: 0, Words: 64}})
 	}
 	s.Phase("next")
-	s.Record(Event{Kind: EvStore, Arg: 0, Words: 32})
+	s.Ledger().Record([]Event{{Kind: EvStore, Arg: 0, Words: 32}})
 
 	if err := s.Err(); !errors.Is(err, errSinkDied) {
 		t.Fatalf("Err() = %v, want wrapped sink error", err)

@@ -125,18 +125,18 @@ func TestStreamAcrossHierarchiesGrowsGeometry(t *testing.T) {
 	s := NewStreamRecorder(&buf, GenericLevels(2), 0)
 
 	h2 := TwoLevel(64)
-	h2.Attach(s)
+	h2.Attach(s.Ledger())
 	s.Phase("two-level")
 	h2.Load(0, 8)
 	h2.Store(0, 8)
-	h2.Detach(s)
+	h2.Detach(s.Ledger())
 
 	h3 := New(false, Level{Name: "l1", Size: 8}, Level{Name: "l2", Size: 64}, Level{Name: "dram"})
-	h3.Attach(s)
+	h3.Attach(s.Ledger())
 	s.Phase("three-level")
 	h3.Load(1, 16) // interface 1 forces growth to three levels
 	h3.Load(0, 4)
-	h3.Detach(s)
+	h3.Detach(s.Ledger())
 
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -193,9 +193,8 @@ func TestSnapshotSubAddRoundTrip(t *testing.T) {
 // carries the touch totals.
 func TestSnapshotOfMergedShards(t *testing.T) {
 	a, b := NewCounterSet(2), NewCounterSet(2)
-	a.Record(Event{Kind: EvLoad, Arg: 0, Words: 10})
-	a.Record(Event{Kind: EvTouch, Addr: 1, Write: true})
-	b.Record(Event{Kind: EvTouch, Addr: 2})
+	a.Record([]Event{{Kind: EvLoad, Arg: 0, Words: 10}, {Kind: EvTouch, Addr: 1, Write: true}})
+	b.Record([]Event{{Kind: EvTouch, Addr: 2}})
 	merged := NewCounterSet(2)
 	merged.Add(a)
 	merged.Add(b)

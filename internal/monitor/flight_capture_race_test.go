@@ -13,7 +13,7 @@ import (
 
 // The satellite-bug regression: POST /flight/capture used to route through
 // flight.Recorder.Capture, whose Sources sync is a run-goroutine-only
-// contract, so an on-demand capture raced the workload's RecordBatch. The
+// contract, so an on-demand capture raced the workload's recording. The
 // handler now takes the lock-free Peek path; this test pins that by
 // hammering the endpoint from several HTTP clients while a live
 // smp.RunParallel feeds the ring from concurrent workers — under -race, the
@@ -31,7 +31,7 @@ func TestFlightCaptureDuringParallelRun(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := smp.RunParallel(sched, fr); err != nil {
+		if _, err := smp.RunParallel(sched, fr.Ledger()); err != nil {
 			t.Error(err)
 		}
 	}()

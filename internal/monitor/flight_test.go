@@ -96,7 +96,10 @@ func TestHookCapturesExactPhaseDelta(t *testing.T) {
 		}
 	})
 
-	record := func(e machine.Event) { fr.Record(e); m.Record(e) }
+	record := func(e machine.Event) {
+		fr.Ledger().Record([]machine.Event{e})
+		m.Ledger().Record([]machine.Event{e})
+	}
 	mark := func(name string) { fr.Phase(name); m.Phase(name) }
 
 	mark("warmup")
@@ -197,7 +200,7 @@ func TestFlightEndpoints(t *testing.T) {
 
 	fr := flight.New(32, nil)
 	for i := 0; i < 10; i++ {
-		fr.Record(machine.Event{Kind: machine.EvStore, Arg: 0, Words: int64(i)})
+		fr.Ledger().Record([]machine.Event{{Kind: machine.EvStore, Arg: 0, Words: int64(i)}})
 	}
 	srv.SetFlight(fr)
 

@@ -162,10 +162,11 @@ type FamilyHistogram struct {
 // the load/store histograms equals the cumulative counter the scalar
 // families report — the invariant the exactness tests pin.
 //
-// It folds nothing itself. Built with NewHistogramRecorder it reads a
-// private ledger, which its Record/Phase/Finish drive; Follow makes it read
-// a run's shared one. It is internally locked (the run goroutine closes
-// phases, HTTP handlers snapshot concurrently): Record/RecordBatch/Phase/
+// It folds nothing itself and is not a machine.Recorder, whatever its name
+// says. Built with NewHistogramRecorder it reads a private ledger (attach or
+// record into its Ledger(); Phase and Finish drive it); Follow makes it
+// read a run's shared one. It is internally locked (the run goroutine
+// closes phases, HTTP handlers snapshot concurrently): recording, Phase and
 // Finish must stay on the run goroutine, Histograms() is safe anywhere.
 type HistogramRecorder struct {
 	led *machine.Ledger
@@ -251,18 +252,6 @@ func (h *HistogramRecorder) ObserveFloorSlack(kernel string, observed, floor flo
 	}
 	h.slack.Observe(observed / floor)
 }
-
-// Record folds one event into the recorder's ledger.
-func (h *HistogramRecorder) Record(e machine.Event) { h.led.Record(e) }
-
-// RecordBatch folds a block into the recorder's ledger under one lock
-// acquisition.
-func (h *HistogramRecorder) RecordBatch(events []machine.Event) { h.led.RecordBatch(events) }
-
-// SourceDirty and SourceClean hand batch-source tracking to the ledger (run
-// goroutine only, mirroring Monitor).
-func (h *HistogramRecorder) SourceDirty(f machine.Flusher) { h.led.SourceDirty(f) }
-func (h *HistogramRecorder) SourceClean(f machine.Flusher) { h.led.SourceClean(f) }
 
 // Phase closes the running phase on the recorder's ledger — observing its
 // delta into the histograms if it carried any events — and labels

@@ -102,7 +102,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 func driveRecorder(t *testing.T, rec *HistogramRecorder, clock *fakeClock) *machine.Hierarchy {
 	t.Helper()
 	h := machine.New(false, machine.Level{Name: "fast", Size: 64}, machine.Level{Name: "slow"})
-	h.Attach(rec)
+	h.Attach(rec.Ledger())
 	rec.Phase("alpha")
 	h.Load(0, 100)
 	h.Store(0, 40)
@@ -111,7 +111,7 @@ func driveRecorder(t *testing.T, rec *HistogramRecorder, clock *fakeClock) *mach
 	h.Load(0, 300)
 	h.Store(0, 7)
 	clock.Advance(2 * time.Second)
-	h.Detach(rec)
+	h.Detach(rec.Ledger())
 	rec.Finish()
 	return h
 }
@@ -162,7 +162,7 @@ func TestHistogramRecorderBatchEquivalence(t *testing.T) {
 		rec.SetClock(clock.Now)
 		h := machine.New(false, machine.Level{Name: "fast", Size: 64}, machine.Level{Name: "slow"})
 		h.SetBatchCapacity(capacity)
-		h.Attach(rec)
+		h.Attach(rec.Ledger())
 		rec.Phase("p1")
 		for i := 0; i < 100; i++ {
 			h.Load(0, int64(1+i%7))
@@ -172,7 +172,7 @@ func TestHistogramRecorderBatchEquivalence(t *testing.T) {
 		rec.Phase("p2")
 		h.Load(0, 999)
 		clock.Advance(time.Second)
-		h.Detach(rec)
+		h.Detach(rec.Ledger())
 		rec.Finish()
 		return rec.Histograms()
 	}
@@ -199,12 +199,12 @@ func TestHistogramRecorderSyncsBufferedEvents(t *testing.T) {
 	rec.SetClock(clock.Now)
 	h := machine.New(false, machine.Level{Name: "fast", Size: 64}, machine.Level{Name: "slow"})
 	h.SetBatchCapacity(1024) // far larger than the event count: everything buffers
-	h.Attach(rec)
+	h.Attach(rec.Ledger())
 	rec.Phase("only")
 	h.Load(0, 123)
 	clock.Advance(time.Second)
 	rec.Phase("next") // closes "only"; must observe the buffered load
-	h.Detach(rec)
+	h.Detach(rec.Ledger())
 	rec.Finish()
 	for _, fh := range rec.Histograms() {
 		if fh.Family == "wa_phase_load_words" {
@@ -243,11 +243,11 @@ func TestHistogramRecorderFloorSlack(t *testing.T) {
 	rec.SetFloor("kern", 40)
 	rec.SetFloor("ignored", 0) // no-op
 	h := machine.New(false, machine.Level{Name: "fast", Size: 64}, machine.Level{Name: "slow"})
-	h.Attach(rec)
+	h.Attach(rec.Ledger())
 	rec.Phase("kern")
 	h.Load(0, 10)
 	h.Store(0, 80) // 2x the floor
-	h.Detach(rec)
+	h.Detach(rec.Ledger())
 	rec.Finish()
 	var slack HistogramSnapshot
 	for _, fh := range rec.Histograms() {
@@ -274,8 +274,8 @@ func TestHistogramRecorderFloorSlack(t *testing.T) {
 func TestHistogramRecorderRemoteShare(t *testing.T) {
 	rec := NewHistogramRecorder(machine.GenericLevels(2))
 	rec.Phase("numa")
-	rec.Record(machine.Event{Kind: machine.EvStore, Arg: 0, Words: 100})
-	rec.Record(machine.Event{Kind: machine.EvStore, Arg: 0, Words: 25, Remote: true})
+	rec.Ledger().Record([]machine.Event{{Kind: machine.EvStore, Arg: 0, Words: 100}})
+	rec.Ledger().Record([]machine.Event{{Kind: machine.EvStore, Arg: 0, Words: 25, Remote: true}})
 	rec.Finish()
 	for _, fh := range rec.Histograms() {
 		if fh.Family == "wa_phase_remote_write_share" {
@@ -308,7 +308,7 @@ func TestHistogramRecorderConcurrentReads(t *testing.T) {
 		}
 	}()
 	h := machine.New(false, machine.Level{Name: "fast", Size: 64}, machine.Level{Name: "slow"})
-	h.Attach(rec)
+	h.Attach(rec.Ledger())
 	for p := 0; p < 50; p++ {
 		rec.Phase("p")
 		for i := 0; i < 100; i++ {
@@ -316,7 +316,7 @@ func TestHistogramRecorderConcurrentReads(t *testing.T) {
 			h.Store(0, 4)
 		}
 	}
-	h.Detach(rec)
+	h.Detach(rec.Ledger())
 	rec.Finish()
 	close(done)
 	wg.Wait()

@@ -1,11 +1,12 @@
 // Package monitor is the online theory-conformance layer over the
 // machine.Recorder event engine: where the streaming layer reports what the
 // counters did, this package continuously asserts what the paper says they
-// *must* do. A Monitor folds no counters: it reads a machine.Ledger, the one
-// counter fold of a run, and at every phase boundary the ledger hands it the
-// exact Snapshot delta of the closed phase — the same immutable delta the
-// histograms, the flight recorder and the streams of that ledger get. The
-// monitor evaluates the registered per-kernel predictions against it —
+// *must* do. A Monitor folds no counters and is not a recorder: hierarchies
+// attach the machine.Ledger it reads, the one counter fold of a run, and at
+// every phase boundary the ledger hands it the exact Snapshot delta of the
+// closed phase — the same immutable delta the histograms, the flight
+// recorder and the streams of that ledger get. The monitor evaluates the
+// registered per-kernel predictions against it —
 // Theorem 1's fast-write inequality, the Θ(output) write-avoiding floor and
 // ceiling of Section 4, the classical n³/√M traffic lower bound, Theorem 2's
 // store fraction, and the Proposition 6.1 LRU write-back counts for
@@ -96,9 +97,10 @@ func (r *Registry) Register(p Prediction) {
 func (r *Registry) Len() int { return len(r.preds) }
 
 // Monitor evaluates the registry against each closed phase's delta. It
-// folds nothing itself: it reads a machine.Ledger, private when the monitor
-// is built with New and used on its own (Record, Phase and Finish then
-// drive that ledger), or a run's shared one after Follow. It is internally
+// folds nothing itself and is not a recorder: it reads a machine.Ledger,
+// private when the monitor is built with New and used on its own (attach or
+// record into its Ledger(); Phase and Finish drive that ledger), or a run's
+// shared one after Follow. It is internally
 // locked: the run goroutine closes phases while HTTP handlers read
 // Snapshot and Violations concurrently. It reads the ledger's touchless
 // view — conformance checks are on word counters, and the monitor never
@@ -181,18 +183,6 @@ func (m *Monitor) Unfollow() { m.led.Unobserve(m) }
 
 // Ledger returns the ledger the monitor reads.
 func (m *Monitor) Ledger() *machine.Ledger { return m.led }
-
-// Record folds one event into the monitor's ledger.
-func (m *Monitor) Record(e machine.Event) { m.led.Record(e) }
-
-// RecordBatch folds a block into the monitor's ledger under one lock
-// acquisition.
-func (m *Monitor) RecordBatch(events []machine.Event) { m.led.RecordBatch(events) }
-
-// SourceDirty and SourceClean hand batch-source tracking to the ledger,
-// which syncs them at its phase marks (run goroutine only).
-func (m *Monitor) SourceDirty(f machine.Flusher) { m.led.SourceDirty(f) }
-func (m *Monitor) SourceClean(f machine.Flusher) { m.led.SourceClean(f) }
 
 // Phase closes the current phase on the monitor's ledger — checking its
 // exact delta against every matching prediction if it saw any events — and

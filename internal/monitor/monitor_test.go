@@ -9,11 +9,11 @@ import (
 )
 
 func load(m *Monitor, iface int, words int64) {
-	m.Record(machine.Event{Kind: machine.EvLoad, Arg: iface, Words: words})
+	m.Ledger().Record([]machine.Event{{Kind: machine.EvLoad, Arg: iface, Words: words}})
 }
 
 func store(m *Monitor, iface int, words int64) {
-	m.Record(machine.Event{Kind: machine.EvStore, Arg: iface, Words: words})
+	m.Ledger().Record([]machine.Event{{Kind: machine.EvStore, Arg: iface, Words: words}})
 }
 
 // A correct bound stays silent; an injected wrong bound produces a

@@ -13,14 +13,16 @@ import (
 // writeExposition emits — snapshot families, cache families, labels that
 // need escaping — must round-trip through ValidateExposition.
 func TestExpositionRoundTrip(t *testing.T) {
-	g := machine.NewGrowingCounters(machine.GenericLevels(3))
-	g.Record(machine.Event{Kind: machine.EvLoad, Arg: 0, Words: 100})
-	g.Record(machine.Event{Kind: machine.EvStore, Arg: 1, Words: 40})
-	g.Record(machine.Event{Kind: machine.EvFlops, Words: 7})
+	l := machine.NewLedger(machine.GenericLevels(3))
+	l.Record([]machine.Event{
+		{Kind: machine.EvLoad, Arg: 0, Words: 100},
+		{Kind: machine.EvStore, Arg: 1, Words: 40},
+		{Kind: machine.EvFlops, Words: 7},
+	})
 
 	samples := []metricSample{{family: "wa_up", value: 1}}
-	samples = snapshotSamples(samples, g.Snapshot(), nil)
-	samples = snapshotSamples(samples, g.Snapshot(),
+	samples = snapshotSamples(samples, l.Snapshot(true), nil)
+	samples = snapshotSamples(samples, l.Snapshot(true),
 		[]labelPair{{"run", `ta"ble\1` + "\n"}, {"rank", "0"}})
 	samples = cacheSamples(samples, "fig2-wa", cache.Stats{Accesses: 10, Hits: 8, Misses: 2, VictimsM: 1})
 	samples = append(samples,

@@ -79,7 +79,7 @@ func strictRun(t *testing.T, scrapers int) scrapedRun {
 	}
 
 	h := machine.New(false, levels...)
-	h.Attach(mon)
+	h.Attach(mon.Ledger())
 	for p := range phases {
 		mon.Phase(fmt.Sprintf("phase%d", p))
 		for s := range steps {

@@ -15,7 +15,7 @@ import (
 func TestSpanBoundaryAllocatesNothing(t *testing.T) {
 	rec := profile.NewSpanRecorder(nil)
 	h := machine.New(false, machine.GenericLevels(3)...)
-	h.Attach(rec)
+	h.Attach(rec.Ledger())
 	boundary := func() {
 		h.Begin("C[0,1]")
 		h.Load(1, 8)

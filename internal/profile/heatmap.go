@@ -50,27 +50,23 @@ func NewTouchHeatmap(blockWords int64) *HeatmapRecorder {
 // events that carry addresses.
 func (h *HeatmapRecorder) WantsTouch() bool { return true }
 
-// Record consumes one event.
-func (h *HeatmapRecorder) Record(e machine.Event) {
-	switch e.Kind {
-	case machine.EvTouch:
-		if h.iface < 0 {
-			// Touch addresses are byte addresses of 8-byte elements
-			// (access.Region); scale to element units so both modes and
-			// blockWords speak words.
-			h.accumulate(e.Addr/8, 1, e.Write)
-		}
-	case machine.EvRange:
-		if h.iface >= 0 && e.Arg == h.iface {
-			h.accumulate(e.Addr, e.Words, e.Write)
-		}
-	}
-}
-
-// RecordBatch consumes a block of events in order.
-func (h *HeatmapRecorder) RecordBatch(events []machine.Event) {
+// Record consumes a block of events in order.
+func (h *HeatmapRecorder) Record(events []machine.Event) {
 	for i := range events {
-		h.Record(events[i])
+		e := &events[i]
+		switch e.Kind {
+		case machine.EvTouch:
+			if h.iface < 0 {
+				// Touch addresses are byte addresses of 8-byte elements
+				// (access.Region); scale to element units so both modes
+				// and blockWords speak words.
+				h.accumulate(e.Addr/8, 1, e.Write)
+			}
+		case machine.EvRange:
+			if h.iface >= 0 && e.Arg == h.iface {
+				h.accumulate(e.Addr, e.Words, e.Write)
+			}
+		}
 	}
 }
 

@@ -101,7 +101,7 @@ func TestHeatmapBlocksAndRender(t *testing.T) {
 // words in each block proportionally.
 func TestHeatmapAccumulateSplitsRuns(t *testing.T) {
 	h := profile.NewRangeHeatmap(0, 8)
-	h.Record(machine.Event{Kind: machine.EvRange, Arg: 0, Addr: 6, Words: 10, Write: true})
+	h.Record([]machine.Event{{Kind: machine.EvRange, Arg: 0, Addr: 6, Words: 10, Write: true}})
 	if got := h.WriteCount(0); got != 2 {
 		t.Errorf("block 0 got %d words, want 2", got)
 	}
@@ -110,8 +110,8 @@ func TestHeatmapAccumulateSplitsRuns(t *testing.T) {
 	}
 	// Events at another interface, and bare touches, are ignored in range
 	// mode.
-	h.Record(machine.Event{Kind: machine.EvRange, Arg: 1, Addr: 0, Words: 5, Write: true})
-	h.Record(machine.Event{Kind: machine.EvTouch, Addr: 0, Write: true})
+	h.Record([]machine.Event{{Kind: machine.EvRange, Arg: 1, Addr: 0, Words: 5, Write: true}})
+	h.Record([]machine.Event{{Kind: machine.EvTouch, Addr: 0, Write: true}})
 	if got := h.WriteCount(0); got != 2 {
 		t.Errorf("foreign events leaked into block 0: %d words", got)
 	}

@@ -3,26 +3,28 @@
 // package answers *where they came from* — which phase of which algorithm,
 // which address range, at what reuse distance.
 //
-// Four cooperating sinks, all plain machine.Recorder implementations that
-// attach to any Hierarchy (or are driven directly):
+// Four cooperating sinks that attach to any Hierarchy (or are recorded into
+// directly):
 //
 //   - SpanRecorder turns the nested EvBegin/EvEnd marks the algorithm
 //     drivers emit (panel/update/trsm phases, parallel supersteps) into a
 //     span tree. Every span carries the exact Snapshot delta of the events
 //     inside it, extending the streaming layer's exactness invariant to
 //     trees: child deltas plus the parent's self events sum to the parent,
-//     and the implicit root's delta is the post-hoc snapshot.
+//     and the implicit root's delta is the post-hoc snapshot. It reads a
+//     machine.Ledger's fold, and that ledger is what attaches.
 //   - The Chrome trace-event exporter (WriteTraceEvent, TraceBuilder)
 //     renders span trees as B/E duration events plus per-interface C
 //     counter tracks, one pid/tid pair per processor, so any wabench or
 //     pmm run opens directly in Perfetto or chrome://tracing.
-//   - ReuseRecorder computes the LRU stack distance of every EvTouch in
-//     O(log n) with a Fenwick tree, split by read/write, and derives the
-//     Proposition 6.1 write-back floor from the write-distance tail.
-//   - HeatmapRecorder counts writes per address block from the EvRange
-//     annotations of block transfers (and, at the element level, from
-//     EvTouch), proving structurally that the write-avoiding algorithms
-//     write each output block exactly once to slow memory.
+//   - ReuseRecorder, a machine.Recorder, computes the LRU stack distance
+//     of every EvTouch in O(log n) with a Fenwick tree, split by
+//     read/write, and derives the Proposition 6.1 write-back floor from the
+//     write-distance tail.
+//   - HeatmapRecorder, a machine.Recorder, counts writes per address block
+//     from the EvRange annotations of block transfers (and, at the element
+//     level, from EvTouch), proving structurally that the write-avoiding
+//     algorithms write each output block exactly once to slow memory.
 //
 // The Profiler type bundles a main SpanRecorder with per-processor groups
 // for distributed runs; cmd/wabench drives one behind -trace and -profile.
@@ -81,10 +83,10 @@ func (p *Profiler) Group(name string) *ProcGroup {
 	return g
 }
 
-// Recorder returns processor rank's span recorder, creating it on first
-// use with a private ledger. It matches the dist.Observer signature, so a
-// whole machine is wired with Observe: group.Recorder. Safe for concurrent
-// use.
+// Recorder returns the ledger of processor rank's span recorder, creating
+// the recorder on first use with a private ledger. It matches the
+// dist.Observer signature, so a whole machine is wired with Observe:
+// group.Recorder. Safe for concurrent use.
 func (g *ProcGroup) Recorder(rank int) machine.Recorder {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -93,7 +95,7 @@ func (g *ProcGroup) Recorder(rank int) machine.Recorder {
 		r = NewSpanRecorder(nil)
 		g.recs[rank] = r
 	}
-	return r
+	return r.Ledger()
 }
 
 // Follow gives rank a span recorder that logs l's counters at l's span

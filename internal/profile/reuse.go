@@ -61,16 +61,9 @@ func NewReuseRecorder() *ReuseRecorder {
 // WantsTouch subscribes the recorder to the per-element stream.
 func (r *ReuseRecorder) WantsTouch() bool { return true }
 
-// Record consumes one event; only EvTouch carries reuse information.
-func (r *ReuseRecorder) Record(e machine.Event) {
-	if e.Kind != machine.EvTouch {
-		return
-	}
-	r.Touch(e.Addr, e.Write)
-}
-
-// RecordBatch consumes a block of events in order.
-func (r *ReuseRecorder) RecordBatch(events []machine.Event) {
+// Record consumes a block of events in order; only EvTouch carries reuse
+// information.
+func (r *ReuseRecorder) Record(events []machine.Event) {
 	for i := range events {
 		if events[i].Kind == machine.EvTouch {
 			r.Touch(events[i].Addr, events[i].Write)

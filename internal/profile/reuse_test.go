@@ -62,7 +62,7 @@ func TestReuseDistanceMatchesBruteForce(t *testing.T) {
 		for _, op := range ops {
 			// Drive through the Recorder interface, as an attached hierarchy
 			// would.
-			rec.Record(machine.Event{Kind: machine.EvTouch, Addr: op.Addr, Write: op.Write})
+			rec.Record([]machine.Event{{Kind: machine.EvTouch, Addr: op.Addr, Write: op.Write}})
 			d := brute.touch(op.Addr)
 			switch {
 			case d < 0 && op.Write:

@@ -87,10 +87,14 @@ type spanRec struct {
 // equals Delta; and Σ roots.Delta plus the events outside any span
 // (Unattributed) equals Total, the recorder's post-hoc snapshot.
 //
-// Like every synchronous recorder it is not safe for concurrent use: give
-// each processor of a distributed machine its own (dist.Config.Observe,
-// ProcGroup.Recorder). The geometry grows on demand with generic level
-// names, so one recorder can follow hierarchies of different depths.
+// It is not a machine.Recorder itself: attach its Ledger() to a hierarchy,
+// or record into it, and the ledger's span tap subscription makes it ask for
+// the span marks (Hierarchy.Marking) and the per-element touch stream, so
+// traced runs attribute touch counts per span. It is not safe for
+// concurrent use: give each processor of a distributed machine its own
+// (dist.Config.Observe, ProcGroup.Recorder). The geometry grows on demand
+// with generic level names, so one recorder can follow hierarchies of
+// different depths.
 type SpanRecorder struct {
 	led *machine.Ledger
 
@@ -130,38 +134,14 @@ func (r *SpanRecorder) Ledger() *machine.Ledger { return r.led }
 // model's reach charge zero.
 func (r *SpanRecorder) SetCostModel(cm machine.CostModel) { r.led.SetCostModel(cm) }
 
-// WantsTouch opts the recorder into the per-element stream so traced runs
-// attribute touch counts (and EvRange extents reach heatmaps sharing the
-// hierarchy) per span.
-func (r *SpanRecorder) WantsTouch() bool { return true }
-
-// WantsSpans declares the recorder's interest in EvBegin/EvEnd marks, which
-// turns on Hierarchy.Marking so drivers format span labels.
-func (r *SpanRecorder) WantsSpans() bool { return true }
-
-// SourceDirty and SourceClean hand batch-source tracking to the ledger,
-// whose Sync the recorder's read and mark methods call.
-func (r *SpanRecorder) SourceDirty(f machine.Flusher) { r.led.SourceDirty(f) }
-func (r *SpanRecorder) SourceClean(f machine.Flusher) { r.led.SourceClean(f) }
-
-// Record consumes one event: marks manage the span stack, everything else
-// advances the counters and the clock. Direct Record calls sync any events
-// still buffered in attached hierarchies first, so mixed driving (a direct
-// meter plus a batched hierarchy) keeps the per-event engine's order.
-func (r *SpanRecorder) Record(e machine.Event) { r.led.Record(e) }
-
-// RecordBatch consumes a block of events in order — the hierarchy's flush
-// delivery path, which must not re-sync.
-func (r *SpanRecorder) RecordBatch(events []machine.Event) { r.led.RecordBatch(events) }
-
 // SpanBegin and SpanEnd are the ledger's span-tap calls, made from inside
 // the fold exactly at each mark.
 func (r *SpanRecorder) SpanBegin(label string) { r.push(label) }
 func (r *SpanRecorder) SpanEnd()               { r.pop() }
 
 // Begin opens a span directly (for drivers not routed through a Hierarchy,
-// e.g. krylov's Traffic meter or wabench section marks), syncing buffered
-// events first so the boundary lands after everything already emitted.
+// e.g. wabench section marks), syncing buffered events first so the
+// boundary lands after everything already emitted.
 func (r *SpanRecorder) Begin(name string) {
 	r.led.Sync()
 	r.push(name)

@@ -67,7 +67,7 @@ func TestSpanTreeSequentialCholesky(t *testing.T) {
 	run := func() (*profile.SpanRecorder, *core.Plan) {
 		p := core.TwoLevelPlan(int64(3*b*b), b, core.OrderWA)
 		rec := profile.NewSpanRecorder(nil)
-		p.H.Attach(rec)
+		p.H.Attach(rec.Ledger())
 		if !p.H.Marking() {
 			t.Fatal("attaching a SpanRecorder must turn on Marking")
 		}
@@ -138,7 +138,7 @@ func TestSpanMarksDoNotPerturbCounters(t *testing.T) {
 	count := func(attach bool) machine.Snapshot {
 		p := core.TwoLevelPlan(int64(3*b*b), b, core.OrderWA)
 		if attach {
-			p.H.Attach(profile.NewSpanRecorder(nil))
+			p.H.Attach(profile.NewSpanRecorder(nil).Ledger())
 		}
 		c := matrix.New(m, l)
 		if err := core.MatMul(p, c, matrix.Random(m, n, 1), matrix.Random(n, l, 2)); err != nil {
@@ -224,11 +224,11 @@ func TestSpanEndWithoutBeginPanics(t *testing.T) {
 func TestSpanMarkPartitionsRun(t *testing.T) {
 	rec := profile.NewSpanRecorder(machine.GenericLevels(2))
 	rec.Mark("alpha")
-	rec.Record(machine.Event{Kind: machine.EvLoad, Words: 10})
+	rec.Ledger().Record([]machine.Event{{Kind: machine.EvLoad, Words: 10}})
 	rec.Begin("inner")
-	rec.Record(machine.Event{Kind: machine.EvStore, Words: 4})
+	rec.Ledger().Record([]machine.Event{{Kind: machine.EvStore, Words: 4}})
 	rec.Mark("beta") // closes inner and alpha
-	rec.Record(machine.Event{Kind: machine.EvFlops, Words: 7})
+	rec.Ledger().Record([]machine.Event{{Kind: machine.EvFlops, Words: 7}})
 	rec.Finish()
 	roots := rec.Roots()
 	if len(roots) != 2 || roots[0].Name != "alpha" || roots[1].Name != "beta" {

@@ -15,10 +15,10 @@ import (
 func TestWriteTraceEventRoundTrip(t *testing.T) {
 	rec := profile.NewSpanRecorder(machine.GenericLevels(3))
 	rec.Begin("outer")
-	rec.Record(machine.Event{Kind: machine.EvLoad, Arg: 0, Words: 10})
+	rec.Ledger().Record([]machine.Event{{Kind: machine.EvLoad, Arg: 0, Words: 10}})
 	rec.Begin("inner")
-	rec.Record(machine.Event{Kind: machine.EvStore, Arg: 1, Words: 5})
-	rec.Record(machine.Event{Kind: machine.EvFlops, Words: 100})
+	rec.Ledger().Record([]machine.Event{{Kind: machine.EvStore, Arg: 1, Words: 5}})
+	rec.Ledger().Record([]machine.Event{{Kind: machine.EvFlops, Words: 100}})
 	rec.End()
 	rec.End()
 
@@ -57,7 +57,7 @@ func TestProfilerWriteTraceLayout(t *testing.T) {
 	prof.Mark("serial")
 	const b = 4
 	p := core.TwoLevelPlan(int64(3*b*b), b, core.OrderWA)
-	p.H.Attach(prof.Main)
+	p.H.Attach(prof.Main.Ledger())
 	c := matrix.New(8, 8)
 	if err := core.MatMul(p, c, matrix.Random(8, 8, 1), matrix.Random(8, 8, 2)); err != nil {
 		t.Fatal(err)

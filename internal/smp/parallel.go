@@ -69,7 +69,7 @@ func RunParallelPlaced(sched Schedule, rec machine.Recorder, plan SocketPlan) (R
 			eb := machine.NewEventBatch(machine.DefaultBatchEvents)
 			emit := func(e machine.Event) {
 				if eb.Append(e) {
-					machine.RecordAll(rec, eb.Events())
+					rec.Record(eb.Events())
 					eb.Reset()
 				}
 			}
@@ -95,7 +95,7 @@ func RunParallelPlaced(sched Schedule, rec machine.Recorder, plan SocketPlan) (R
 				tallies[w].tasks++
 			}
 			if eb.Len() > 0 {
-				machine.RecordAll(rec, eb.Events())
+				rec.Record(eb.Events())
 				eb.Reset()
 			}
 		}(w)

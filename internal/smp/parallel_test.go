@@ -75,13 +75,17 @@ func TestRunParallelNeedsRecorder(t *testing.T) {
 	}
 }
 
-// perEvent hides a Ledger's RecordBatch, so RunParallel's workers drive the
-// shared recorder one Record call per event. Run with -race: this is the
-// regression test for concurrent recording into one shared recorder on
-// real task traces, and the totals must still be exact.
+// perEvent splits every block RunParallel's workers deliver into one-event
+// blocks, so the shared ledger is locked once per event. Run with -race:
+// this is the regression test for concurrent recording into one shared
+// recorder on real task traces, and the totals must still be exact.
 type perEvent struct{ rec *machine.Ledger }
 
-func (s perEvent) Record(e machine.Event) { s.rec.Record(e) }
+func (s perEvent) Record(events []machine.Event) {
+	for i := range events {
+		s.rec.Record(events[i : i+1])
+	}
+}
 
 func TestRunParallelSharedRecorderPath(t *testing.T) {
 	tasks, _ := MatMulTasks(32, 32, 32, 8, lineB)

@@ -13,7 +13,7 @@ import (
 // eventLog keeps every event a hierarchy delivers, in order.
 type eventLog []machine.Event
 
-func (l *eventLog) Record(e machine.Event) { *l = append(*l, e) }
+func (l *eventLog) Record(events []machine.Event) { *l = append(*l, events...) }
 
 func sameBits(a, b *matrix.Dense) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
