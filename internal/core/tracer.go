@@ -25,9 +25,13 @@ const traceBlock = 256
 //
 // A Plan with a non-nil Trace switches its base-case kernels to the traced
 // twins below. They emit the accesses of the internal/matrix reference
-// kernels in those kernels' exact instruction order, in place of the
-// arithmetic: no instruction order here pivots, so the stream does not
-// depend on the values, and a traced plan leaves its operands as they are.
+// kernels in place of the arithmetic: no instruction order here pivots, so
+// the stream does not depend on the values, and a traced plan leaves its
+// operands as they are. The matmul twins emit the per-element i, j, k order
+// of the paper's kernel (one C read, its k operand pairs, one C write); the
+// compute kernels interleave four C elements of a row per pass over k, but
+// every element gets exactly this arithmetic, so the trace is the kernel's
+// access set per element in the kernel's summation order.
 type Tracer struct {
 	sink  access.Sink
 	batch access.BatchSink // sink's block path, nil when it has none
@@ -146,9 +150,10 @@ func (t *Tracer) flush() {
 }
 
 // mul emits the stream of C op= A*op(B) for a rows×cols C and dot products
-// of length k, the order of matrix.MulAdd, MulSub, MulSubTrans and
-// MulSubTransLower: per C element one read, the (A(i,p), op(B)(p,j)) pairs,
-// one write. A steps along its row; op(B) is B stepped down its column, or
+// of length k, in the paper's per-element i, j, k order, the summation order
+// of matrix.MulAdd, MulSub, MulSubTrans and MulSubTransLower (which compute
+// four elements per pass): per C element one read, the (A(i,p),
+// op(B)(p,j)) pairs, one write. A steps along its row; op(B) is B stepped down its column, or
 // with trans B^T, stepped along B's row j. With lower only the lower
 // triangle of C (diagonal included) is visited.
 func (t *Tracer) mul(c, a, b tracedView, rows, cols, k int, trans, lower bool) {

@@ -19,67 +19,93 @@ import (
 // time (switching flushes the one left, so delivery order is emission
 // order), nested spans, and — through direct — charges made straight into
 // the profiler's main tree's ledger the way krylov's Traffic meter makes
-// them.
+// them. Every hierarchy has a twin of batch capacity 1 that replays each
+// call as it is made, so the references attached to the twins are fed in
+// program order, direct charges included, whatever the batched side's
+// delivery order is.
 type program struct {
 	rng    *rand.Rand
-	attach func(h *machine.Hierarchy)
+	attach func(h, twin *machine.Hierarchy)
 	direct func(e machine.Event) // nil: no direct charges
 	hs     []*machine.Hierarchy
-	cur    *machine.Hierarchy
+	twins  []*machine.Hierarchy
+	cur    int
 	open   []bool // open spans, innermost last: true when opened directly
 }
 
 var spanNames = []string{"panel", "update", "C[0,1]", "step 3", "trsm"}
 
 func (p *program) hierarchy() {
-	if p.cur != nil {
-		p.cur.Flush()
+	if len(p.hs) > 0 {
+		p.hs[p.cur].Flush()
 	}
 	if len(p.hs) == 0 || p.rng.Intn(3) == 0 {
 		levels := 2 + p.rng.Intn(2) + len(p.hs)/3 // depth grows mid-run
 		h := machine.New(false, machine.GenericLevels(levels)...)
 		h.SetBatchCapacity(1 + p.rng.Intn(300))
-		p.attach(h)
+		twin := machine.New(false, machine.GenericLevels(levels)...)
+		twin.SetBatchCapacity(1)
+		p.attach(h, twin)
 		p.hs = append(p.hs, h)
-		p.cur = h
+		p.twins = append(p.twins, twin)
+		p.cur = len(p.hs) - 1
 		return
 	}
-	p.cur = p.hs[p.rng.Intn(len(p.hs))]
+	p.cur = p.rng.Intn(len(p.hs))
+}
+
+// do makes one call on the current hierarchy and on its twin.
+func (p *program) do(f func(h *machine.Hierarchy)) {
+	f(p.hs[p.cur])
+	f(p.twins[p.cur])
 }
 
 func (p *program) step() {
-	h, r := p.cur, p.rng
-	levels := h.NumLevels()
+	r := p.rng
+	levels := p.hs[p.cur].NumLevels()
 	words := int64(1 + r.Intn(64))
 	switch k := r.Intn(20); {
 	case k < 4:
-		if r.Intn(4) == 0 {
-			h.LoadRemote(r.Intn(levels-1), words)
-		} else {
-			h.Load(r.Intn(levels-1), words)
-		}
+		i, remote := r.Intn(levels-1), r.Intn(4) == 0
+		p.do(func(h *machine.Hierarchy) {
+			if remote {
+				h.LoadRemote(i, words)
+			} else {
+				h.Load(i, words)
+			}
+		})
 	case k < 7:
-		if r.Intn(4) == 0 {
-			h.StoreRemote(r.Intn(levels-1), words)
-		} else {
-			h.Store(r.Intn(levels-1), words)
-		}
+		i, remote := r.Intn(levels-1), r.Intn(4) == 0
+		p.do(func(h *machine.Hierarchy) {
+			if remote {
+				h.StoreRemote(i, words)
+			} else {
+				h.Store(i, words)
+			}
+		})
 	case k < 8:
-		h.Init(r.Intn(levels), words)
+		i := r.Intn(levels)
+		p.do(func(h *machine.Hierarchy) { h.Init(i, words) })
 	case k < 9:
-		h.Discard(r.Intn(levels), words)
+		i := r.Intn(levels)
+		p.do(func(h *machine.Hierarchy) { h.Discard(i, words) })
 	case k < 11:
-		h.Flops(words)
+		p.do(func(h *machine.Hierarchy) { h.Flops(words) })
 	case k < 12:
-		if r.Intn(3) == 0 {
-			h.TouchRemote(uint64(r.Intn(1<<16)), r.Intn(2) == 0)
-		} else {
-			h.Touch(uint64(r.Intn(1<<16)), r.Intn(2) == 0)
-		}
+		remote, addr, write := r.Intn(3) == 0, uint64(r.Intn(1<<16)), r.Intn(2) == 0
+		p.do(func(h *machine.Hierarchy) {
+			if remote {
+				h.TouchRemote(addr, write)
+			} else {
+				h.Touch(addr, write)
+			}
+		})
 	case k < 13:
-		h.Range(r.Intn(levels-1), uint64(r.Intn(1<<16)), words, r.Intn(2) == 0)
+		i, addr, store := r.Intn(levels-1), uint64(r.Intn(1<<16)), r.Intn(2) == 0
+		p.do(func(h *machine.Hierarchy) { h.Range(i, addr, words, store) })
 	case k < 15:
-		h.Begin(spanNames[r.Intn(len(spanNames))])
+		name := spanNames[r.Intn(len(spanNames))]
+		p.do(func(h *machine.Hierarchy) { h.Begin(name) })
 		p.open = append(p.open, false)
 	case k < 17:
 		if len(p.open) > 0 {
@@ -108,7 +134,7 @@ func (p *program) step() {
 // switching flushes the one left — is flushed first: every event emitted
 // before the charge reaches every recorder before it does.
 func (p *program) charge(e machine.Event) {
-	p.cur.Flush()
+	p.hs[p.cur].Flush()
 	p.direct(e)
 }
 
@@ -118,7 +144,7 @@ func (p *program) end() {
 	if p.open[n] {
 		p.charge(machine.Event{Kind: machine.EvEnd})
 	} else {
-		p.cur.End()
+		p.do((*machine.Hierarchy).End)
 	}
 	p.open = p.open[:n]
 }
@@ -126,6 +152,13 @@ func (p *program) end() {
 func (p *program) closeAll() {
 	for len(p.open) > 0 {
 		p.end()
+	}
+}
+
+// flushAll flushes every hierarchy (the twins hold nothing).
+func (p *program) flushAll() {
+	for _, h := range p.hs {
+		h.Flush()
 	}
 }
 
@@ -141,8 +174,11 @@ func recordDeltas(out *[]string) monitor.Prediction {
 // two streams with their own cadences, the profiler's main tree with
 // direct charges, the monitor with a violation hook that freezes the flight
 // ring, the histograms and the flight recorder — against the per-sink
-// references, each attached to the same hierarchies and marked in the old
-// Session order (streams, profiler, flight, monitor, histograms). Every
+// references, attached to the capacity-1 twins of the session's
+// hierarchies, fed every direct charge as it is made, and marked in the
+// old Session order (streams, profiler, flight, monitor, histograms). So
+// the references see the program's emission order, and a direct charge
+// that overtook buffered events on the session side would show. Every
 // stream byte, span, Self and Unattributed, trace byte, Summary line,
 // monitor delta and violation, histogram bucket and flight window must
 // match.
@@ -208,24 +244,19 @@ func TestSessionObserversMatchReference(t *testing.T) {
 			rm.hook = func(monitor.Violation) { refCaps = append(refCaps, canonJSON(rf.Capture("violation"))) }
 
 			p := &program{rng: rng}
-			p.attach = func(h *machine.Hierarchy) {
+			p.attach = func(h, twin *machine.Hierarchy) {
 				sess.Observe(h)
 				for _, r := range []machine.Recorder{rA, rB, rs, rf, rm, rh} {
-					h.Attach(r)
+					twin.Attach(r)
 				}
 			}
 			p.direct = func(e machine.Event) {
 				prof.Main.Ledger().Record([]machine.Event{e})
 				rs.record(e)
 			}
-			flushAll := func() {
-				for _, h := range p.hs {
-					h.Flush()
-				}
-			}
 			mark := func(name string) {
 				sess.Mark(name)
-				flushAll()
+				p.flushAll()
 				rA.Phase(name)
 				rB.Phase(name)
 				rs.Mark(name)
@@ -247,7 +278,7 @@ func TestSessionObserversMatchReference(t *testing.T) {
 			now = now.Add(time.Second)
 			newViol := sess.Finish()
 			hists.Finish()
-			flushAll()
+			p.flushAll()
 			rf.Finish()
 			refViol := rm.Finish()
 			rh.Finish()
@@ -326,10 +357,10 @@ func TestRankObserversMatchReference(t *testing.T) {
 					rs, rf := newRefSpanRecorder(nil), newRefFlight(capN, nil, false)
 					ref.recs = append(ref.recs, rs)
 					refRings = append(refRings, rf)
-					p := &program{rng: rng, attach: func(h *machine.Hierarchy) {
+					p := &program{rng: rng, attach: func(h, twin *machine.Hierarchy) {
 						h.Attach(l)
-						h.Attach(rs)
-						h.Attach(rf)
+						twin.Attach(rs)
+						twin.Attach(rf)
 					}}
 					p.hierarchy()
 					for i, n := 0, 100+rng.Intn(400); i < n; i++ {
@@ -338,9 +369,7 @@ func TestRankObserversMatchReference(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						p.closeAll() // else Finish closes them
 					}
-					for _, h := range p.hs {
-						h.Flush()
-					}
+					p.flushAll()
 				}
 				refs = append(refs, ref)
 				windows := fg.Windows("violation")

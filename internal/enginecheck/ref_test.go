@@ -405,13 +405,12 @@ func (r *refFlight) Capture(reason string) *flight.Window {
 // at every push and pop, a Sub per span, and one counter sample (with its
 // interface names concatenated) per boundary.
 type refSpan struct {
-	Name               string
-	Start, End         int64
-	StartTime, EndTime float64
-	Delta              machine.Snapshot
-	Children           []*refSpan
-	startSnap          machine.Snapshot
-	open               bool
+	Name       string
+	Start, End int64
+	Delta      machine.Snapshot
+	Children   []*refSpan
+	startSnap  machine.Snapshot
+	open       bool
 }
 
 func (s *refSpan) Self() machine.Snapshot {
@@ -431,7 +430,6 @@ func (s *refSpan) walk(f func(*refSpan, int), depth int) {
 
 type refSample struct {
 	clock int64
-	time  float64
 	iface []refIfaceSample
 	flops int64
 }
@@ -442,14 +440,11 @@ type refIfaceSample struct {
 }
 
 type refSpanRecorder struct {
-	g        *refGrowing
-	clock    int64
-	roots    []*refSpan
-	stack    []*refSpan
-	samples  []refSample
-	model    machine.CostModel
-	hasModel bool
-	time     float64
+	g       *refGrowing
+	clock   int64
+	roots   []*refSpan
+	stack   []*refSpan
+	samples []refSample
 }
 
 func newRefSpanRecorder(levels []machine.Level) *refSpanRecorder {
@@ -478,22 +473,6 @@ func (r *refSpanRecorder) record(e machine.Event) {
 	}
 	r.g.record(e)
 	r.clock++
-	if r.hasModel {
-		switch e.Kind {
-		case machine.EvLoad:
-			if e.Arg < len(r.model.Iface) {
-				p := r.model.Iface[e.Arg]
-				r.time += p.AlphaLoad + p.BetaLoad*float64(e.Words)
-			}
-		case machine.EvStore:
-			if e.Arg < len(r.model.Iface) {
-				p := r.model.Iface[e.Arg]
-				r.time += p.AlphaStore + p.BetaStore*float64(e.Words)
-			}
-		case machine.EvFlops:
-			r.time += r.model.PerFlop * float64(e.Words)
-		}
-	}
 }
 
 func (r *refSpanRecorder) Mark(name string) {
@@ -504,7 +483,7 @@ func (r *refSpanRecorder) Mark(name string) {
 }
 
 func (r *refSpanRecorder) push(name string) {
-	s := &refSpan{Name: name, Start: r.clock, StartTime: r.time, startSnap: r.g.Snapshot(), open: true}
+	s := &refSpan{Name: name, Start: r.clock, startSnap: r.g.Snapshot(), open: true}
 	if n := len(r.stack); n > 0 {
 		parent := r.stack[n-1]
 		parent.Children = append(parent.Children, s)
@@ -523,7 +502,6 @@ func (r *refSpanRecorder) pop() {
 	s := r.stack[n-1]
 	r.stack = r.stack[:n-1]
 	s.End = r.clock
-	s.EndTime = r.time
 	s.Delta = r.g.Snapshot().Sub(s.startSnap)
 	s.open = false
 	r.sample()
@@ -531,7 +509,7 @@ func (r *refSpanRecorder) pop() {
 
 func (r *refSpanRecorder) sample() {
 	cur, levels := r.g.cur, r.g.levels
-	cs := refSample{clock: r.clock, time: r.time, flops: cur.FlopCount}
+	cs := refSample{clock: r.clock, flops: cur.FlopCount}
 	for i := range cur.Iface {
 		cs.iface = append(cs.iface, refIfaceSample{
 			name:  levels[i].Name + "<->" + levels[i+1].Name,
@@ -566,25 +544,19 @@ func (r *refSpanRecorder) Unattributed() machine.Snapshot {
 func addRefRecorder(b *profile.TraceBuilder, pid, tid int, name string, r *refSpanRecorder) {
 	r.Finish()
 	b.AddThreadName(pid, tid, name)
-	ts := func(clock int64, t float64) float64 {
-		if r.hasModel {
-			return t * 1e6
-		}
-		return float64(clock)
-	}
 	for _, root := range r.roots {
 		root.walk(func(s *refSpan, _ int) {
-			b.AddSpan(pid, tid, s.Name, ts(s.Start, s.StartTime), ts(s.End, s.EndTime), refSpanArgs(s.Delta))
+			b.AddSpan(pid, tid, s.Name, float64(s.Start), float64(s.End), refSpanArgs(s.Delta))
 		}, 0)
 	}
 	for _, cs := range r.samples {
 		for _, ifc := range cs.iface {
-			b.AddCounter(pid, name+" "+ifc.name, ts(cs.clock, cs.time), map[string]any{
+			b.AddCounter(pid, name+" "+ifc.name, float64(cs.clock), map[string]any{
 				"loadWords":  ifc.load,
 				"storeWords": ifc.store,
 			})
 		}
-		b.AddCounter(pid, name+" flops", ts(cs.clock, cs.time), map[string]any{"flops": cs.flops})
+		b.AddCounter(pid, name+" flops", float64(cs.clock), map[string]any{"flops": cs.flops})
 	}
 }
 
@@ -676,8 +648,8 @@ func renderRefForest(roots []*refSpan) string {
 	var b strings.Builder
 	for _, r := range roots {
 		r.walk(func(s *refSpan, depth int) {
-			fmt.Fprintf(&b, "%s%s [%d,%d] [%g,%g] %s self %s\n", strings.Repeat("  ", depth), s.Name,
-				s.Start, s.End, s.StartTime, s.EndTime, canonJSON(s.Delta), canonJSON(s.Self()))
+			fmt.Fprintf(&b, "%s%s [%d,%d] %s self %s\n", strings.Repeat("  ", depth), s.Name,
+				s.Start, s.End, canonJSON(s.Delta), canonJSON(s.Self()))
 		}, 0)
 	}
 	return b.String()
@@ -688,8 +660,8 @@ func renderForest(roots []*profile.Span) string {
 	var b strings.Builder
 	for _, r := range roots {
 		r.Walk(func(s *profile.Span, depth int) {
-			fmt.Fprintf(&b, "%s%s [%d,%d] [%g,%g] %s self %s\n", strings.Repeat("  ", depth), s.Name,
-				s.Start, s.End, s.StartTime, s.EndTime, canonJSON(s.Delta), canonJSON(s.Self()))
+			fmt.Fprintf(&b, "%s%s [%d,%d] %s self %s\n", strings.Repeat("  ", depth), s.Name,
+				s.Start, s.End, canonJSON(s.Delta), canonJSON(s.Self()))
 		})
 	}
 	return b.String()

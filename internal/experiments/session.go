@@ -49,6 +49,13 @@ type Session struct {
 	hists   *monitor.HistogramRecorder
 	runLog  *slog.Logger
 
+	// spans is the /spans body's head: "[", then each root of the
+	// profiler's main tree that has closed, followed by its comma, each
+	// rendered once (spansDone of them). It is only ever appended to, so
+	// the server serves it as published without a copy.
+	spans     []byte
+	spansDone int
+
 	// The flight recorder's ring is fed by the ledger like the other sinks;
 	// dist-backed sections get a per-rank flight.Group beside the profiler
 	// group, on one ledger per rank, so a violation can freeze every rank's
@@ -103,6 +110,7 @@ func (s *Session) SetProfile(p *profile.Profiler) {
 		s.led.Unchain(s.prof.Main.Ledger())
 	}
 	s.prof = p
+	s.spans, s.spansDone = nil, 0
 	if p == nil {
 		return
 	}
@@ -231,16 +239,33 @@ func (s *Session) Finish() []monitor.Violation {
 	return s.mon.Finish()
 }
 
-// publishSpans renders the profiler's main span tree and pushes it to the
-// server. Span trees are not safe for concurrent reads, so only the run
-// goroutine (which owns the profiler) renders; the server serves the bytes.
+// publishSpans pushes the profiler's main span tree, the bytes
+// json.Marshal(Main.Roots()) gives, to the server. It runs right after the
+// profiler's mark, so every root but the last is closed, and a closed span
+// never changes: each closed root is rendered once, onto the end of the
+// head, and only the open root is rendered afresh, into the tail. Span
+// trees are not safe for concurrent reads, so only the run goroutine (which
+// owns the profiler) renders; the server serves the bytes.
 func (s *Session) publishSpans() {
 	if s.server == nil || s.prof == nil {
 		return
 	}
-	if b, err := json.Marshal(s.prof.Main.Roots()); err == nil {
-		s.server.PublishSpans(b)
+	roots := s.prof.Main.Roots()
+	if len(s.spans) == 0 {
+		s.spans = append(s.spans, '[')
 	}
+	for ; s.spansDone < len(roots)-1; s.spansDone++ {
+		b, err := json.Marshal(roots[s.spansDone])
+		if err != nil {
+			return
+		}
+		s.spans = append(append(s.spans, b...), ',')
+	}
+	tail, err := json.Marshal(roots[len(roots)-1])
+	if err != nil {
+		return
+	}
+	s.server.PublishSpans(s.spans[:len(s.spans):len(s.spans)], append(tail, ']'))
 }
 
 // distObserve returns a per-processor observer: each rank gets one ledger,

@@ -123,27 +123,6 @@ func TestCounterSetMirrorsHierarchy(t *testing.T) {
 	}
 }
 
-// A ledger with a cost model charges every folded event as it arrives: its
-// running time equals the model evaluated on the dispatching hierarchy's
-// final counters.
-func TestLedgerTimeMatchesPostHocModel(t *testing.T) {
-	cm := NVMBacked(1, 2e-6, 1e-9, 10, 1)
-	cm.PerFlop = 1e-10
-	l := NewLedger(nil)
-	l.SetCostModel(cm)
-	h := TwoLevel(1 << 20)
-	h.Attach(l)
-	h.Load(0, 1000)
-	h.Load(0, 24)
-	h.Flops(5000)
-	h.Store(0, 1000)
-	h.Discard(0, 24)
-	h.Flush()
-	if got, want := l.Time(), cm.Time(h); got != want {
-		t.Errorf("ledger time = %g, post-hoc time = %g", got, want)
-	}
-}
-
 // spanTap is a SpanTap that ignores the marks.
 type spanTap struct{}
 

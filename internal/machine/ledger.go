@@ -64,7 +64,7 @@ type PhaseObserver interface {
 
 // SpanTap is called from inside the fold at every EvBegin and EvEnd, in
 // stream order, so it can read the ledger's cumulative counters exactly at
-// the boundary (Counters, Clock, Time).
+// the boundary (Counters, Clock).
 type SpanTap interface {
 	SpanBegin(label string)
 	SpanEnd()
@@ -90,9 +90,6 @@ type Ledger struct {
 	totalWord, totalAll int64 // counter-bearing events folded, touches excluded / included
 	markWord, markAll   int64 // the totals at the last phase boundary
 	closed, closedAll   *PhaseDelta
-
-	model *CostModel
-	time  float64
 
 	up        *Ledger // the ledger this one is chained below, if any
 	span      SpanTap
@@ -154,15 +151,6 @@ func (l *Ledger) RemoveTap(t Tap) {
 func (l *Ledger) SetSpanTap(t SpanTap) {
 	l.mu.Lock()
 	l.span = t
-	l.mu.Unlock()
-}
-
-// SetCostModel makes the fold charge alpha-beta model time (Time): summed
-// load and store costs plus flops, with no write-buffer overlap. Events at
-// interfaces beyond the model's reach charge zero.
-func (l *Ledger) SetCostModel(cm CostModel) {
-	l.mu.Lock()
-	l.model = &cm
 	l.mu.Unlock()
 }
 
@@ -309,32 +297,11 @@ func (l *Ledger) fold(events []Event) {
 		default:
 			g.fold(e)
 			l.totalWord++
-			if l.model != nil {
-				l.charge(e)
-			}
 		}
 		l.totalAll++
 		if l.totalAll == l.nextCut {
 			l.cutLocked()
 		}
-	}
-}
-
-func (l *Ledger) charge(e *Event) {
-	cm := l.model
-	switch e.Kind {
-	case EvLoad:
-		if e.Arg < len(cm.Iface) {
-			p := cm.Iface[e.Arg]
-			l.time += p.AlphaLoad + p.BetaLoad*float64(e.Words)
-		}
-	case EvStore:
-		if e.Arg < len(cm.Iface) {
-			p := cm.Iface[e.Arg]
-			l.time += p.AlphaStore + p.BetaStore*float64(e.Words)
-		}
-	case EvFlops:
-		l.time += cm.PerFlop * float64(e.Words)
 	}
 }
 
@@ -496,12 +463,6 @@ func (l *Ledger) Counters() *CounterSet { return l.g.cur }
 // Clock returns the counter-bearing events folded so far, touches included:
 // the deterministic clock span trees are stamped with.
 func (l *Ledger) Clock() int64 { return l.totalAll }
-
-// Time returns the accumulated cost-model seconds (zero without a model).
-func (l *Ledger) Time() float64 { return l.time }
-
-// HasCostModel reports whether SetCostModel was called.
-func (l *Ledger) HasCostModel() bool { return l.model != nil }
 
 // Levels returns the current level list (not a copy; do not mutate).
 func (l *Ledger) Levels() []Level { return l.g.levels }

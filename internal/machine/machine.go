@@ -302,8 +302,11 @@ func (h *Hierarchy) Flush() {
 		return
 	}
 	h.flushing = true
-	var plain []Event // the block without touches, built at most once
-	filtered := false
+	// plain is the block without touches, built at most once. With no
+	// touch-interested recorder attached the block holds none to strip:
+	// Touch, TouchRemote and Range buffer nothing then, and Attach, Detach
+	// and SetBatchCapacity flush before touchN changes.
+	plain, filtered := h.batch, h.touchN == 0
 	for i := range h.recs {
 		a := &h.recs[i]
 		if a.touch {

@@ -11,7 +11,16 @@ import (
 
 // The four matmul kernels run i, j, k loops with k innermost, each C(i,j)
 // summing its terms in k order, over row slices of the operands: one bounds
-// check per term at most, where At/Set pairs cost two.
+// check per term at most, where At/Set pairs cost two. They compute four C
+// elements of a row per pass over k, each in its own accumulator, so the
+// four sums overlap instead of each add waiting on the one before, and
+// MulAdd and MulSub read four adjacent words of B's row k per term instead
+// of one. Every element still adds the same terms in the same k order, so
+// the results are bit for bit those of one element at a time (Go fuses no
+// multiply-add on amd64; where it fuses, as on arm64, it fuses both forms
+// alike), NaN payloads aside: where two NaNs with different payloads meet,
+// the one kept follows the operand order the compiler picks. The traced twins in internal/core emit the per-element i, j, k
+// order of the paper's kernel, which gives every element this arithmetic.
 
 // MulAdd computes C += A*B with classical triple loops (k innermost).
 func MulAdd(c, a, b *Dense) {
@@ -21,7 +30,19 @@ func MulAdd(c, a, b *Dense) {
 	}
 	for i := 0; i < c.Rows; i++ {
 		ci, ai := c.row(i), a.row(i)
-		for j := range ci {
+		j := 0
+		for ; j+4 <= len(ci); j += 4 {
+			s0, s1, s2, s3 := ci[j], ci[j+1], ci[j+2], ci[j+3]
+			for k, aik := range ai {
+				bk := b.Data[k*b.Stride+j:][:4]
+				s0 += aik * bk[0]
+				s1 += aik * bk[1]
+				s2 += aik * bk[2]
+				s3 += aik * bk[3]
+			}
+			ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
+		}
+		for ; j < len(ci); j++ {
 			s := ci[j]
 			for k, aik := range ai {
 				s += aik * b.Data[k*b.Stride+j]
@@ -38,7 +59,19 @@ func MulSub(c, a, b *Dense) {
 	}
 	for i := 0; i < c.Rows; i++ {
 		ci, ai := c.row(i), a.row(i)
-		for j := range ci {
+		j := 0
+		for ; j+4 <= len(ci); j += 4 {
+			s0, s1, s2, s3 := ci[j], ci[j+1], ci[j+2], ci[j+3]
+			for k, aik := range ai {
+				bk := b.Data[k*b.Stride+j:][:4]
+				s0 -= aik * bk[0]
+				s1 -= aik * bk[1]
+				s2 -= aik * bk[2]
+				s3 -= aik * bk[3]
+			}
+			ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
+		}
+		for ; j < len(ci); j++ {
 			s := ci[j]
 			for k, aik := range ai {
 				s -= aik * b.Data[k*b.Stride+j]
@@ -79,10 +112,23 @@ func MulSubTransLower(c, a, b *Dense) {
 }
 
 // subDots computes ci[j] −= ai·B(j,:) for every j of ci, the row dot
-// products of the transposed kernels.
+// products of the transposed kernels, four rows of B per pass.
 func subDots(ci, ai []float64, b *Dense) {
-	for j := range ci {
-		bj := b.row(j)[:len(ai)]
+	n := len(ai)
+	j := 0
+	for ; j+4 <= len(ci); j += 4 {
+		b0, b1, b2, b3 := b.row(j)[:n], b.row(j + 1)[:n], b.row(j + 2)[:n], b.row(j + 3)[:n]
+		s0, s1, s2, s3 := ci[j], ci[j+1], ci[j+2], ci[j+3]
+		for k, aik := range ai {
+			s0 -= aik * b0[k]
+			s1 -= aik * b1[k]
+			s2 -= aik * b2[k]
+			s3 -= aik * b3[k]
+		}
+		ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(ci); j++ {
+		bj := b.row(j)[:n]
 		s := ci[j]
 		for k, aik := range ai {
 			s -= aik * bj[k]

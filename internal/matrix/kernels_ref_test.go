@@ -145,3 +145,129 @@ func TestMatMulKernelsMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// The one-accumulator row-slice kernels as they were before the four-column
+// passes, kept as the reference those are checked against bit for bit.
+
+func oneColMulAdd(c, a, b *Dense) {
+	for i := 0; i < c.Rows; i++ {
+		ci, ai := c.row(i), a.row(i)
+		for j := range ci {
+			s := ci[j]
+			for k, aik := range ai {
+				s += aik * b.Data[k*b.Stride+j]
+			}
+			ci[j] = s
+		}
+	}
+}
+
+func oneColMulSub(c, a, b *Dense) {
+	for i := 0; i < c.Rows; i++ {
+		ci, ai := c.row(i), a.row(i)
+		for j := range ci {
+			s := ci[j]
+			for k, aik := range ai {
+				s -= aik * b.Data[k*b.Stride+j]
+			}
+			ci[j] = s
+		}
+	}
+}
+
+func oneColSubDots(ci, ai []float64, b *Dense) {
+	for j := range ci {
+		bj := b.row(j)[:len(ai)]
+		s := ci[j]
+		for k, aik := range ai {
+			s -= aik * bj[k]
+		}
+		ci[j] = s
+	}
+}
+
+func oneColMulSubTrans(c, a, b *Dense) {
+	for i := 0; i < c.Rows; i++ {
+		oneColSubDots(c.row(i), a.row(i), b)
+	}
+}
+
+func oneColMulSubTransLower(c, a, b *Dense) {
+	for i := 0; i < c.Rows; i++ {
+		oneColSubDots(c.row(i)[:i+1], a.row(i), b)
+	}
+}
+
+// The four-column kernels against the one-column loops they replaced, bit
+// for bit (math.Float64bits, so NaN payloads and the signs of zeros count):
+// every m, n and k from 0 to 17, which covers each remainder mod 4 of the
+// column count, on strided block views whose operands mix ±0, ±Inf, NaN,
+// subnormals and overflow-prone magnitudes into the sums. Every word of C's
+// storage must match, so neither kernel writes outside C's view. A NaN
+// result only has to be a NaN on both sides: when two NaNs with different
+// payloads meet (an input NaN and one an Inf*0 or Inf-Inf made), which
+// payload an add or multiply keeps follows the operand order the compiler
+// picks, which Go leaves open, and which differs between these loops and
+// between a -race build and a plain one.
+func TestFourColumnKernelsMatchOneColumn(t *testing.T) {
+	rng := rand.New(rand.NewPCG(91, 92))
+	odd := append([]float64{math.NaN(), math.Float64frombits(0xfff8_0000_0000_0bad), 5e-324, -5e-324, 2.2250738585072e-309}, specials...)
+	oddView := func(r, c int) *Dense {
+		v := view(r, c, rng)
+		for i := range v.Data {
+			if rng.IntN(6) == 0 {
+				v.Data[i] = odd[rng.IntN(len(odd))]
+			}
+		}
+		return v
+	}
+	kernels := []struct {
+		name          string
+		got, ref      func(c, a, b *Dense)
+		trans, square bool
+	}{
+		{"MulAdd", MulAdd, oneColMulAdd, false, false},
+		{"MulSub", MulSub, oneColMulSub, false, false},
+		{"MulSubTrans", MulSubTrans, oneColMulSubTrans, true, false},
+		{"MulSubTransLower", MulSubTransLower, oneColMulSubTransLower, true, true},
+	}
+	for _, kn := range kernels {
+		for m := 0; m <= 17; m++ {
+			for n := 0; n <= 17; n++ {
+				if kn.square && m != n {
+					continue
+				}
+				for k := 0; k <= 17; k++ {
+					a, b := oddView(m, k), oddView(k, n)
+					if kn.trans {
+						b = oddView(n, k)
+					}
+					c := oddView(m, n)
+					cg := &Dense{Rows: c.Rows, Cols: c.Cols, Stride: c.Stride, Data: append([]float64(nil), c.Data...)}
+					cw := &Dense{Rows: c.Rows, Cols: c.Cols, Stride: c.Stride, Data: append([]float64(nil), c.Data...)}
+					kn.got(cg, a, b)
+					kn.ref(cw, a, b)
+					for i := range cg.Data {
+						x, y := cg.Data[i], cw.Data[i]
+						if math.Float64bits(x) != math.Float64bits(y) && !(math.IsNaN(x) && math.IsNaN(y)) {
+							t.Fatalf("%s m=%d n=%d k=%d: storage word %d is %#x, reference %#x",
+								kn.name, m, n, k, i, math.Float64bits(cg.Data[i]), math.Float64bits(cw.Data[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkMulAdd(b *testing.B) {
+	for _, n := range []int{8, 32, 64} {
+		rng := rand.New(rand.NewPCG(1, 2))
+		x, y, z := view(n, n, rng), view(n, n, rng), view(n, n, rng)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MulAdd(z, x, y)
+			}
+		})
+	}
+}

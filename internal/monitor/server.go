@@ -44,7 +44,8 @@ type Server struct {
 	violFn    func() []Violation
 	ranks     map[string]func() []machine.Snapshot
 	cacheSt   map[string]cache.Stats
-	spansJSON []byte
+	spansHead []byte // the closed roots' JSON, shared with the publisher
+	spansTail []byte // the open root's JSON and the closing bracket
 	hists     *HistogramRecorder
 	logger    *slog.Logger
 	attached  bool // a recorder/source has been wired → ready
@@ -262,11 +263,16 @@ func (s *Server) PublishCacheStats(name string, st cache.Stats) {
 	s.mu.Unlock()
 }
 
-// PublishSpans publishes rendered span-tree JSON for /spans. Span trees are
-// not safe for concurrent reads, so the run goroutine marshals and pushes.
-func (s *Server) PublishSpans(b []byte) {
+// PublishSpans publishes rendered span-tree JSON for /spans: the body is
+// head followed by tail. Span trees are not safe for concurrent reads, so
+// the run goroutine renders and pushes; the server keeps both slices
+// without copying them. The publisher must never rewrite head[:len(head)]
+// or tail afterwards, but it may append to head's backing array past
+// len(head): Session renders each closed root once into an append-only
+// head and only the open root into each fresh tail.
+func (s *Server) PublishSpans(head, tail []byte) {
 	s.mu.Lock()
-	s.spansJSON = append([]byte(nil), b...)
+	s.spansHead, s.spansTail = head, tail
 	s.mu.Unlock()
 }
 
@@ -517,13 +523,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleSpans(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	b := s.spansJSON
+	head, tail := s.spansHead, s.spansTail
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	if len(b) == 0 {
-		b = []byte("[]")
+	if len(head)+len(tail) == 0 {
+		tail = []byte("[]")
 	}
-	_, _ = w.Write(b)
+	_, _ = w.Write(head)
+	_, _ = w.Write(tail)
 }
 
 func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {

@@ -43,7 +43,7 @@ func TestServerEndpoints(t *testing.T) {
 	srv.SetMonitor(mon)
 	srv.PublishRanks("table1", []machine.Snapshot{mon.Snapshot(), mon.Snapshot()})
 	srv.PublishCacheStats("fig2-wa", cache.Stats{Accesses: 100, Hits: 90, Misses: 10, VictimsM: 3})
-	srv.PublishSpans([]byte(`[{"name":"sec2"}]`))
+	srv.PublishSpans([]byte(`[`), []byte(`{"name":"sec2"}]`))
 
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -50,7 +50,7 @@ type Profiler struct {
 
 	mu     sync.Mutex
 	groups []*ProcGroup
-	delta  machine.CounterSet // Summary's scratch
+	rows   rowScratch // Summary's scratch, shared across recorders
 }
 
 // NewProfiler builds a profiler whose main recorder starts with the given
@@ -154,12 +154,11 @@ func (p *Profiler) WriteTrace(w io.Writer) error {
 func (p *Profiler) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-40s %12s %12s %12s\n", "span", "loadWords", "storeWords", "flops")
-	d := &p.delta
 	m := p.Main
 	m.Finish()
 	for i := range m.spans {
 		sp := &m.spans[i]
-		m.counters(d, sp.start, sp.end)
+		d := m.counters(&p.rows, sp.start, sp.end)
 		top := topIface(d)
 		name := strings.Repeat("  ", int(sp.depth)) + sp.name
 		fmt.Fprintf(&b, "%-40s %12d %12d %12d\n", clip(name, 40), top.LoadWords, top.StoreWords, d.FlopCount)
@@ -176,7 +175,7 @@ func (p *Profiler) Summary() string {
 			for i := range r.spans {
 				sp := &r.spans[i]
 				spans++
-				stores += topIface(r.counters(d, sp.start, sp.end)).StoreWords
+				stores += topIface(r.counters(&p.rows, sp.start, sp.end)).StoreWords
 			}
 		}
 		fmt.Fprintf(&b, "%-40s %12s %12d %12s  (%d procs, %d spans)\n",

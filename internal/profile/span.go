@@ -1,11 +1,16 @@
 package profile
 
 import (
+	"math/bits"
+
 	"writeavoid/internal/machine"
 )
 
 // Span is one node of the attribution tree: the events recorded between an
 // EvBegin and its matching EvEnd, including everything inside nested spans.
+// Once a read has found it closed, a span never changes again, children
+// included, which lets a publisher render a closed subtree once (the
+// /spans head of experiments.Session).
 type Span struct {
 	Name string
 	// Start and End are profiler-clock readings: counts of counter-bearing
@@ -13,9 +18,6 @@ type Span struct {
 	// before the span opened and closed. The clock is deterministic —
 	// replaying the same program yields the same span boundaries.
 	Start, End int64
-	// StartTime and EndTime are cost-model seconds at the boundaries when
-	// the recorder has a model (SetCostModel); zero otherwise.
-	StartTime, EndTime float64
 	// Delta is the snapshot of exactly the events inside the span,
 	// children included: cum(End) - cum(Start), nothing sampled. It is
 	// zero while the span is open.
@@ -45,12 +47,15 @@ func (s *Span) walk(f func(*Span, int), depth int) {
 	}
 }
 
-// boundary is one span boundary of the log: the clock readings there and
-// where its row of cumulative counters lies in the row log.
+// boundary is one span boundary of the log: the clock reading there and
+// where its entry lies in the row log. A whole entry is the boundary's row
+// of cumulative counters, n words; any other is a mask of the row fields
+// that moved since the previous boundary's row, followed by their new
+// values in field order.
 type boundary struct {
 	clock         int64
-	time          float64
-	chunk, off, n int32
+	chunk, off, n int32 // n: the row's width
+	whole         bool
 }
 
 // The row log is a list of chunks that never move once allocated: the
@@ -61,6 +66,20 @@ const (
 	minRowChunk = 256
 	maxRowChunk = 1 << 15
 )
+
+// wholeEvery is the checkpoint interval of the row log: every wholeEvery-th
+// boundary logs its whole row, so rebuilding a row applies at most
+// wholeEvery-1 masks to the nearest whole row at or before it. Over an
+// observed dist op a boundary moves 3.6 of its 26 fields on average, so a
+// mask entry is about a fifth of a row; at 32 the checkpoints add under a
+// word per boundary, and a random read stays under two hundred word
+// copies. A fixed constant, not an option: it trades memory against read
+// time only, never what is read.
+const wholeEvery = 32
+
+// maxMaskFields is the widest row a 64-bit mask covers; wider rows (seven
+// levels or more) are always logged whole.
+const maxMaskFields = 64
 
 // spanRec is one span of the log, by boundary index.
 type spanRec struct {
@@ -75,12 +94,16 @@ type spanRec struct {
 // inside it. It folds no counters of its own: it reads a machine.Ledger — a
 // private one when built with NewSpanRecorder, or a distributed rank's
 // ledger shared with that rank's flight ring (ProcGroup.Follow) — and, at
-// every span boundary, appends one row of the ledger's cumulative counters
-// to a flat log. Spans are kept in open order (a pre-order walk of the
-// forest) by boundary index, so a boundary allocates nothing once the logs
-// have grown. A span's Delta is built once, the first time the tree is read
-// after the span closed; the trace exporter and Summary read the log
-// directly and build no tree at all.
+// every span boundary, logs the ledger's cumulative counter row to a
+// chunked log. It logs only what moved: a mask of the fields that differ
+// from the previous boundary's row and their new values, with a whole row
+// at every wholeEvery-th boundary, whenever the row's width changes (the
+// geometry grew) and for rows too wide for the mask. Spans are kept in
+// open order (a pre-order walk of the forest) by boundary index, so a
+// boundary allocates nothing once the logs have grown. A span's Delta is
+// built once, the first time the tree is read after the span closed; the
+// trace exporter and Summary read the log directly and build no tree at
+// all.
 //
 // Exactness invariant, extending the streaming layer's to trees and pinned
 // by tests here and in cmd/wabench: for every span, Self + Σ children.Delta
@@ -98,17 +121,26 @@ type spanRec struct {
 type SpanRecorder struct {
 	led *machine.Ledger
 
-	rows   [][]int64  // one row of cumulative counters per boundary, in chunks
+	log    [][]int64  // every boundary's entry, in chunks
 	bounds []boundary // every boundary, in order
 	spans  []spanRec  // every span, in open order
 	stack  []int32    // open spans, innermost last
+	last   []int64    // the latest boundary's row
+	next   []int64    // the row being logged
 
 	nodes []*Span // spans[:len(nodes)] materialized by the reads so far
 	roots []*Span
 	open  []int32 // materialized spans that were still open when read
 
-	diff machine.CounterSet // delta scratch
-	cur  []int64            // current-counters row scratch
+	rows rowScratch // Roots' and Unattributed's scratch
+}
+
+// rowScratch is what a reader of the row log rebuilds rows into: two rows
+// and their delta. A Profiler's Summary and a TraceBuilder each share one
+// across every recorder they read.
+type rowScratch struct {
+	lo, hi []int64
+	delta  machine.CounterSet
 }
 
 // NewSpanRecorder builds a recorder seeded with the given level geometry
@@ -127,12 +159,6 @@ func follow(l *machine.Ledger) *SpanRecorder {
 
 // Ledger returns the ledger the recorder reads.
 func (r *SpanRecorder) Ledger() *machine.Ledger { return r.led }
-
-// SetCostModel attaches alpha-beta coefficients so spans carry model time
-// (StartTime/EndTime, summed load+store with no write-buffer overlap —
-// per-span overlap would not telescope). Events at interfaces beyond the
-// model's reach charge zero.
-func (r *SpanRecorder) SetCostModel(cm machine.CostModel) { r.led.SetCostModel(cm) }
 
 // SpanBegin and SpanEnd are the ledger's span-tap calls, made from inside
 // the fold exactly at each mark.
@@ -165,27 +191,51 @@ func (r *SpanRecorder) Mark(name string) {
 	r.push(name)
 }
 
-// boundary logs the ledger's cumulative counters and clocks and returns the
+// boundary logs the ledger's cumulative counters and clock and returns the
 // boundary's index.
 func (r *SpanRecorder) boundary() int32 {
+	b := int32(len(r.bounds))
 	c := r.led.Counters()
 	n := machine.RowWidth(len(c.Lvl))
-	k := len(r.rows) - 1
-	if k < 0 || len(r.rows[k])+n > cap(r.rows[k]) {
+	whole := b%wholeEvery == 0 || n != len(r.last) || n > maxMaskFields
+	if cap(r.next) < n {
+		rows := make([]int64, 2*n) // last and next in one allocation
+		r.last, r.next = rows[:0:n], rows[n:n]
+	}
+	r.next = c.AppendRow(r.next[:0])
+	var mask uint64
+	words := n
+	if !whole {
+		for i, v := range r.next {
+			if v != r.last[i] {
+				mask |= 1 << i
+			}
+		}
+		words = 1 + bits.OnesCount64(mask)
+	}
+	k := len(r.log) - 1
+	if k < 0 || len(r.log[k])+words > cap(r.log[k]) {
 		size := minRowChunk
 		if k >= 0 {
-			size = min(2*cap(r.rows[k]), maxRowChunk)
+			size = min(2*cap(r.log[k]), maxRowChunk)
 		}
-		r.rows = append(r.rows, make([]int64, 0, max(size, n)))
+		r.log = append(r.log, make([]int64, 0, max(size, words)))
 		k++
 	}
-	off := len(r.rows[k])
-	r.rows[k] = c.AppendRow(r.rows[k])
+	off := len(r.log[k])
+	if whole {
+		r.log[k] = append(r.log[k], r.next...)
+	} else {
+		r.log[k] = append(r.log[k], int64(mask))
+		for m := mask; m != 0; m &= m - 1 {
+			r.log[k] = append(r.log[k], r.next[bits.TrailingZeros64(m)])
+		}
+	}
 	r.bounds = append(r.bounds, boundary{
-		clock: r.led.Clock(), time: r.led.Time(),
-		chunk: int32(k), off: int32(off), n: int32(n),
+		clock: r.led.Clock(), chunk: int32(k), off: int32(off), n: int32(n), whole: whole,
 	})
-	return int32(len(r.bounds) - 1)
+	r.last, r.next = r.next, r.last
+	return b
 }
 
 func (r *SpanRecorder) push(name string) {
@@ -210,29 +260,51 @@ func (r *SpanRecorder) pop() {
 	r.spans[top].end = r.boundary()
 }
 
-// row returns boundary b's row of cumulative counters.
-func (r *SpanRecorder) row(b int32) []int64 {
+// step turns row, boundary b-1's row, into boundary b's and returns it: a
+// whole entry replaces it, a mask entry overwrites the fields that moved.
+func (r *SpanRecorder) step(row []int64, b int32) []int64 {
 	bd := &r.bounds[b]
-	return r.rows[bd.chunk][bd.off : bd.off+bd.n]
+	e := r.log[bd.chunk][bd.off:]
+	if bd.whole {
+		return append(row[:0], e[:bd.n]...)
+	}
+	mask, vals := uint64(e[0]), e[1:]
+	for ; mask != 0; mask &= mask - 1 {
+		row[bits.TrailingZeros64(mask)] = vals[0]
+		vals = vals[1:]
+	}
+	return row
 }
 
-// counters sets c to the counter delta between two boundaries (end -1: the
-// current counters) and returns it.
-func (r *SpanRecorder) counters(c *machine.CounterSet, start, end int32) *machine.CounterSet {
-	var hi []int64
-	if end < 0 {
-		r.cur = r.led.Counters().AppendRow(r.cur[:0])
-		hi = r.cur
-	} else {
-		hi = r.row(end)
+// row rebuilds boundary b's row of cumulative counters into dst and
+// returns it: the nearest whole row at or before b, then the masks after it.
+func (r *SpanRecorder) row(dst []int64, b int32) []int64 {
+	k := b
+	for !r.bounds[k].whole {
+		k--
 	}
-	c.SetRowDiff(hi, r.row(start))
-	return c
+	for ; k <= b; k++ {
+		dst = r.step(dst, k)
+	}
+	return dst
+}
+
+// counters sets s.delta to the counter delta between two boundaries (end
+// -1: the current counters) and returns it.
+func (r *SpanRecorder) counters(s *rowScratch, start, end int32) *machine.CounterSet {
+	if end < 0 {
+		s.hi = r.led.Counters().AppendRow(s.hi[:0])
+	} else {
+		s.hi = r.row(s.hi, end)
+	}
+	s.lo = r.row(s.lo, start)
+	s.delta.SetRowDiff(s.hi, s.lo)
+	return &s.delta
 }
 
 // delta renders the counter delta between two boundaries (end -1: now).
 func (r *SpanRecorder) delta(start, end int32) machine.Snapshot {
-	return r.led.Render(r.counters(&r.diff, start, end))
+	return r.led.Render(r.counters(&r.rows, start, end))
 }
 
 // Finish syncs buffered events, closes any spans still open (at the current
@@ -251,8 +323,7 @@ func (r *SpanRecorder) Roots() []*Span {
 	r.led.Sync()
 	for i := len(r.nodes); i < len(r.spans); i++ {
 		sp := &r.spans[i]
-		b := r.bounds[sp.start]
-		n := &Span{Name: sp.name, Start: b.clock, StartTime: b.time}
+		n := &Span{Name: sp.name, Start: r.bounds[sp.start].clock}
 		if sp.parent < 0 {
 			r.roots = append(r.roots, n)
 		} else {
@@ -270,8 +341,8 @@ func (r *SpanRecorder) Roots() []*Span {
 			k++
 			continue
 		}
-		n, b := r.nodes[i], r.bounds[sp.end]
-		n.End, n.EndTime = b.clock, b.time
+		n := r.nodes[i]
+		n.End = r.bounds[sp.end].clock
 		n.Delta = r.delta(sp.start, sp.end)
 	}
 	r.open = r.open[:k]
@@ -282,12 +353,6 @@ func (r *SpanRecorder) Roots() []*Span {
 func (r *SpanRecorder) Clock() int64 {
 	r.led.Sync()
 	return r.led.Clock()
-}
-
-// Time returns accumulated cost-model seconds (zero without a model).
-func (r *SpanRecorder) Time() float64 {
-	r.led.Sync()
-	return r.led.Time()
 }
 
 // Snapshot returns the recorder's cumulative snapshot: the post-hoc totals
