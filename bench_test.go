@@ -24,7 +24,6 @@ import (
 	"writeavoid/internal/matrix"
 	"writeavoid/internal/nbody"
 	"writeavoid/internal/plu"
-	"writeavoid/internal/smp"
 	"writeavoid/internal/strassen"
 )
 
@@ -292,19 +291,6 @@ func BenchmarkScheduleSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		order := cdag.RandomTopoOrder(g, rng)
 		if _, err := cdag.Schedule(g, order, 16, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSMPRunParallel times the concurrent shared-memory task replay
-// into one ledger (8 workers over the blocked-matmul task set).
-func BenchmarkSMPRunParallel(b *testing.B) {
-	tasks, _ := smp.MatMulTasks(64, 64, 64, 16, 64)
-	sched := smp.DepthFirst(tasks, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := smp.RunParallel(sched, machine.NewLedger(nil)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,6 +31,9 @@ func TestRunRejectsContradictoryFlags(t *testing.T) {
 		{"-quick", "sec2", "nosuchsection"},
 		{"-json", "sec2"},
 		{"-flight", "64", "-flight-dump", "out"},
+		{"-sockets", "-3", "numa"},
+		{"-quick", "-sockets", "0", "sec2"},
+		{"-flight", "-5", "-quick", "sec2"},
 	}
 	for _, args := range cases {
 		if rc := run(args); rc != 2 {

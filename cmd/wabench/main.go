@@ -34,7 +34,8 @@
 // splits, different asymmetric-link prices — and asserts the W2 network floor
 // per socket as well as globally. It runs under "all" only when -sockets >= 2
 // (so default runs are byte-identical to the flat machine); naming it
-// explicitly runs it with at least two sockets.
+// explicitly runs it with at least two sockets. A -sockets below 1, like a
+// negative -flight, exits 2 before anything runs.
 //
 // -stream writes live metrics as JSON lines ("-" = stdout) while the run
 // executes: every -stream-every events, and at each section boundary, one
@@ -188,6 +189,14 @@ func run(args []string) (rc int) {
 	case "off", "warn", "strict":
 	default:
 		fmt.Fprintf(os.Stderr, "wabench: unknown -check %q (want off|warn|strict)\n", *checkMode)
+		return 2
+	}
+	if *sockets < 1 {
+		fmt.Fprintf(os.Stderr, "wabench: -sockets %d: want 1 or more\n", *sockets)
+		return 2
+	}
+	if *flightEvents < 0 {
+		fmt.Fprintf(os.Stderr, "wabench: -flight %d: want a ring size, or 0 for none\n", *flightEvents)
 		return 2
 	}
 	if *pprofOn && *serveAddr == "" {

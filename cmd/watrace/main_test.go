@@ -60,6 +60,7 @@ func TestSimRejectsBadGeometry(t *testing.T) {
 		{"-policy", "clock3", "-size", "100"},
 		{"-fullassoc", "-size", "100"},                       // not a whole number of lines
 		{"-policy", "plru", "-size", "4096", "-assoc", "64"}, // PLRU over 32 ways
+		{"-policy", "lru", "-size", "4096", "-assoc", "-1"},  // 0, not a negative, means fully associative
 	} {
 		if rc := run(args...); rc != 2 {
 			t.Errorf("sim %v = %d, want 2", args, rc)

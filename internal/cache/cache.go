@@ -118,7 +118,7 @@ type Simulator interface {
 type Config struct {
 	SizeBytes int        // total capacity
 	LineBytes int        // line size (power of two)
-	Assoc     int        // ways per set; 0 or >= number of lines means fully associative
+	Assoc     int        // ways per set; 0 or >= number of lines means fully associative, negative is rejected
 	Policy    PolicyKind // replacement policy
 	Seed      uint64     // PRNG seed for PolicyRandom
 
@@ -138,7 +138,7 @@ func (c Config) Lines() int { return c.SizeBytes / c.LineBytes }
 // ways returns the effective associativity: Assoc, or every line when Assoc
 // is 0 or exceeds the capacity.
 func (c Config) ways() int {
-	if c.Assoc <= 0 || c.Assoc > c.Lines() {
+	if c.Assoc == 0 || c.Assoc > c.Lines() {
 		return c.Lines()
 	}
 	return c.Assoc
@@ -153,6 +153,9 @@ func (c Config) validate() error {
 	}
 	if c.SizeBytes%c.LineBytes != 0 {
 		return fmt.Errorf("cache: size %d not a multiple of line size %d", c.SizeBytes, c.LineBytes)
+	}
+	if c.Assoc < 0 {
+		return fmt.Errorf("cache: associativity %d is negative (0 means fully associative)", c.Assoc)
 	}
 	lines, assoc := c.Lines(), c.ways()
 	if lines%assoc != 0 {

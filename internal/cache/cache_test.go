@@ -225,6 +225,7 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 64 * 128, LineBytes: 64, Assoc: 64, Policy: PolicyPLRU},
 		{SizeBytes: 64 * 64, LineBytes: 64, Policy: PolicyPLRU}, // fully associative, 64 ways
 		{SizeBytes: 64 * 8, LineBytes: 64, Assoc: 2, Policy: PolicyKind(9)},
+		{SizeBytes: 64 * 8, LineBytes: 64, Assoc: -1}, // 0, not a negative, means fully associative
 	}
 	for i, cfg := range bad {
 		func() {
@@ -238,6 +239,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// The widest PLRU tree a set holds.
 	New(Config{SizeBytes: 64 * 32, LineBytes: 64, Policy: PolicyPLRU})
+	if got := New(Config{SizeBytes: 64 * 8, LineBytes: 64}).Assoc(); got != 8 {
+		t.Fatalf("Assoc 0 gives %d ways, want all 8 lines", got)
+	}
 }
 
 // LRU inclusion property (Mattson): under LRU, the contents of a cache of

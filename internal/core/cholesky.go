@@ -63,11 +63,9 @@ func cholLeftLevel(p *Plan, s int, a *matrix.Dense) error {
 		// outer products to its left, factor, store the lower half.
 		di := blk(i, i)
 		p.H.Load(s, triWords(di.Rows))
-		p.noteLower(s, di, false)
 		for k := 0; k < i; k++ {
 			ak := blk(i, k)
 			p.H.Load(s, words(ak))
-			p.note(s, ak, false)
 			// A(i,i) -= A(i,k)*A(i,k)^T (SYRK, lower triangle only: the
 			// factorization never reads above the diagonal)
 			gemmLevel(p, s-1, di, ak, ak, modeSubABtLower)
@@ -77,7 +75,6 @@ func cholLeftLevel(p *Plan, s int, a *matrix.Dense) error {
 			return fmt.Errorf("core: Cholesky pivot block %d: %w", i, err)
 		}
 		p.H.Store(s, triWords(di.Rows))
-		p.noteLower(s, di, true)
 		if mark {
 			p.H.End()
 			p.H.Begin("trsm")
@@ -88,13 +85,10 @@ func cholLeftLevel(p *Plan, s int, a *matrix.Dense) error {
 		for j := i + 1; j < nb; j++ {
 			ji := blk(j, i)
 			p.H.Load(s, words(ji))
-			p.note(s, ji, false)
 			for k := 0; k < i; k++ {
 				aik, ajk := blk(i, k), blk(j, k)
 				p.H.Load(s, words(aik))
-				p.note(s, aik, false)
 				p.H.Load(s, words(ajk))
-				p.note(s, ajk, false)
 				// A(j,i) -= A(j,k)*A(i,k)^T
 				gemmLevel(p, s-1, ji, ajk, aik, modeSubABt)
 				p.H.Discard(s, words(aik))
@@ -102,11 +96,9 @@ func cholLeftLevel(p *Plan, s int, a *matrix.Dense) error {
 			}
 			// Solve Tmp * A(i,i)^T = A(j,i); A(i,i) now holds L(i,i).
 			p.H.Load(s, triWords(di.Rows))
-			p.noteLower(s, di, false)
 			trsmRightLevel(p, s-1, di, ji)
 			p.H.Discard(s, triWords(di.Rows))
 			p.H.Store(s, words(ji))
-			p.note(s, ji, true)
 		}
 		if mark {
 			p.H.End()
@@ -151,7 +143,6 @@ func cholRightLevel(p *Plan, s int, a *matrix.Dense) error {
 		}
 		di := blk(i, i)
 		p.H.Load(s, triWords(di.Rows))
-		p.noteLower(s, di, false)
 		if err := cholRightLevel(p, s-1, di); err != nil {
 			return fmt.Errorf("core: Cholesky pivot block %d: %w", i, err)
 		}
@@ -159,13 +150,10 @@ func cholRightLevel(p *Plan, s int, a *matrix.Dense) error {
 		for j := i + 1; j < nb; j++ {
 			ji := blk(j, i)
 			p.H.Load(s, words(ji))
-			p.note(s, ji, false)
 			trsmRightLevel(p, s-1, di, ji)
 			p.H.Store(s, words(ji))
-			p.note(s, ji, true)
 		}
 		p.H.Store(s, triWords(di.Rows))
-		p.noteLower(s, di, true)
 		if mark {
 			p.H.End()
 			p.H.Begin("update")
@@ -176,22 +164,18 @@ func cholRightLevel(p *Plan, s int, a *matrix.Dense) error {
 		for j := i + 1; j < nb; j++ {
 			ji := blk(j, i)
 			p.H.Load(s, words(ji))
-			p.note(s, ji, false)
 			for k := i + 1; k <= j; k++ {
 				ki := blk(k, i)
 				p.H.Load(s, words(ki))
-				p.note(s, ki, false)
 				tb := blk(j, k)
 				w, mode := words(tb), modeSubABt
 				if k == j {
 					w, mode = triWords(tb.Rows), modeSubABtLower
 				}
 				p.H.Load(s, w)
-				p.noteSized(s, tb, k == j, false)
 				// A(j,k) -= A(j,i)*A(k,i)^T  (lower triangle only on the diagonal)
 				gemmLevel(p, s-1, tb, ji, ki, mode)
 				p.H.Store(s, w)
-				p.noteSized(s, tb, k == j, true)
 				p.H.Discard(s, words(ki))
 			}
 			p.H.Discard(s, words(ji))

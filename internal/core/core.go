@@ -26,7 +26,6 @@ import (
 
 	"writeavoid/internal/intmath"
 	"writeavoid/internal/machine"
-	"writeavoid/internal/matrix"
 )
 
 // Order selects the block loop nesting. The paper's central observation is
@@ -135,23 +134,6 @@ func (p *Plan) validate(dims ...int) error {
 // topInterface returns the index of the coarsest interface (the one adjacent
 // to the slowest level).
 func (p *Plan) topInterface() int { return len(p.BlockSizes) - 1 }
-
-// note annotates the block transfer just counted across interface s with
-// block v's address extent (see Hierarchy.Range). A no-op unless the plan
-// is traced and a touch-interested recorder is attached, and never a change
-// to word or message counters either way.
-func (p *Plan) note(s int, v *matrix.Dense, store bool) { p.noteSized(s, v, false, store) }
-
-// noteLower is note for lower-triangle (triWords) transfers.
-func (p *Plan) noteLower(s int, v *matrix.Dense, store bool) { p.noteSized(s, v, true, store) }
-
-// noteSized is note or noteLower depending on whether the transfer just
-// counted moved the lower triangle or the whole block.
-func (p *Plan) noteSized(s int, v *matrix.Dense, lower, store bool) {
-	if p.Trace != nil && p.H.Tracing() {
-		p.Trace.ranges(p.H, s, v, lower, store)
-	}
-}
 
 // marking reports whether span labels are worth formatting at interface s:
 // only the coarsest interface of a driver emits spans, and only when an

@@ -64,7 +64,6 @@ func luLeftLevel(p *Plan, s int, a *matrix.Dense) error {
 		for r := 0; r < nb; r++ {
 			ri := blk(r, i)
 			p.H.Load(s, words(ri))
-			p.note(s, ri, false)
 			// Updates from the columns to the left: A(r,I) -=
 			// L(r,K)*U(K,I) for K < min(r,I).
 			for k := 0; k < min(r, i); k++ {
@@ -94,7 +93,6 @@ func luLeftLevel(p *Plan, s int, a *matrix.Dense) error {
 				p.H.Discard(s, words(d))
 			}
 			p.H.Store(s, words(ri))
-			p.note(s, ri, true)
 		}
 		if mark {
 			p.H.End()
@@ -128,7 +126,6 @@ func luRightLevel(p *Plan, s int, a *matrix.Dense) error {
 		// Factor the diagonal.
 		d := blk(k, k)
 		p.H.Load(s, words(d))
-		p.note(s, d, false)
 		if err := luRightLevel(p, s-1, d); err != nil {
 			return fmt.Errorf("core: LU pivot block %d: %w", k, err)
 		}
@@ -136,21 +133,16 @@ func luRightLevel(p *Plan, s int, a *matrix.Dense) error {
 		for i := k + 1; i < nb; i++ {
 			ik := blk(i, k)
 			p.H.Load(s, words(ik))
-			p.note(s, ik, false)
 			trsmUpperRightLevel(p, s-1, d, ik) // L(i,k)
 			p.H.Store(s, words(ik))
-			p.note(s, ik, true)
 		}
 		for j := k + 1; j < nb; j++ {
 			kj := blk(k, j)
 			p.H.Load(s, words(kj))
-			p.note(s, kj, false)
 			trsmUnitLowerLevel(p, s-1, d, kj) // U(k,j)
 			p.H.Store(s, words(kj))
-			p.note(s, kj, true)
 		}
 		p.H.Store(s, words(d))
-		p.note(s, d, true)
 		if mark {
 			p.H.End()
 			p.H.Begin("update")
@@ -159,17 +151,13 @@ func luRightLevel(p *Plan, s int, a *matrix.Dense) error {
 		for i := k + 1; i < nb; i++ {
 			l := blk(i, k)
 			p.H.Load(s, words(l))
-			p.note(s, l, false)
 			for j := k + 1; j < nb; j++ {
 				u := blk(k, j)
 				t := blk(i, j)
 				p.H.Load(s, words(u))
-				p.note(s, u, false)
 				p.H.Load(s, words(t))
-				p.note(s, t, false)
 				gemmLevel(p, s-1, t, l, u, modeSubAB)
 				p.H.Store(s, words(t))
-				p.note(s, t, true)
 				p.H.Discard(s, words(u))
 			}
 			p.H.Discard(s, words(l))

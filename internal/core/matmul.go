@@ -58,12 +58,10 @@ func gemmLevel(p *Plan, s int, c, a, b *matrix.Dense, mode gemmMode) {
 				}
 				cb := c.Block(i*bs, j*bs, min(bs, m-i*bs), min(bs, l-j*bs))
 				p.H.Load(s, words(cb))
-				p.note(s, cb, false)
 				for k := 0; k < nb; k++ {
 					gemmStep(p, s, c, a, b, mode, i, j, k)
 				}
 				p.H.Store(s, words(cb))
-				p.note(s, cb, true)
 				if mark {
 					p.H.End()
 				}
@@ -80,10 +78,8 @@ func gemmLevel(p *Plan, s int, c, a, b *matrix.Dense, mode gemmMode) {
 				for j := 0; j < lb; j++ {
 					cb := c.Block(i*bs, j*bs, min(bs, m-i*bs), min(bs, l-j*bs))
 					p.H.Load(s, words(cb))
-					p.note(s, cb, false)
 					gemmStep(p, s, c, a, b, mode, i, j, k)
 					p.H.Store(s, words(cb))
-					p.note(s, cb, true)
 				}
 			}
 			if mark {
@@ -117,9 +113,7 @@ func gemmStep(p *Plan, s int, c, a, b *matrix.Dense, mode gemmMode, i, j, k int)
 		sub = modeSubABt
 	}
 	p.H.Load(s, words(ab))
-	p.note(s, ab, false)
 	p.H.Load(s, words(bb))
-	p.note(s, bb, false)
 	gemmLevel(p, s-1, cb, ab, bb, sub)
 	p.H.Discard(s, words(ab))
 	p.H.Discard(s, words(bb))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"writeavoid/internal/access"
-	"writeavoid/internal/machine"
 	"writeavoid/internal/matrix"
 )
 
@@ -46,8 +45,8 @@ type traceBinding struct {
 	reg  access.Region
 }
 
-// NewTracer builds a tracer emitting into sink. Pass access.SinkFunc(h.Touch)
-// to send the stream through a hierarchy's touch-interested recorders.
+// NewTracer builds a tracer emitting into sink: an access.BatchSink such as
+// a cache.FALRU or an access.Recorder takes whole blocks.
 func NewTracer(sink access.Sink) *Tracer {
 	t := &Tracer{sink: sink}
 	t.batch, _ = sink.(access.BatchSink)
@@ -239,21 +238,4 @@ func (t *Tracer) cholesky(a *matrix.Dense) {
 		}
 	}
 	t.flush()
-}
-
-// ranges annotates the block transfer just counted across interface s of h
-// with block v's address extent: one EvRange run per block row (rows are
-// contiguous in the bound root), or with lower only the row's lower-triangle
-// prefix, matching the triWords transfers of the Cholesky drivers.
-// Addresses are in elements (region byte addresses scaled by the element
-// size) so run lengths match the word units of the enclosing Load/Store.
-func (t *Tracer) ranges(h *machine.Hierarchy, s int, v *matrix.Dense, lower, store bool) {
-	tv := t.view(v)
-	for i := 0; i < v.Rows; i++ {
-		run := v.Cols
-		if lower {
-			run = min(i+1, v.Cols)
-		}
-		h.Range(s, tv.at(i, 0)/tv.elem, int64(run), store)
-	}
 }

@@ -44,9 +44,7 @@ func trsmLevel(p *Plan, s int, t, b *matrix.Dense) {
 	update := func(i, j, k int) {
 		tb, xb := blkT(i, k), blkB(k, j)
 		p.H.Load(s, words(tb))
-		p.note(s, tb, false)
 		p.H.Load(s, words(xb))
-		p.note(s, xb, false)
 		gemmLevel(p, s-1, blkB(i, j), tb, xb, modeSubAB)
 		p.H.Discard(s, words(tb))
 		p.H.Discard(s, words(xb))
@@ -54,7 +52,6 @@ func trsmLevel(p *Plan, s int, t, b *matrix.Dense) {
 	diagSolve := func(i, j int) {
 		tb := blkT(i, i)
 		p.H.Load(s, words(tb))
-		p.note(s, tb, false)
 		trsmLevel(p, s-1, tb, blkB(i, j))
 		p.H.Discard(s, words(tb))
 	}
@@ -71,13 +68,11 @@ func trsmLevel(p *Plan, s int, t, b *matrix.Dense) {
 				}
 				bb := blkB(i, j)
 				p.H.Load(s, words(bb))
-				p.note(s, bb, false)
 				for k := i + 1; k < nb; k++ {
 					update(i, j, k)
 				}
 				diagSolve(i, j)
 				p.H.Store(s, words(bb))
-				p.note(s, bb, true)
 				if mark {
 					p.H.End()
 				}
@@ -94,17 +89,13 @@ func trsmLevel(p *Plan, s int, t, b *matrix.Dense) {
 				}
 				bb := blkB(k, j)
 				p.H.Load(s, words(bb))
-				p.note(s, bb, false)
 				diagSolve(k, j)
 				p.H.Store(s, words(bb))
-				p.note(s, bb, true)
 				for i := k - 1; i >= 0; i-- {
 					cb := blkB(i, j)
 					p.H.Load(s, words(cb))
-					p.note(s, cb, false)
 					update(i, j, k)
 					p.H.Store(s, words(cb))
-					p.note(s, cb, true)
 				}
 				if mark {
 					p.H.End()

@@ -8,8 +8,7 @@ import (
 )
 
 // Aggregate sums the processors' own counters field by field, even though
-// the processors record concurrently. Touches are not tallied: a
-// hierarchy's own counters never count them, so the touches below read 0.
+// the processors record concurrently, remote words included.
 func TestAggregateSumsAllProcessors(t *testing.T) {
 	const P = 8
 	m := mk(P)
@@ -22,7 +21,8 @@ func TestAggregateSumsAllProcessors(t *testing.T) {
 		p.H.Discard(0, 1)
 		p.H.Flops(100)
 		if p.Rank%2 == 0 {
-			p.H.Touch(uint64(p.Rank), true)
+			p.H.LoadRemote(0, 3)
+			p.H.Store(0, 3)
 		}
 	})
 	agg := m.Aggregate()
@@ -34,8 +34,8 @@ func TestAggregateSumsAllProcessors(t *testing.T) {
 	if !reflect.DeepEqual(agg, want) {
 		t.Fatalf("aggregate %+v\nwant the summed rank counters %+v", agg, want)
 	}
-	if agg.TouchReads != 0 || agg.TouchWrites != 0 {
-		t.Fatalf("aggregate tallied touches (%d reads, %d writes)", agg.TouchReads, agg.TouchWrites)
+	if agg.Iface[0].RemoteLoadWords != 3*P/2 {
+		t.Fatalf("aggregate remote load words %d, want %d", agg.Iface[0].RemoteLoadWords, 3*P/2)
 	}
 
 	// Explicit closed-form cross-check: sum over ranks of 10*(r+1) etc.
@@ -43,9 +43,9 @@ func TestAggregateSumsAllProcessors(t *testing.T) {
 	for r := 1; r <= P; r++ {
 		base += int64(10 * r)
 	}
-	if agg.Iface[0].LoadWords != base || agg.Iface[1].LoadWords != 2*base || agg.FlopCount != 100*P {
+	if agg.Iface[0].LoadWords != base+3*P/2 || agg.Iface[1].LoadWords != 2*base || agg.FlopCount != 100*P {
 		t.Fatalf("aggregate loads (%d,%d) flops %d want (%d,%d) %d",
-			agg.Iface[0].LoadWords, agg.Iface[1].LoadWords, agg.FlopCount, base, 2*base, 100*P)
+			agg.Iface[0].LoadWords, agg.Iface[1].LoadWords, agg.FlopCount, base+3*P/2, 2*base, 100*P)
 	}
 }
 

@@ -309,8 +309,7 @@ func (m *Machine) MaxWritesTo(lvl int) int64 {
 }
 
 // Aggregate sums every processor's published counters into whole-machine
-// totals: words, messages and flops across all local hierarchies (touches
-// are not counted: a hierarchy's own counters never see them). Each rank
+// totals: words, messages and flops across all local hierarchies. Each rank
 // publishes at every Barrier and when its Run body returns, so Aggregate is
 // exact after Run and, read while the processors run, covers each rank up
 // to its last barrier: right after a Barrier, rank 0 reads exactly the

@@ -179,5 +179,5 @@ func snapshotEq(a, b machine.Snapshot) bool {
 			return false
 		}
 	}
-	return a.Flops == b.Flops && a.TouchReads == b.TouchReads && a.TouchWrites == b.TouchWrites
+	return a.Flops == b.Flops
 }

@@ -19,7 +19,6 @@ import (
 	"writeavoid/internal/nbody"
 	"writeavoid/internal/pmm"
 	"writeavoid/internal/profile"
-	"writeavoid/internal/smp"
 )
 
 func levels3() []machine.Level {
@@ -84,41 +83,46 @@ func TestCholeskyIdentical(t *testing.T) {
 	})
 }
 
-// TestTracedMatMulIdentical drives the element-granularity touch stream
-// through both engines: the Tracer emits into access.SinkFunc(h.Touch), so
-// every access crosses the engine as an EvTouch. The touches each engine
-// delivers must also be, op for op, the stream the Tracer writes straight
-// into a sink, which is what the cache simulations consume.
+// TestTracedMatMulIdentical drives a traced plan through both engines: the
+// Tracer writes every element access straight into its sink while the
+// driver's loads, stores and flops cross the engine. Both engines must agree
+// on every observable and count what the untraced plan counts, and each
+// run's trace must be, op for op, the trace of the same plan on a hierarchy
+// with nothing attached, which is what the cache simulations consume.
 func TestTracedMatMulIdentical(t *testing.T) {
 	const n = 16
 	a, b := matrix.Random(n, n, 7), matrix.Random(n, n, 8)
 	lay := access.NewLayout(64)
 	ra, rb, rc := lay.NewRegion(n, n), lay.NewRegion(n, n), lay.NewRegion(n, n)
 	matmul := func(h *machine.Hierarchy, sink access.Sink) {
-		tr := core.NewTracer(sink)
+		p := &core.Plan{H: h, BlockSizes: []int{4}, Order: core.OrderWA}
 		cm := matrix.New(n, n)
-		tr.Bind(a, ra)
-		tr.Bind(b, rb)
-		tr.Bind(cm, rc)
-		p := &core.Plan{H: h, BlockSizes: []int{4}, Order: core.OrderWA, Trace: tr}
+		if sink != nil {
+			p.Trace = core.NewTracer(sink)
+			p.Trace.Bind(a, ra)
+			p.Trace.Bind(b, rb)
+			p.Trace.Bind(cm, rc)
+		}
 		if err := core.MatMul(p, cm, a, b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run := func(ref bool) (Result, []access.Op) {
-		res := Run(levels2(), ref, func(h *machine.Hierarchy) { matmul(h, access.SinkFunc(h.Touch)) })
-		var ops []access.Op
-		for _, e := range res.Events {
-			if e.Kind == machine.EvTouch {
-				ops = append(ops, access.Op{Addr: e.Addr, Write: e.Write})
-			}
-		}
-		return res, ops
+		var rec access.Recorder
+		res := Run(levels2(), ref, func(h *machine.Hierarchy) { matmul(h, &rec) })
+		return res, rec.Ops
 	}
 	refRes, refOps := run(true)
 	gotRes, gotOps := run(false)
 	if d := Diff(refRes, gotRes); d != "" {
 		t.Fatal(d)
+	}
+	if len(refRes.Events) == 0 {
+		t.Fatal("the traced plan drove no events")
+	}
+	counted := Run(levels2(), false, func(h *machine.Hierarchy) { matmul(h, nil) })
+	if counted.Counters != gotRes.Counters {
+		t.Fatalf("traced plan counts %s, the untraced plan %s", gotRes.Counters, counted.Counters)
 	}
 	var direct access.Recorder
 	matmul(machine.New(false, levels2()...), &direct)
@@ -130,11 +134,11 @@ func TestTracedMatMulIdentical(t *testing.T) {
 		ops  []access.Op
 	}{{"reference", refOps}, {"batched", gotOps}} {
 		if len(engine.ops) != len(direct.Ops) {
-			t.Fatalf("%s engine delivered %d touches, the Tracer emitted %d", engine.name, len(engine.ops), len(direct.Ops))
+			t.Fatalf("%s engine run traced %d ops, the bare run %d", engine.name, len(engine.ops), len(direct.Ops))
 		}
 		for i := range direct.Ops {
 			if engine.ops[i] != direct.Ops[i] {
-				t.Fatalf("%s engine touch %d = %+v, the Tracer emitted %+v", engine.name, i, engine.ops[i], direct.Ops[i])
+				t.Fatalf("%s engine run op %d = %+v, the bare run %+v", engine.name, i, engine.ops[i], direct.Ops[i])
 			}
 		}
 	}
@@ -171,52 +175,6 @@ func TestExternalSortIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-// oneByOne splits every block it is handed into one-event blocks, so the
-// ledger behind it is recorded into once per event: the reference delivery
-// for a recorder that concurrent workers share.
-type oneByOne struct{ l *machine.Ledger }
-
-func (o oneByOne) Record(events []machine.Event) {
-	for i := range events {
-		o.l.Record(events[i : i+1])
-	}
-}
-
-// TestRunParallelIdentical checks the smp worker-side batching: the touch
-// totals of the one ledger concurrent workers record into equal those of
-// one-event delivery, which are schedule-independent by construction.
-func TestRunParallelIdentical(t *testing.T) {
-	sched := smp.Schedule{Queues: make([][]smp.Task, 4)}
-	for w := range sched.Queues {
-		for k := 0; k < 5; k++ {
-			task := smp.Task{Label: "t"}
-			for a := 0; a < 100; a++ {
-				task.Ops = append(task.Ops, access.Op{
-					Addr:  uint64((w*1000 + k*100 + a) * 8),
-					Write: a%3 == 0,
-				})
-			}
-			sched.Queues[w] = append(sched.Queues[w], task)
-		}
-	}
-	run := func(ref bool) string {
-		l := machine.NewLedger(levels2())
-		var rec machine.Recorder = l
-		if ref {
-			rec = oneByOne{l}
-		}
-		if _, err := smp.RunParallel(sched, rec); err != nil {
-			t.Fatal(err)
-		}
-		return canonJSON(l.Snapshot(true))
-	}
-	refSnap := run(true)
-	gotSnap := run(false)
-	if refSnap != gotSnap {
-		t.Fatalf("merged snapshots diverge:\nreference: %s\nbatched: %s", refSnap, gotSnap)
-	}
 }
 
 // TestDist2SocketIdentical runs the 2.5D matmul on a 2-socket machine under

@@ -18,18 +18,16 @@ import (
 	"writeavoid/internal/profile"
 )
 
-// capture records the raw delivered event sequence, touches and marks
-// included.
+// capture records the raw delivered event sequence, marks included.
 type capture struct {
 	events []machine.Event
 }
 
 func (c *capture) Record(events []machine.Event) { c.events = append(c.events, events...) }
-func (c *capture) WantsTouch() bool              { return true }
 
 // Result is everything one engine run exposes to comparison.
 type Result struct {
-	// Events is the full delivered sequence, touches and marks included.
+	// Events is the full delivered sequence, marks included.
 	Events []machine.Event
 	// Stream is the JSONL bytes a StreamRecorder (every=7) emitted.
 	Stream []byte
@@ -37,8 +35,7 @@ type Result struct {
 	Spans string
 	// Counters is the canonical JSON of the hierarchy's own snapshot.
 	Counters string
-	// StreamCum is the canonical JSON of the stream's cumulative snapshot
-	// (includes touch tallies, which the hierarchy's own counters omit).
+	// StreamCum is the canonical JSON of the stream's cumulative snapshot.
 	StreamCum string
 }
 

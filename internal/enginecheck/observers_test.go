@@ -15,14 +15,13 @@ import (
 )
 
 // program drives a random run over hierarchies of growing depth: loads,
-// stores, residency marks, flops, touches and ranges on one hierarchy at a
-// time (switching flushes the one left, so delivery order is emission
-// order), nested spans, and — through direct — charges made straight into
-// the profiler's main tree's ledger the way krylov's Traffic meter makes
-// them. Every hierarchy has a twin of batch capacity 1 that replays each
-// call as it is made, so the references attached to the twins are fed in
-// program order, direct charges included, whatever the batched side's
-// delivery order is.
+// stores, residency marks and flops on one hierarchy at a time (switching
+// flushes the one left, so delivery order is emission order), nested spans,
+// and — through direct — charges made straight into the profiler's main
+// tree's ledger the way krylov's Traffic meter makes them. Every hierarchy
+// has a twin of batch capacity 1 that replays each call as it is made, so
+// the references attached to the twins are fed in program order, direct
+// charges included, whatever the batched side's delivery order is.
 type program struct {
 	rng    *rand.Rand
 	attach func(h, twin *machine.Hierarchy)
@@ -89,20 +88,8 @@ func (p *program) step() {
 	case k < 9:
 		i := r.Intn(levels)
 		p.do(func(h *machine.Hierarchy) { h.Discard(i, words) })
-	case k < 11:
-		p.do(func(h *machine.Hierarchy) { h.Flops(words) })
-	case k < 12:
-		remote, addr, write := r.Intn(3) == 0, uint64(r.Intn(1<<16)), r.Intn(2) == 0
-		p.do(func(h *machine.Hierarchy) {
-			if remote {
-				h.TouchRemote(addr, write)
-			} else {
-				h.Touch(addr, write)
-			}
-		})
 	case k < 13:
-		i, addr, store := r.Intn(levels-1), uint64(r.Intn(1<<16)), r.Intn(2) == 0
-		p.do(func(h *machine.Hierarchy) { h.Range(i, addr, words, store) })
+		p.do(func(h *machine.Hierarchy) { h.Flops(words) })
 	case k < 15:
 		name := spanNames[r.Intn(len(spanNames))]
 		p.do(func(h *machine.Hierarchy) { h.Begin(name) })
@@ -190,11 +177,6 @@ func TestSessionObserversMatchReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			everyA, everyB := everies[seed%9], everies[rng.Intn(len(everies))]
 			capN := []int{4, 16, 64, 4096}[rng.Intn(4)]
-			touch := seed%4 == 0
-			var opts []flight.Option
-			if touch {
-				opts = append(opts, flight.WithTouch())
-			}
 			levels := machine.GenericLevels(2)
 			if seed%3 == 0 {
 				levels = []machine.Level{{Name: "fast", Size: 64}, {Name: "slow"}}
@@ -224,7 +206,7 @@ func TestSessionObserversMatchReference(t *testing.T) {
 			sess.AddStream(sB)
 			prof := profile.NewProfiler(levels)
 			sess.SetProfile(prof)
-			fr := flight.New(capN, levels, opts...)
+			fr := flight.New(capN, levels)
 			sess.SetFlight(fr)
 			hists := monitor.NewHistogramRecorder(levels)
 			hists.SetClock(clock)
@@ -237,7 +219,7 @@ func TestSessionObserversMatchReference(t *testing.T) {
 
 			rA, rB := newRefStream(&rbufA, levels, everyA), newRefStream(&rbufB, levels, everyB)
 			rs := newRefSpanRecorder(levels)
-			rf := newRefFlight(capN, levels, touch)
+			rf := newRefFlight(capN, levels)
 			rm := newRefMonitor(levels, preds(&refDeltas))
 			rh := newRefHistograms(levels, clock)
 			rh.floors["panel"] = 100
@@ -354,7 +336,7 @@ func TestRankObserversMatchReference(t *testing.T) {
 					l := machine.NewLedger(nil)
 					pg.Follow(rank, l)
 					fg.Follow(rank, l)
-					rs, rf := newRefSpanRecorder(nil), newRefFlight(capN, nil, false)
+					rs, rf := newRefSpanRecorder(nil), newRefFlight(capN, nil)
 					ref.recs = append(ref.recs, rs)
 					refRings = append(refRings, rf)
 					p := &program{rng: rng, attach: func(h, twin *machine.Hierarchy) {

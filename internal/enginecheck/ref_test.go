@@ -38,7 +38,7 @@ func newRefGrowing(levels []machine.Level) *refGrowing {
 
 func (g *refGrowing) record(e machine.Event) {
 	switch e.Kind {
-	case machine.EvBegin, machine.EvEnd, machine.EvRange:
+	case machine.EvBegin, machine.EvEnd:
 		return
 	}
 	need := 0
@@ -56,8 +56,6 @@ func (g *refGrowing) record(e machine.Event) {
 		copy(grown.Iface, g.cur.Iface)
 		copy(grown.Lvl, g.cur.Lvl)
 		grown.FlopCount = g.cur.FlopCount
-		grown.TouchReads, grown.TouchWrites = g.cur.TouchReads, g.cur.TouchWrites
-		grown.RemoteTouchReads, grown.RemoteTouchWrites = g.cur.RemoteTouchReads, g.cur.RemoteTouchWrites
 		g.cur = grown
 	}
 	g.cur.Record([]machine.Event{e})
@@ -80,8 +78,6 @@ func newRefStream(w io.Writer, levels []machine.Level, every int64) *refStream {
 	return &refStream{sw: machine.NewStreamWriter(w), g: newRefGrowing(levels), every: every}
 }
 
-func (s *refStream) WantsTouch() bool { return true }
-
 func (s *refStream) Record(events []machine.Event) {
 	for _, e := range events {
 		s.record(e)
@@ -90,7 +86,7 @@ func (s *refStream) Record(events []machine.Event) {
 
 func (s *refStream) record(e machine.Event) {
 	switch e.Kind {
-	case machine.EvBegin, machine.EvEnd, machine.EvRange:
+	case machine.EvBegin, machine.EvEnd:
 		return
 	}
 	s.g.record(e)
@@ -149,7 +145,7 @@ func (m *refMonitor) Record(events []machine.Event) {
 
 func (m *refMonitor) record(e machine.Event) {
 	switch e.Kind {
-	case machine.EvBegin, machine.EvEnd, machine.EvRange:
+	case machine.EvBegin, machine.EvEnd:
 		return
 	}
 	m.g.record(e)
@@ -235,7 +231,7 @@ func (h *refHistograms) Record(events []machine.Event) {
 
 func (h *refHistograms) record(e machine.Event) {
 	switch e.Kind {
-	case machine.EvBegin, machine.EvEnd, machine.EvRange:
+	case machine.EvBegin, machine.EvEnd:
 		return
 	}
 	h.g.record(e)
@@ -317,17 +313,15 @@ type refFlight struct {
 	phase  string
 	events int64
 	closed *flight.PhaseDelta
-	touch  bool
 }
 
-func newRefFlight(capacity int, levels []machine.Level, touch bool) *refFlight {
-	r := &refFlight{ring: make([]machine.Event, capacity), g: newRefGrowing(levels), touch: touch}
+func newRefFlight(capacity int, levels []machine.Level) *refFlight {
+	r := &refFlight{ring: make([]machine.Event, capacity), g: newRefGrowing(levels)}
 	r.prev = r.g.Snapshot()
 	return r
 }
 
 func (r *refFlight) WantsSpans() bool { return true }
-func (r *refFlight) WantsTouch() bool { return r.touch }
 
 func (r *refFlight) Record(events []machine.Event) {
 	for _, e := range events {
@@ -352,7 +346,6 @@ func (r *refFlight) record(e machine.Event) {
 		if len(r.stack) > 0 {
 			r.stack = r.stack[:len(r.stack)-1]
 		}
-	case machine.EvRange:
 	default:
 		r.g.record(e)
 		r.events++
@@ -451,7 +444,6 @@ func newRefSpanRecorder(levels []machine.Level) *refSpanRecorder {
 	return &refSpanRecorder{g: newRefGrowing(levels)}
 }
 
-func (r *refSpanRecorder) WantsTouch() bool { return true }
 func (r *refSpanRecorder) WantsSpans() bool { return true }
 
 func (r *refSpanRecorder) Record(events []machine.Event) {
@@ -467,8 +459,6 @@ func (r *refSpanRecorder) record(e machine.Event) {
 		return
 	case machine.EvEnd:
 		r.pop()
-		return
-	case machine.EvRange:
 		return
 	}
 	r.g.record(e)
@@ -565,10 +555,6 @@ func refSpanArgs(d machine.Snapshot) map[string]any {
 	for i, ifc := range d.Interfaces {
 		args[fmt.Sprintf("if%d.loadWords", i)] = ifc.LoadWords
 		args[fmt.Sprintf("if%d.storeWords", i)] = ifc.StoreWords
-	}
-	if d.TouchReads != 0 || d.TouchWrites != 0 {
-		args["touchReads"] = d.TouchReads
-		args["touchWrites"] = d.TouchWrites
 	}
 	return args
 }

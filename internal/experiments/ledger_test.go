@@ -68,13 +68,12 @@ type counting struct{ n int64 }
 func (c *counting) Record(events []machine.Event) {
 	for _, e := range events {
 		switch e.Kind {
-		case machine.EvBegin, machine.EvEnd, machine.EvRange:
+		case machine.EvBegin, machine.EvEnd:
 			continue
 		}
 		c.n++
 	}
 }
-func (c *counting) WantsTouch() bool { return true }
 
 // One fold per observer layer: with every sink installed, an observed
 // event is folded twice — once by the session ledger, which the monitor,
@@ -118,16 +117,16 @@ func TestObservedEventFoldedTwice(t *testing.T) {
 	if count.n == 0 {
 		t.Fatal("the kernel emitted no events")
 	}
-	if got := s.led.Events(true) + prof.Main.Ledger().Events(true); got != 2*count.n {
+	if got := s.led.Events() + prof.Main.Ledger().Events(); got != 2*count.n {
 		t.Fatalf("%d events were folded %d times, want %d", count.n, got, 2*count.n)
 	}
 
 	h.Detach(s.led)
-	events, ring, clock := s.led.Events(true), fr.Stats().TotalEvents, prof.Main.Clock()
+	events, ring, clock := s.led.Events(), fr.Stats().TotalEvents, prof.Main.Clock()
 	h.Load(0, 1)
 	h.Store(0, 1)
 	h.Flush()
-	if s.led.Events(true) != events || fr.Stats().TotalEvents != ring || prof.Main.Clock() != clock {
+	if s.led.Events() != events || fr.Stats().TotalEvents != ring || prof.Main.Clock() != clock {
 		t.Fatal("an event reached a sink with the session ledger detached")
 	}
 }
@@ -165,8 +164,8 @@ func TestRankEventFoldedTwice(t *testing.T) {
 		for _, ifc := range c.Iface {
 			want += ifc.LoadMsgs + ifc.StoreMsgs
 		}
-		if want == 0 || l.Events(false) < want {
-			t.Fatalf("rank %d ledger folded %d events, its hierarchy moved %d messages", rank, l.Events(false), want)
+		if want == 0 || l.Events() < want {
+			t.Fatalf("rank %d ledger folded %d events, its hierarchy moved %d messages", rank, l.Events(), want)
 		}
 		if !l.WantsSpans() {
 			t.Fatalf("rank %d ledger has no span tree reading it", rank)

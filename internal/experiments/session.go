@@ -36,7 +36,7 @@ import (
 // The profiler's main span tree hangs below it with a fold of its own (it
 // also takes krylov's direct Traffic charges, which no hierarchy emits).
 // Install sinks before the first observed hierarchy: a ledger reports its
-// touch and span interest when it is attached.
+// span interest when it is attached.
 //
 // The zero value is a valid no-sink session: every section runs with nothing
 // attached, and a nil *Session behaves the same way.

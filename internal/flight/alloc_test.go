@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// A 4096-event flight recorder is its ring — 4096 pointer-free slots, at
-// most 128 KiB — plus a few small headers (the recorder, its label table and
-// its private ledger).
+// A 4096-event flight recorder is its ring — 4096 pointer-free 16-byte
+// slots, 64 KiB — plus a few small headers (the recorder, its label table
+// and its private ledger).
 func TestNewRingBytes(t *testing.T) {
 	const runs = 16
 	keep := make([]*Recorder, 0, runs)
@@ -21,7 +21,7 @@ func TestNewRingBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&b)
 	perRing := (b.TotalAlloc - a.TotalAlloc) / runs
-	if limit := uint64(128<<10 + 4<<10); perRing > limit {
+	if limit := uint64(64<<10 + 4<<10); perRing > limit {
 		t.Fatalf("flight.New(4096, nil) allocates %d bytes, want at most %d", perRing, limit)
 	}
 	runtime.KeepAlive(keep)

@@ -19,8 +19,6 @@ type EventRecord struct {
 	Kind   string `json:"kind"`
 	Arg    int    `json:"arg,omitempty"`
 	Words  int64  `json:"words,omitempty"`
-	Addr   uint64 `json:"addr,omitempty"`
-	Write  bool   `json:"write,omitempty"`
 	Remote bool   `json:"remote,omitempty"`
 	Label  string `json:"label,omitempty"`
 }
@@ -34,8 +32,6 @@ func Decode(seq int64, e machine.Event) EventRecord {
 		Kind:   e.Kind.String(),
 		Arg:    e.Arg,
 		Words:  e.Words,
-		Addr:   e.Addr,
-		Write:  e.Write,
 		Remote: e.Remote,
 		Label:  e.Label,
 	}
@@ -181,7 +177,7 @@ func (g *Group) Follow(rank int, l *machine.Ledger) {
 	}
 	g.mu.Unlock()
 	if r == nil {
-		r = newRing(g.capacity, nil)
+		r = newRing(g.capacity)
 	} else {
 		r.reset()
 	}

@@ -16,24 +16,23 @@
 // monitor's check evaluated, whichever sink closed the phase and in
 // whatever order the marks run.
 //
-// Ring layout: each event is kept in a 24-byte slot that holds no pointers
-// (Words, Addr, a 32-bit Arg, and the kind, flags and a label index packed
-// into one word); span labels live in a small table beside the ring,
-// compacted when it outgrows the labels the ring still holds. A 4096-event
-// ring is 96 KiB that the garbage collector never scans, and steady state
-// allocates nothing per event. Arg is an interface or level index, which
-// always fits 32 bits.
+// Ring layout: each event is kept in a 16-byte slot that holds no pointers
+// (Words, a 32-bit Arg, and the kind, the remote flag and a label index
+// packed into one 32-bit word); span labels live in a small table beside
+// the ring, compacted when it outgrows the labels the ring still holds. A
+// 4096-event ring is 64 KiB that the garbage collector never scans, and
+// steady state allocates nothing per event. Arg is an interface or level
+// index, which always fits 32 bits.
 //
 // Exactness invariants, pinned by the package tests:
 //
 //   - The ring's decoded tail is bit-identical to the trailing events the
-//     per-event reference engine (batch capacity 1) delivers to an
-//     identically-interested recorder. Batching never changes which events
-//     the black box holds, only when they arrived.
+//     per-event reference engine (batch capacity 1) delivers to an attached
+//     recorder. Batching never changes which events the black box holds,
+//     only when they arrived.
 //   - The last closed phase's Delta equals cum.Sub(prev) over exactly the
 //     events recorded under that phase label — the monitor's check input,
-//     since (with the default touchless interest) both read the same
-//     ledger view.
+//     since both read the same ledger.
 //   - Capture never loses the drop count: TotalEvents - len(Events) events
 //     were overwritten, and the bundle says so rather than pretending the
 //     window is complete.
@@ -50,22 +49,19 @@ import (
 // tens of KB per hierarchy.
 const DefaultEvents = 1024
 
-// slot is one ring event, 24 bytes and pointer-free so the ring is never
-// scanned. meta packs the kind (low 4 bits), the write and remote flags
-// (bits 4 and 5) and the label index (the upper 26 bits; 0 is the empty
-// label).
+// slot is one ring event, 16 bytes and pointer-free so the ring is never
+// scanned. meta packs the kind (low 4 bits), the remote flag (bit 4) and the
+// label index (the upper 27 bits; 0 is the empty label).
 type slot struct {
 	words int64
-	addr  uint64
 	arg   int32
 	meta  uint32
 }
 
 const (
 	kindBits   = 4
-	flagWrite  = 1 << kindBits
-	flagRemote = 2 << kindBits
-	labelShift = kindBits + 2
+	flagRemote = 1 << kindBits
+	labelShift = kindBits + 1
 	// maxLabels bounds the label table; it is compacted well before.
 	maxLabels = 1 << (32 - labelShift)
 )
@@ -74,12 +70,12 @@ const (
 // open span stack, over the phase context of the ledger it reads. It is not
 // a machine.Recorder: it is a tap of its ledger, which feeds the ring every
 // block it folds, and attaching or recording goes through Ledger(). The
-// ledger asks for span marks on its behalf (WantsSpans) and for touches
-// when WithTouch is set. It is internally locked — smp.RunParallel delivers
-// batches from many goroutines at once, and captures may come from HTTP
-// handlers — with one lock round-trip per batch, not per event. Capture
-// syncs the ledger's batch sources, so it belongs to the run goroutine;
-// concurrent readers use Peek, which accepts batch granularity instead.
+// ledger asks for span marks on its behalf (WantsSpans). It is internally
+// locked — goroutines may record into one ledger at once, and captures may
+// come from HTTP handlers — with one lock round-trip per batch, not per
+// event. Capture syncs the ledger's batch sources, so it belongs to the run
+// goroutine; concurrent readers use Peek, which accepts batch granularity
+// instead.
 type Recorder struct {
 	led *machine.Ledger
 
@@ -96,37 +92,22 @@ type Recorder struct {
 	lastIdx uint32
 
 	captures int64
-	touch    bool
 }
-
-// Option configures a Recorder at construction.
-type Option func(*Recorder)
-
-// WithTouch opts the recorder into the dense per-element EvTouch/EvRange
-// stream. Off by default: the black box then sees exactly the event set the
-// monitor sees, which keeps phase deltas bit-identical to the monitor's
-// check inputs (touch tallies included would differ — the monitor never
-// subscribes).
-func WithTouch() Option { return func(r *Recorder) { r.touch = true } }
 
 // New builds a flight recorder whose ring holds capacity events (values < 1
 // get DefaultEvents), reading a private ledger seeded with the given counter
 // geometry (nil grows on demand like the monitor's).
-func New(capacity int, levels []machine.Level, opts ...Option) *Recorder {
-	r := newRing(capacity, opts)
+func New(capacity int, levels []machine.Level) *Recorder {
+	r := newRing(capacity)
 	r.Follow(machine.NewLedger(levels))
 	return r
 }
 
-func newRing(capacity int, opts []Option) *Recorder {
+func newRing(capacity int) *Recorder {
 	if capacity < 1 {
 		capacity = DefaultEvents
 	}
-	r := &Recorder{ring: make([]slot, capacity), names: []string{""}}
-	for _, o := range opts {
-		o(r)
-	}
-	return r
+	return &Recorder{ring: make([]slot, capacity), names: []string{""}}
 }
 
 // Follow makes the recorder read l from now on: l feeds the ring, and its
@@ -149,9 +130,6 @@ func (r *Recorder) Ledger() *machine.Ledger { return r.led }
 // stack tracks them.
 func (r *Recorder) WantsSpans() bool { return true }
 
-// WantsTouch reports the configured touch interest (see WithTouch).
-func (r *Recorder) WantsTouch() bool { return r.touch }
-
 // TapBatch appends a block the ledger folded to the ring under one lock
 // acquisition — the steady-state path: a slot copy and a stack push/pop
 // per event, no allocation.
@@ -160,15 +138,11 @@ func (r *Recorder) TapBatch(events []machine.Event) {
 	for i := range events {
 		e := &events[i]
 		switch e.Kind {
-		case machine.EvTouch, machine.EvRange:
-			if !r.touch {
-				continue
-			}
 		case machine.EvBegin:
 			r.stack = append(r.stack, e.Label)
 		case machine.EvEnd:
-			// Pop-if-nonempty: under concurrent direct delivery (smp workers
-			// recording straight into a shared flight recorder) cross-worker
+			// Pop-if-nonempty: under concurrent direct delivery (goroutines
+			// recording straight into a shared ledger) cross-goroutine
 			// interleaving makes the stack best-effort; it must stay bounded
 			// and race-free, not meaningful.
 			if len(r.stack) > 0 {
@@ -182,10 +156,7 @@ func (r *Recorder) TapBatch(events []machine.Event) {
 
 // append writes one event into the next slot; callers hold mu.
 func (r *Recorder) append(e *machine.Event) {
-	s := slot{words: e.Words, addr: e.Addr, arg: int32(e.Arg), meta: uint32(e.Kind)}
-	if e.Write {
-		s.meta |= flagWrite
-	}
+	s := slot{words: e.Words, arg: int32(e.Arg), meta: uint32(e.Kind)}
 	if e.Remote {
 		s.meta |= flagRemote
 	}
@@ -270,8 +241,6 @@ func (r *Recorder) decode(seq int64, s *slot) EventRecord {
 		Kind:   machine.EventKind(s.meta & (1<<kindBits - 1)).String(),
 		Arg:    int(s.arg),
 		Words:  s.words,
-		Addr:   s.addr,
-		Write:  s.meta&flagWrite != 0,
 		Remote: s.meta&flagRemote != 0,
 		Label:  r.names[s.meta>>labelShift],
 	}
@@ -303,7 +272,7 @@ func (r *Recorder) Capture(reason string) *Window {
 // counts agree with its phase, closed delta and cumulative snapshot.
 func (r *Recorder) Peek(reason string) *Window {
 	w := &Window{Reason: reason}
-	st := r.led.State(r.touch, func() {
+	st := r.led.State(func() {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		r.fillLocked(w)

@@ -2,38 +2,31 @@ package flight_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"writeavoid/internal/flight"
 	"writeavoid/internal/machine"
-	"writeavoid/internal/smp"
 )
 
-// touchSink keeps the hierarchy's touch stream enabled so EvTouch/EvRange
-// are emitted into the batch and the flush's stripping path (what a default
-// touchless flight recorder rides) is actually exercised.
-type touchSink struct{}
-
-func (touchSink) Record([]machine.Event) {}
-func (touchSink) WantsTouch() bool       { return true }
-
-// capture is a plain touchless recorder: with the reference engine (batch
-// capacity 1) it receives exactly the event set, in exactly the order, that
-// a default flight recorder subscribes to.
+// capture is a plain recorder: with the reference engine (batch capacity 1)
+// it receives exactly the event set, in exactly the order, that a flight
+// recorder's ledger is delivered.
 type capture struct{ events []machine.Event }
 
 func (c *capture) Record(events []machine.Event) { c.events = append(c.events, events...) }
 
-// drive emits a mixed workload: nested spans, loads/stores on two
-// interfaces, flops, residency marks, plus touch/range annotations that a
-// touchless ring must never see.
+// drive emits a mixed workload: nested spans, local and remote loads and
+// stores on two interfaces, flops and residency marks.
 func drive(h *machine.Hierarchy) {
 	kernels := []string{"panel", "update", "trsm"}
 	for i := 0; i < 57; i++ {
 		h.Begin(kernels[i%len(kernels)])
 		h.Load(i%2, int64(8+i%5))
-		h.Touch(uint64(i)*64, i%3 == 0)
-		h.Range(0, uint64(i)*64, 4, i%2 == 0)
+		if i%3 == 0 {
+			h.LoadRemote(0, int64(1+i%4))
+			h.StoreRemote(0, 1)
+		}
 		h.Store(i%2, int64(1+i%3))
 		h.Flops(int64(1 + i%7))
 		if i%9 == 0 {
@@ -45,13 +38,12 @@ func drive(h *machine.Hierarchy) {
 }
 
 // referenceEvents runs drive under the reference engine (capacity 1) and
-// returns the sequence a touchless recorder was delivered.
+// returns the sequence a recorder was delivered.
 func referenceEvents() []machine.Event {
 	h := machine.New(false, machine.GenericLevels(3)...)
 	h.SetBatchCapacity(1)
 	c := &capture{}
 	h.Attach(c)
-	h.Attach(touchSink{})
 	drive(h)
 	h.Flush()
 	return c.events
@@ -69,7 +61,6 @@ func TestRingTailMatchesReferenceEngine(t *testing.T) {
 		h := machine.New(false, machine.GenericLevels(3)...)
 		fr := flight.New(capN, nil)
 		h.Attach(fr.Ledger())
-		h.Attach(touchSink{})
 		drive(h)
 		w := fr.Capture("test")
 
@@ -93,38 +84,6 @@ func TestRingTailMatchesReferenceEngine(t *testing.T) {
 				t.Fatalf("cap %d: event %d diverges:\nring:      %+v\nreference: %+v", capN, i, got, want)
 			}
 		}
-	}
-}
-
-// The ring must never hold a touch or range event unless it opted in — and
-// with WithTouch it must hold them all.
-func TestTouchInterestGatesDenseEvents(t *testing.T) {
-	run := func(fr *flight.Recorder) *flight.Window {
-		h := machine.New(false, machine.GenericLevels(3)...)
-		h.Attach(fr.Ledger())
-		h.Attach(touchSink{})
-		drive(h)
-		return fr.Capture("test")
-	}
-	w := run(flight.New(1<<14, nil))
-	for _, e := range w.Events {
-		if e.Kind == "Touch" || e.Kind == "Range" {
-			t.Fatalf("touchless ring holds a %s event", e.Kind)
-		}
-	}
-	base := w.TotalEvents
-	wt := run(flight.New(1<<14, nil, flight.WithTouch()))
-	touches := int64(0)
-	for _, e := range wt.Events {
-		if e.Kind == "Touch" || e.Kind == "Range" {
-			touches++
-		}
-	}
-	if touches != 57*2 {
-		t.Fatalf("touch-interested ring holds %d dense events, drive emitted %d", touches, 57*2)
-	}
-	if wt.TotalEvents != base+touches {
-		t.Fatalf("touch run total %d != touchless total %d + %d dense", wt.TotalEvents, base, touches)
 	}
 }
 
@@ -211,13 +170,12 @@ func BenchmarkRecord(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/event")
 }
 
-// A single flight recorder shared by concurrently recording smp workers,
-// probed by a concurrent Peek loop, must stay exact on totals (run under
-// -race in CI).
-func TestConcurrentRunParallelAndPeek(t *testing.T) {
-	tasks, _ := smp.MatMulTasks(16, 16, 16, 4, 64)
-	sched := smp.DepthFirst(tasks, 4)
-	fr := flight.New(1024, nil, flight.WithTouch())
+// A single flight recorder whose ledger several goroutines record marked
+// blocks into, probed by a concurrent Peek loop, must stay exact on totals
+// (run under -race in CI).
+func TestConcurrentRecordAndPeek(t *testing.T) {
+	const workers, tasks, perTask = 4, 64, 24
+	fr := flight.New(1024, nil)
 
 	done := make(chan struct{})
 	probed := make(chan int64, 1)
@@ -239,25 +197,52 @@ func TestConcurrentRunParallelAndPeek(t *testing.T) {
 		}
 	}()
 
-	res, err := smp.RunParallel(sched, fr.Ledger())
+	// Each goroutine records its tasks one block at a time: a task's Begin,
+	// its loads, flops and stores, and its End.
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			block := make([]machine.Event, 0, perTask+2)
+			for k := 0; k < tasks; k++ {
+				block = append(block[:0], machine.Event{Kind: machine.EvBegin, Label: fmt.Sprintf("w%d.t%d", w, k)})
+				for i := 0; i < perTask; i += 3 {
+					block = append(block,
+						machine.Event{Kind: machine.EvLoad, Words: int64(1 + w)},
+						machine.Event{Kind: machine.EvFlops, Words: 2},
+						machine.Event{Kind: machine.EvStore, Words: 1})
+				}
+				fr.Ledger().Record(append(block, machine.Event{Kind: machine.EvEnd}))
+			}
+		}(w)
+	}
+	wg.Wait()
 	close(done)
 	peeks := <-probed
-	if err != nil {
-		t.Fatal(err)
-	}
+
 	st := fr.Stats()
-	// Every access is one EvTouch, every task one EvBegin/EvEnd pair.
-	want := res.AccessesRun + 2*int64(res.TasksRun)
-	if st.TotalEvents != want {
-		t.Fatalf("flight saw %d events, schedule emitted %d", st.TotalEvents, want)
+	if want := int64(workers * tasks * (perTask + 2)); st.TotalEvents != want {
+		t.Fatalf("flight saw %d events, the goroutines recorded %d", st.TotalEvents, want)
 	}
 	if st.Captures != peeks {
 		t.Fatalf("Stats counted %d captures, prober took %d", st.Captures, peeks)
 	}
-	snap := fr.Capture("final")
-	if snap.Cumulative.TouchReads+snap.Cumulative.TouchWrites != res.AccessesRun {
-		t.Fatalf("touch tally %d+%d != accesses %d",
-			snap.Cumulative.TouchReads, snap.Cumulative.TouchWrites, res.AccessesRun)
+	// The ledger's totals are the sum of what every goroutine recorded.
+	const msgs = tasks * perTask / 3 // loads (and stores, and flops) per goroutine
+	var loadWords int64
+	for w := 0; w < workers; w++ {
+		loadWords += msgs * int64(1+w)
+	}
+	cum := fr.Capture("final").Cumulative
+	ifc := cum.Interfaces[0]
+	if ifc.LoadWords != loadWords || ifc.LoadMsgs != workers*msgs ||
+		ifc.StoreWords != workers*msgs || ifc.StoreMsgs != workers*msgs || cum.Flops != 2*workers*msgs {
+		t.Fatalf("ledger totals %+v, flops %d; want %d load words, %d loads and stores, %d flops",
+			ifc, cum.Flops, loadWords, workers*msgs, 2*workers*msgs)
+	}
+	if got, want := fr.Ledger().Events(), int64(3*workers*msgs); got != want {
+		t.Fatalf("ledger folded %d events, the goroutines recorded %d", got, want)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestTrafficChargesAllocateNothing(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
 		t.Fatalf("Begin, R, W and End allocate %.2f per round, want 0", avg)
 	}
-	ifc := l.Snapshot(false).Interfaces[0]
+	ifc := l.Snapshot().Interfaces[0]
 	if ifc.LoadWords != tr.Reads || ifc.StoreWords != tr.Writes || tr.Writes == 0 {
 		t.Fatalf("ledger folded %d loads and %d stores, Traffic counted %d and %d",
 			ifc.LoadWords, ifc.StoreWords, tr.Reads, tr.Writes)

@@ -21,8 +21,8 @@ import "sync"
 
 // DefaultBatchEvents is the event-buffer capacity a Hierarchy allocates when
 // SetBatchCapacity was not called: large enough to amortize dispatch to a
-// handful of recorders, small enough (~14 KB of Event values) to stay cache-
-// resident per P.
+// handful of recorders, small enough (10 KB of 40-byte Event values) to stay
+// cache-resident per P.
 const DefaultBatchEvents = 256
 
 // batchPool recycles default-capacity event buffers between hierarchies
@@ -30,47 +30,6 @@ const DefaultBatchEvents = 256
 // delivered block past Record: a hierarchy already overwrites its buffer
 // after every flush.
 var batchPool = sync.Pool{New: func() any { return new([DefaultBatchEvents]Event) }}
-
-// EventBatch is a fixed-capacity append-only event buffer: the unit of block
-// dispatch. Producers append until Append reports the buffer full, hand
-// Events() to a Recorder, then Reset. The capacity is fixed at
-// construction; Append never reallocates, so a filled batch costs zero
-// allocations in steady state.
-type EventBatch struct {
-	buf []Event
-}
-
-// NewEventBatch allocates a batch of the given capacity (values < 1 get
-// DefaultBatchEvents).
-func NewEventBatch(capacity int) *EventBatch {
-	if capacity < 1 {
-		capacity = DefaultBatchEvents
-	}
-	return &EventBatch{buf: make([]Event, 0, capacity)}
-}
-
-// Append adds one event and reports whether the batch is now full (time to
-// flush). Appending to a full batch panics — flush first.
-func (b *EventBatch) Append(e Event) bool {
-	if len(b.buf) == cap(b.buf) {
-		panic("machine: append to full EventBatch")
-	}
-	b.buf = append(b.buf, e)
-	return len(b.buf) == cap(b.buf)
-}
-
-// Events returns the buffered events in append order. The slice aliases the
-// buffer: consume it before the next Reset/Append.
-func (b *EventBatch) Events() []Event { return b.buf }
-
-// Len returns the number of buffered events.
-func (b *EventBatch) Len() int { return len(b.buf) }
-
-// Cap returns the fixed capacity.
-func (b *EventBatch) Cap() int { return cap(b.buf) }
-
-// Reset empties the batch, keeping its capacity.
-func (b *EventBatch) Reset() { b.buf = b.buf[:0] }
 
 // Flusher is anything holding buffered events it can push downstream;
 // Hierarchy is the canonical implementation.

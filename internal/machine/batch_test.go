@@ -12,15 +12,20 @@ func twoLevels() []Level {
 }
 
 // driveMixed pushes a deterministic mix of every event kind through h,
-// including span marks and touches, with a Phase mark on the stream (if any)
-// partway through.
+// including span marks and remote transfers, with a Phase mark on the
+// stream (if any) partway through.
 func driveMixed(h *Hierarchy, s *StreamRecorder) {
 	for i := 0; i < 40; i++ {
 		h.Begin("block " + strconv.Itoa(i))
 		h.Load(0, int64(2+i%3))
-		h.Touch(uint64(64*i), i%2 == 0)
+		h.Init(0, 1)
 		h.Flops(int64(10 * i))
-		h.Store(0, 1)
+		h.Discard(0, 1)
+		if i%2 == 0 {
+			h.StoreRemote(0, 1)
+		} else {
+			h.Store(0, 1)
+		}
 		h.End()
 		if i == 19 && s != nil {
 			s.Phase("second half")
@@ -28,38 +33,12 @@ func driveMixed(h *Hierarchy, s *StreamRecorder) {
 	}
 }
 
-func TestEventBatchBasics(t *testing.T) {
-	b := NewEventBatch(3)
-	if b.Cap() != 3 || b.Len() != 0 {
-		t.Fatalf("fresh batch: cap %d len %d", b.Cap(), b.Len())
-	}
-	if b.Append(Event{Kind: EvFlops, Words: 1}) {
-		t.Fatal("batch reported full after 1 of 3")
-	}
-	b.Append(Event{Kind: EvFlops, Words: 2})
-	if !b.Append(Event{Kind: EvFlops, Words: 3}) {
-		t.Fatal("batch did not report full at capacity")
-	}
-	if got := b.Events(); len(got) != 3 || got[2].Words != 3 {
-		t.Fatalf("Events() = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("appending to a full batch did not panic")
-		}
-	}()
-	b.Append(Event{Kind: EvFlops})
-}
-
-// collectRecorder captures the raw delivered stream, touches included.
+// collectRecorder captures the raw delivered stream, marks included.
 type collectRecorder struct {
 	events []Event
 }
 
 func (c *collectRecorder) Record(events []Event) { c.events = append(c.events, events...) }
-func (c *collectRecorder) WantsTouch() bool {
-	return true
-}
 
 // TestBatchingPreservesEventSequence is the core equivalence check: the exact
 // same events, in the exact same order, reach an attached recorder whether
@@ -155,26 +134,23 @@ func TestHierarchyCountersStaySynchronous(t *testing.T) {
 }
 
 // TestZeroAllocSteadyState is the hot-path allocation budget: with marks off
-// and a touch-counting counter set and a stream attached, recording events
-// allocates nothing once the engine is warm.
+// and a counter set and a stream attached, recording events allocates
+// nothing once the engine is warm.
 func TestZeroAllocSteadyState(t *testing.T) {
 	h := New(false, twoLevels()...)
 	h.Attach(NewCounterSet(2))
 	s := h.StreamTo(io.Discard, 0) // no periodic flush; Close emits the total
 	defer s.Close()
 
-	var addr uint64
 	step := func() {
 		h.Load(0, 8)
-		h.Touch(addr, false)
-		addr += 64
 		h.Flops(16)
-		h.Touch(addr, true)
-		h.Store(0, 8)
+		h.LoadRemote(0, 4)
+		h.Flops(8)
+		h.Store(0, 12)
 	}
 	// Warm up: fill and flush enough batches that every lazily-grown buffer
-	// (batch, scratch, dirty-source list, stream geometry) reaches steady
-	// state.
+	// (batch, dirty-source list, stream geometry) reaches steady state.
 	for i := 0; i < 4*DefaultBatchEvents; i++ {
 		step()
 	}

@@ -8,19 +8,18 @@ import (
 // with the recorder complements the real drivers attach. Run against the
 // pre-batching engine for an apples-to-apples events/sec comparison.
 
-// touchSink is a touch-interested recorder that drops what it receives: the
-// benchmark times the engine's touch path alone.
-type touchSink struct{}
+// discardSink is a recorder that drops what it receives: the benchmark
+// times the engine's buffer and flush path alone.
+type discardSink struct{}
 
-func (touchSink) Record([]Event)   {}
-func (touchSink) WantsTouch() bool { return true }
+func (discardSink) Record([]Event) {}
 
-func BenchmarkTouchToRecorder(b *testing.B) {
+func BenchmarkLoadToRecorder(b *testing.B) {
 	h := New(false, Level{Name: "DRAM"}, Level{Name: "NVM"})
-	h.Attach(touchSink{})
+	h.Attach(discardSink{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Touch(uint64(i)*64, i&7 == 0)
+		h.Load(0, 8)
 	}
 	h.Flush()
 }

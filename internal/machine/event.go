@@ -1,9 +1,9 @@
 package machine
 
 // This file is the event layer of the machine model: every primitive a
-// Hierarchy executes (Load, Store, Init, Discard, Flops, and — when tracing —
-// per-element Touch) is described by an Event value and dispatched to any
-// number of Recorder sinks. The default sink is a CounterSet, which keeps the
+// Hierarchy executes (Load, Store, Init, Discard, Flops, and the Begin/End
+// span marks) is described by an Event value and dispatched to any number of
+// Recorder sinks. The default sink is a CounterSet, which keeps the
 // per-interface and per-level counters the paper's bounds are stated in; the
 // other sink in this package is the Ledger, one locked fold that every
 // observing sink (JSON-line streams, phase monitors, span trees, flight
@@ -23,23 +23,12 @@ const (
 	EvDiscard
 	// EvFlops records Words arithmetic operations (no data movement).
 	EvFlops
-	// EvTouch is a single element access at Addr (Write distinguishes the
-	// direction), emitted only while a touch-interested recorder is
-	// attached. Arg and Words are unused.
-	EvTouch
 	// EvBegin opens a named span: subsequent events up to the matching
 	// EvEnd belong to the phase in Label. Spans nest; counters ignore
 	// them, attribution recorders (profile.SpanRecorder) build trees.
 	EvBegin
 	// EvEnd closes the innermost open span.
 	EvEnd
-	// EvRange annotates the words of an enclosing Load or Store with one
-	// contiguous address run: Arg is the interface, Addr the first word,
-	// Words the run length, Write true for a Store (fast->slow). Like
-	// EvTouch it is emitted only to touch-interested recorders and never
-	// changes word or message counters — it tells address-attributing
-	// sinks (write heatmaps) WHICH words crossed, not how many.
-	EvRange
 )
 
 func (k EventKind) String() string {
@@ -54,14 +43,10 @@ func (k EventKind) String() string {
 		return "Discard"
 	case EvFlops:
 		return "Flops"
-	case EvTouch:
-		return "Touch"
 	case EvBegin:
 		return "Begin"
 	case EvEnd:
 		return "End"
-	case EvRange:
-		return "Range"
 	}
 	return "?"
 }
@@ -69,17 +54,15 @@ func (k EventKind) String() string {
 // Event is one machine primitive. It is a small value type so dispatch does
 // not allocate.
 type Event struct {
-	Kind  EventKind
-	Arg   int    // interface index (EvLoad/EvStore/EvRange) or level index (EvInit/EvDiscard)
-	Words int64  // words moved, flop count for EvFlops, or run length for EvRange
-	Addr  uint64 // element address (EvTouch) or run start (EvRange)
-	Write bool   // access direction, EvTouch/EvRange only
-	// Remote marks an EvLoad/EvStore/EvTouch that crosses the inter-socket
-	// link of a multi-socket Topology. It is a classification, not a new
-	// traffic class: a remote load still bumps LoadWords/LoadMsgs exactly
-	// like a local one, and additionally bumps the Remote* sub-counter, so
-	// totals are placement-invariant and local traffic is total - remote.
+	Kind EventKind
+	// Remote marks an EvLoad/EvStore that crosses the inter-socket link of
+	// a multi-socket Topology. It is a classification, not a new traffic
+	// class: a remote load still bumps LoadWords/LoadMsgs exactly like a
+	// local one, and additionally bumps the Remote* sub-counter, so totals
+	// are placement-invariant and local traffic is total - remote.
 	Remote bool
+	Arg    int    // interface index (EvLoad/EvStore) or level index (EvInit/EvDiscard)
+	Words  int64  // words moved, or the flop count for EvFlops
 	Label  string // span name, EvBegin only
 }
 
@@ -93,17 +76,8 @@ type Recorder interface {
 	Record(events []Event)
 }
 
-// TouchInterest is an optional Recorder refinement: recorders that want the
-// (much denser) per-element EvTouch stream return true from WantsTouch.
-// Recorders that do not implement the interface never see EvTouch, and the
-// Hierarchy's Touch fast path is a no-op unless at least one attached
-// recorder wants it.
-type TouchInterest interface {
-	WantsTouch() bool
-}
-
-// SpanInterest is the analogous refinement for EvBegin/EvEnd span marks:
-// recorders that build phase attribution from them return true from
+// SpanInterest is an optional Recorder refinement for EvBegin/EvEnd span
+// marks: recorders that build phase attribution from them return true from
 // WantsSpans. Marks are dispatched to every recorder regardless (they are
 // ignored by counters), but Hierarchy.Marking lets the algorithm drivers
 // skip formatting span labels entirely when no attribution recorder is
@@ -121,15 +95,9 @@ type SpanInterest interface {
 // overflow/underflow validation lives in Hierarchy, which checks around the
 // dispatch so attached recorders never see an invalid event.
 type CounterSet struct {
-	Iface       []InterfaceCounters // len = levels-1
-	Lvl         []LevelCounters     // len = levels
-	FlopCount   int64
-	TouchReads  int64 // EvTouch events with Write == false
-	TouchWrites int64 // EvTouch events with Write == true
-	// Remote touch sub-counters (events with Remote set); included in the
-	// totals above, so local touches are TouchReads-RemoteTouchReads etc.
-	RemoteTouchReads  int64
-	RemoteTouchWrites int64
+	Iface     []InterfaceCounters // len = levels-1
+	Lvl       []LevelCounters     // len = levels
+	FlopCount int64
 }
 
 // NewCounterSet returns a zeroed counter set for a machine with the given
@@ -174,24 +142,8 @@ func (c *CounterSet) record(e *Event) {
 		c.bump(e.Arg, -e.Words)
 	case EvFlops:
 		c.FlopCount += e.Words
-	case EvTouch:
-		if e.Write {
-			c.TouchWrites++
-			if e.Remote {
-				c.RemoteTouchWrites++
-			}
-		} else {
-			c.TouchReads++
-			if e.Remote {
-				c.RemoteTouchReads++
-			}
-		}
 	}
 }
-
-// WantsTouch opts the counter set into the EvTouch stream so TouchReads and
-// TouchWrites stay meaningful when one is attached directly.
-func (c *CounterSet) WantsTouch() bool { return true }
 
 func (c *CounterSet) bump(level int, delta int64) {
 	lc := &c.Lvl[level]
@@ -213,10 +165,6 @@ func (c *CounterSet) Reset() {
 		c.Lvl[i] = LevelCounters{}
 	}
 	c.FlopCount = 0
-	c.TouchReads = 0
-	c.TouchWrites = 0
-	c.RemoteTouchReads = 0
-	c.RemoteTouchWrites = 0
 }
 
 // Add accumulates other into c (ignoring occupancy, which is not additive).
@@ -234,8 +182,4 @@ func (c *CounterSet) Add(other *CounterSet) {
 		c.Lvl[i].DiscardWords += other.Lvl[i].DiscardWords
 	}
 	c.FlopCount += other.FlopCount
-	c.TouchReads += other.TouchReads
-	c.TouchWrites += other.TouchWrites
-	c.RemoteTouchReads += other.RemoteTouchReads
-	c.RemoteTouchWrites += other.RemoteTouchWrites
 }

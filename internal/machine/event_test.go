@@ -3,16 +3,28 @@ package machine
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
-// collector keeps every event it sees; wantTouch controls TouchInterest.
+// collector keeps every event it sees.
 type collector struct {
-	events    []Event
-	wantTouch bool
+	events []Event
 }
 
 func (c *collector) Record(events []Event) { c.events = append(c.events, events...) }
-func (c *collector) WantsTouch() bool      { return c.wantTouch }
+
+// Every hot path copies Events: the dispatch fast path, each hierarchy's
+// batch buffer and the pooled buffers behind it. Kind and Remote share the
+// first word, so an Event is five words on a 64-bit platform; a field added
+// back fails here.
+func TestEventIsFiveWords(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Event{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d bytes, want 40", got)
+	}
+}
 
 func TestTheorem1HoldsWithZeroTraffic(t *testing.T) {
 	h := TwoLevel(64)
@@ -68,41 +80,14 @@ func TestAttachedRecorderSeesEveryPrimitive(t *testing.T) {
 
 func TestDetachStopsDelivery(t *testing.T) {
 	h := TwoLevel(64)
-	c := &collector{wantTouch: true}
+	c := &collector{}
 	h.Attach(c)
-	if !h.Tracing() {
-		t.Fatal("Tracing() should be true with a touch-interested recorder attached")
-	}
 	h.Load(0, 1)
 	h.Detach(c)
-	if h.Tracing() {
-		t.Fatal("Tracing() should be false after Detach")
-	}
 	h.Load(0, 1)
-	h.Touch(7, true)
+	h.Flops(7)
 	if len(c.events) != 1 {
 		t.Errorf("detached recorder saw %d events, want 1", len(c.events))
-	}
-}
-
-func TestTouchGoesOnlyToInterestedRecorders(t *testing.T) {
-	h := TwoLevel(64)
-	plain := &collector{wantTouch: false}
-	tracer := &collector{wantTouch: true}
-	h.Attach(plain)
-	h.Attach(tracer)
-	h.Touch(0x40, false)
-	h.Touch(0x48, true)
-	h.Flush()
-	if len(plain.events) != 0 {
-		t.Errorf("uninterested recorder saw %d touches", len(plain.events))
-	}
-	want := []Event{
-		{Kind: EvTouch, Addr: 0x40, Write: false},
-		{Kind: EvTouch, Addr: 0x48, Write: true},
-	}
-	if !reflect.DeepEqual(tracer.events, want) {
-		t.Errorf("touch stream = %+v, want %+v", tracer.events, want)
 	}
 }
 
@@ -140,18 +125,18 @@ func TestDetachUndoesInterestsDeclaredAtAttach(t *testing.T) {
 	h.Attach(l)
 	l.SetSpanTap(spanTap{})
 	h.Detach(l)
-	if h.Marking() || h.Tracing() {
-		t.Fatalf("after Detach: Marking %v, Tracing %v, want both false", h.Marking(), h.Tracing())
+	if h.Marking() {
+		t.Fatal("after Detach: Marking true, want false")
 	}
 	tapped := NewLedger(nil)
 	tapped.SetSpanTap(spanTap{})
 	h.Attach(tapped)
-	if !h.Marking() || !h.Tracing() {
-		t.Fatalf("span-tapped ledger attached: Marking %v, Tracing %v, want both true", h.Marking(), h.Tracing())
+	if !h.Marking() {
+		t.Fatal("span-tapped ledger attached: Marking false, want true")
 	}
 	h.Detach(tapped)
-	if h.Marking() || h.Tracing() {
-		t.Fatalf("after the second Detach: Marking %v, Tracing %v, want both false", h.Marking(), h.Tracing())
+	if h.Marking() {
+		t.Fatal("after the second Detach: Marking true, want false")
 	}
 }
 

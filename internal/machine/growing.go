@@ -94,31 +94,27 @@ func (c *CounterSet) copyFrom(src *CounterSet) {
 	copy(c.Iface, src.Iface)
 	copy(c.Lvl, src.Lvl)
 	c.FlopCount = src.FlopCount
-	c.TouchReads = src.TouchReads
-	c.TouchWrites = src.TouchWrites
-	c.RemoteTouchReads = src.RemoteTouchReads
-	c.RemoteTouchWrites = src.RemoteTouchWrites
 }
 
 // Row layout: a counter set flattened into int64s, the unit span trees log
-// at every boundary. Flops and the four touch tallies come first, then six
-// words per interface, then four per level, so an n-level row is 10n-1
-// words long and a row's level count follows from its length.
+// at every boundary. Flops come first, then six words per interface, then
+// four per level, so an n-level row is 10n-5 words long and a row's level
+// count follows from its length.
 const (
-	rowScalars = 5
+	rowScalars = 1
 	rowIface   = 6
 	rowLevel   = 4
 )
 
 // RowWidth returns the length of an n-level row.
-func RowWidth(levels int) int { return (rowIface+rowLevel)*levels - 1 }
+func RowWidth(levels int) int { return (rowIface+rowLevel)*levels + rowScalars - rowIface }
 
 // rowLevels returns the level count of a row.
-func rowLevels(row []int64) int { return (len(row) + 1) / (rowIface + rowLevel) }
+func rowLevels(row []int64) int { return (len(row) - rowScalars + rowIface) / (rowIface + rowLevel) }
 
 // AppendRow appends c flattened into one row.
 func (c *CounterSet) AppendRow(dst []int64) []int64 {
-	dst = append(dst, c.FlopCount, c.TouchReads, c.TouchWrites, c.RemoteTouchReads, c.RemoteTouchWrites)
+	dst = append(dst, c.FlopCount)
 	for i := range c.Iface {
 		f := &c.Iface[i]
 		dst = append(dst, f.LoadWords, f.LoadMsgs, f.StoreWords, f.StoreMsgs, f.RemoteLoadWords, f.RemoteStoreWords)
@@ -146,8 +142,7 @@ func (c *CounterSet) SetRowDiff(hi, lo []int64) {
 		c.Lvl = make([]LevelCounters, n)
 	}
 	c.Iface, c.Lvl = c.Iface[:n-1], c.Lvl[:n]
-	c.FlopCount, c.TouchReads, c.TouchWrites = hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2]
-	c.RemoteTouchReads, c.RemoteTouchWrites = hi[3]-lo[3], hi[4]-lo[4]
+	c.FlopCount = hi[0] - lo[0]
 	m := rowLevels(lo)
 	hiOff, loOff := rowScalars, rowScalars
 	for i := range c.Iface {
@@ -201,8 +196,4 @@ func (c *CounterSet) setDiff(a, b *CounterSet) {
 		x.PeakOccupancy -= y.PeakOccupancy
 	}
 	c.FlopCount -= b.FlopCount
-	c.TouchReads -= b.TouchReads
-	c.TouchWrites -= b.TouchWrites
-	c.RemoteTouchReads -= b.RemoteTouchReads
-	c.RemoteTouchWrites -= b.RemoteTouchWrites
 }

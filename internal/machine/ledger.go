@@ -28,15 +28,6 @@ import (
 // experiments.Session gives its sinks one shared ledger and attaches only
 // that to every hierarchy it observes.
 //
-// Two views. The ledger folds whatever it is delivered, touches included
-// when a touch-interested reader (a stream, a span tree, a touch-enabled
-// flight ring) made it ask for them. Readers that never subscribe to
-// touches (the monitor, the histograms, a default flight ring) read the
-// touchless view: touch tallies zeroed, events counted without touches,
-// and phases that carried only touches skipped. Touches change no other
-// counter, so the touchless view is exactly what such a reader would have
-// folded from its own, touch-stripped delivery.
-//
 // Locking: the fold, phase closes and stream cuts run under the ledger's
 // mutex (one acquisition per block); Snapshot, Events and State are safe
 // from any goroutine. Stream records are cut under the lock but written to
@@ -54,10 +45,10 @@ type PhaseDelta struct {
 }
 
 // PhaseObserver is told about every phase boundary of the ledgers it
-// subscribes to: PhaseClosed gets the closed phase in the touchless view, or
-// nil when the phase carried no such events. It is called outside the
-// ledger's lock, on the goroutine that drew the boundary, and must treat the
-// delta as immutable (other readers share it).
+// subscribes to: PhaseClosed gets the closed phase, or nil when the phase
+// carried no counter-bearing events. It is called outside the ledger's
+// lock, on the goroutine that drew the boundary, and must treat the delta
+// as immutable (other readers share it).
 type PhaseObserver interface {
 	PhaseClosed(p *PhaseDelta)
 }
@@ -70,9 +61,9 @@ type SpanTap interface {
 	SpanEnd()
 }
 
-// Tap receives every block the ledger is delivered, touches and marks
-// included, right after the ledger folded it and under its lock. A tap that
-// does not want touches skips them itself. The slice must not be retained.
+// Tap receives every block the ledger is delivered, marks included, right
+// after the ledger folded it and under its lock. The slice must not be
+// retained.
 type Tap interface {
 	TapBatch(events []Event)
 }
@@ -86,17 +77,17 @@ type Ledger struct {
 	prev    *CounterSet // cumulative at the last phase boundary
 	scratch *CounterSet // delta scratch
 
-	phase               string
-	totalWord, totalAll int64 // counter-bearing events folded, touches excluded / included
-	markWord, markAll   int64 // the totals at the last phase boundary
-	closed, closedAll   *PhaseDelta
+	phase  string
+	total  int64 // counter-bearing events folded
+	mark   int64 // total at the last phase boundary
+	closed *PhaseDelta
 
 	up        *Ledger // the ledger this one is chained below, if any
 	span      SpanTap
 	taps      []Tap
 	streams   []*StreamRecorder
 	observers []PhaseObserver
-	nextCut   int64       // totalAll at which the nearest stream record is due
+	nextCut   int64       // total at which the nearest stream record is due
 	pending   []cutRecord // records cut under the lock, written after it
 }
 
@@ -185,7 +176,7 @@ func (l *Ledger) Sync() {
 
 func (l *Ledger) addStream(s *StreamRecorder) {
 	l.mu.Lock()
-	s.start, s.base = l.totalAll, l.totalAll
+	s.start, s.base = l.total, l.total
 	l.streams = append(l.streams, s)
 	l.rearmLocked()
 	l.mu.Unlock()
@@ -205,23 +196,6 @@ func remove[T comparable](s []T, x T) []T {
 		}
 	}
 	return s
-}
-
-// WantsTouch reports whether some reader wants the per-element stream: a
-// stream, a span tap, or a touch-interested tap (a touch-enabled flight
-// ring).
-func (l *Ledger) WantsTouch() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.span != nil || len(l.streams) > 0 {
-		return true
-	}
-	for _, t := range l.taps {
-		if ti, ok := t.(TouchInterest); ok && ti.WantsTouch() {
-			return true
-		}
-	}
-	return false
 }
 
 // WantsSpans reports whether some reader builds on span marks: the span tap
@@ -290,16 +264,10 @@ func (l *Ledger) fold(events []Event) {
 				l.span.SpanEnd()
 			}
 			continue
-		case EvRange:
-			continue
-		case EvTouch:
-			g.cur.record(e)
-		default:
-			g.fold(e)
-			l.totalWord++
 		}
-		l.totalAll++
-		if l.totalAll == l.nextCut {
+		g.fold(e)
+		l.total++
+		if l.total == l.nextCut {
 			l.cutLocked()
 		}
 	}
@@ -309,7 +277,7 @@ func (l *Ledger) fold(events []Event) {
 // its last record was just folded.
 func (l *Ledger) cutLocked() {
 	for _, s := range l.streams {
-		if s.every > 0 && !s.closed && l.totalAll-s.base >= s.every {
+		if s.every > 0 && !s.closed && l.total-s.base >= s.every {
 			l.emitLocked(s, false)
 		}
 	}
@@ -330,10 +298,10 @@ func (l *Ledger) rearmLocked() {
 // running phase label; unlock writes it.
 func (l *Ledger) emitLocked(s *StreamRecorder, final bool) {
 	l.pending = append(l.pending, cutRecord{
-		s: s, phase: l.phase, events: l.totalAll - s.base, total: l.totalAll - s.start,
+		s: s, phase: l.phase, events: l.total - s.base, total: l.total - s.start,
 		cum: l.g.Snapshot(), final: final,
 	})
-	s.base = l.totalAll
+	s.base = l.total
 }
 
 // Phase closes the running phase and labels subsequent events with name.
@@ -345,7 +313,7 @@ func (l *Ledger) Phase(name string) {
 	l.Sync()
 	l.mu.Lock()
 	for _, s := range l.streams {
-		if !s.closed && l.totalAll > s.base {
+		if !s.closed && l.total > s.base {
 			l.emitLocked(s, false)
 		}
 	}
@@ -373,79 +341,55 @@ func (l *Ledger) Finish() {
 	}
 }
 
-// closeLocked closes the running phase and returns it in the touchless view
-// (nil if it carried no such events).
+// closeLocked closes the running phase and returns it (nil if it carried no
+// counter-bearing events).
 func (l *Ledger) closeLocked() *PhaseDelta {
-	word, all := l.totalWord-l.markWord, l.totalAll-l.markAll
-	if all == 0 {
+	n := l.total - l.mark
+	if n == 0 {
 		return nil
 	}
 	l.scratch.setDiff(l.g.cur, l.prev)
-	delta := l.g.render(l.scratch)
-	l.closedAll = &PhaseDelta{Kernel: l.phase, Events: all, Delta: delta}
-	var p *PhaseDelta
-	if word > 0 {
-		p = &PhaseDelta{Kernel: l.phase, Events: word, Delta: touchless(delta)}
-		l.closed = p
-	}
+	l.closed = &PhaseDelta{Kernel: l.phase, Events: n, Delta: l.g.render(l.scratch)}
 	l.prev.copyFrom(l.g.cur)
-	l.markWord, l.markAll = l.totalWord, l.totalAll
-	return p
+	l.mark = l.total
+	return l.closed
 }
 
-func touchless(s Snapshot) Snapshot {
-	s.TouchReads, s.TouchWrites, s.RemoteTouchReads, s.RemoteTouchWrites = 0, 0, 0, 0
-	return s
-}
-
-// Snapshot returns the cumulative snapshot, with touch tallies (touches
-// true) or in the touchless view. Safe from any goroutine; it does not sync.
-func (l *Ledger) Snapshot(touches bool) Snapshot {
+// Snapshot returns the cumulative snapshot. Safe from any goroutine; it
+// does not sync.
+func (l *Ledger) Snapshot() Snapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := l.g.Snapshot()
-	if !touches {
-		s = touchless(s)
-	}
-	return s
+	return l.g.Snapshot()
 }
 
-// Events returns the counter-bearing events folded so far, touches included
-// or not. Safe from any goroutine; it does not sync.
-func (l *Ledger) Events(touches bool) int64 {
+// Events returns the counter-bearing events folded so far. Safe from any
+// goroutine; it does not sync.
+func (l *Ledger) Events() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if touches {
-		return l.totalAll
-	}
-	return l.totalWord
+	return l.total
 }
 
-// PhaseState is the ledger's phase context at one instant, in one view.
+// PhaseState is the ledger's phase context at one instant.
 type PhaseState struct {
 	Phase      string      // the running phase's label
 	Closed     *PhaseDelta // a copy of the last phase that closed with events; nil before the first
 	Cumulative Snapshot
 }
 
-// State reads the phase context in the chosen view under one lock
-// acquisition and calls with before releasing it.
+// State reads the phase context under one lock acquisition and calls with
+// before releasing it.
 // Delivery takes the ledger's lock before any tap's, so a tap may take its
 // own lock inside with and read its state at the same instant: a flight
 // ring's window then agrees with the counters it is frozen beside. Safe
 // from any goroutine; it does not sync.
-func (l *Ledger) State(touches bool, with func()) PhaseState {
+func (l *Ledger) State(with func()) PhaseState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := PhaseState{Phase: l.phase, Cumulative: l.g.Snapshot()}
-	c := l.closed
-	if touches {
-		c = l.closedAll
-	} else {
-		st.Cumulative = touchless(st.Cumulative)
-	}
-	if c != nil {
-		cp := *c
+	if l.closed != nil {
+		cp := *l.closed
 		st.Closed = &cp
 	}
 	with()
@@ -456,13 +400,12 @@ func (l *Ledger) State(touches bool, with func()) PhaseState {
 // for span taps, which call them from inside the fold, and for the run
 // goroutine that drives the ledger.
 
-// Counters returns the cumulative counter set, touches included (not a
-// copy).
+// Counters returns the cumulative counter set (not a copy).
 func (l *Ledger) Counters() *CounterSet { return l.g.cur }
 
-// Clock returns the counter-bearing events folded so far, touches included:
-// the deterministic clock span trees are stamped with.
-func (l *Ledger) Clock() int64 { return l.totalAll }
+// Clock returns the counter-bearing events folded so far: the deterministic
+// clock span trees are stamped with.
+func (l *Ledger) Clock() int64 { return l.total }
 
 // Levels returns the current level list (not a copy; do not mutate).
 func (l *Ledger) Levels() []Level { return l.g.levels }

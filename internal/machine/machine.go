@@ -16,11 +16,11 @@
 // event.go). The default sink is a CounterSet holding word-granularity
 // counters per interface and per direction — exactly the accounting the
 // paper's lower bounds and write-avoiding algorithms are stated in. Further
-// recorders can be attached to derive address traces, alpha-beta costs, or
-// concurrent shared counters from the same event stream. The hierarchy also
-// tracks per-level occupancy so tests can verify that an algorithm's working
-// set honestly fits in the fast memory it claims to use, and classifies every
-// residency into the paper's R1/R2 x D1/D2 taxonomy.
+// recorders (a Ledger, which the observing sinks read) can be attached to
+// the same event stream. The hierarchy also tracks per-level occupancy so
+// tests can verify that an algorithm's working set honestly fits in the fast
+// memory it claims to use, and classifies every residency into the paper's
+// R1/R2 x D1/D2 taxonomy.
 package machine
 
 import (
@@ -65,7 +65,6 @@ type LevelCounters struct {
 type attached struct {
 	rec   Recorder
 	aware BatchAware // non-nil when rec tracks dirty sources
-	touch bool       // wants the EvTouch/EvRange stream
 	spans bool       // wants span marks (counted in marking)
 }
 
@@ -83,14 +82,12 @@ type Hierarchy struct {
 	levels  []Level
 	def     *CounterSet // default recorder, always present and unbuffered
 	recs    []attached  // additional attached recorders
-	touchN  int         // count of recs that want EvTouch/EvRange
 	marking int         // count of attached recorders that want span marks
 	strict  bool
 	topo    Topology // socket dimension; zero value = flat machine
 
 	batchCap int     // buffer capacity; >= 1
 	batch    []Event // pending events for attached recorders (lazily allocated)
-	scratch  []Event // touch-stripped view for non-touch recorders, reused
 	flushing bool    // re-entrancy guard: Sync during delivery must not recurse
 }
 
@@ -127,18 +124,12 @@ func (h *Hierarchy) LevelInfo(i int) Level { return h.levels[i] }
 // Attach subscribes a recorder to the hierarchy's event stream. Events are
 // buffered and delivered in attach order at flush boundaries, after the
 // default counters are updated and after strict validation, so recorders only
-// ever see valid programs. If the recorder implements TouchInterest and wants
-// touches, the per-element Touch stream is enabled for it as well. Pending
-// events are flushed first, so a newly attached recorder sees nothing from
-// before its attachment.
+// ever see valid programs. Pending events are flushed first, so a newly
+// attached recorder sees nothing from before its attachment.
 func (h *Hierarchy) Attach(r Recorder) {
 	h.Flush()
 	a := attached{rec: r}
 	a.aware, _ = r.(BatchAware)
-	if ti, ok := r.(TouchInterest); ok && ti.WantsTouch() {
-		a.touch = true
-		h.touchN++
-	}
 	if si, ok := r.(SpanInterest); ok && si.WantsSpans() {
 		a.spans = true
 		h.marking++
@@ -153,9 +144,6 @@ func (h *Hierarchy) Detach(r Recorder) {
 	h.Flush()
 	for i := range h.recs {
 		if h.recs[i].rec == r {
-			if h.recs[i].touch {
-				h.touchN--
-			}
 			if h.recs[i].spans {
 				h.marking--
 			}
@@ -165,52 +153,10 @@ func (h *Hierarchy) Detach(r Recorder) {
 	}
 }
 
-// Tracing reports whether any attached recorder wants the per-element Touch
-// stream. Algorithms use it to skip per-element emission entirely when nobody
-// is listening.
-func (h *Hierarchy) Tracing() bool { return h.touchN > 0 }
-
 // Marking reports whether any attached recorder builds span attribution.
 // Drivers use it to skip formatting span labels in hot loops when nobody is
 // listening; Begin/End themselves always dispatch.
 func (h *Hierarchy) Marking() bool { return h.marking > 0 }
-
-// Touch dispatches one element access to the touch-interested recorders. It
-// is the tracing fast path: a no-op unless Tracing() is true, and it never
-// touches the word counters (the enclosing Load/Store/Flops already did).
-// Touches bypass the default counters entirely: non-touch recorders never
-// see them either (the flush strips them), so a Hierarchy's own CounterSet
-// reports zero touches always.
-func (h *Hierarchy) Touch(addr uint64, write bool) {
-	if h.touchN == 0 {
-		return
-	}
-	// Manually unrolled push fast path: the touch stream is the densest event
-	// source in the repo (one event per element access), so it writes the
-	// buffer slot in place instead of paying a call with a 56-byte argument.
-	n := len(h.batch)
-	if n == 0 || n+1 >= h.batchCap {
-		h.pushEdge(Event{Kind: EvTouch, Addr: addr, Write: write})
-		return
-	}
-	h.batch = h.batch[:n+1]
-	h.batch[n] = Event{Kind: EvTouch, Addr: addr, Write: write}
-}
-
-// TouchRemote is Touch for an element homed on another socket; the access is
-// counted in the same TouchReads/TouchWrites totals plus the Remote* split.
-func (h *Hierarchy) TouchRemote(addr uint64, write bool) {
-	if h.touchN == 0 {
-		return
-	}
-	n := len(h.batch)
-	if n == 0 || n+1 >= h.batchCap {
-		h.pushEdge(Event{Kind: EvTouch, Addr: addr, Write: write, Remote: true})
-		return
-	}
-	h.batch = h.batch[:n+1]
-	h.batch[n] = Event{Kind: EvTouch, Addr: addr, Write: write, Remote: true}
-}
 
 // Begin opens a named span: subsequent events up to the matching End are
 // attributed to the phase `name` by span-aware recorders (the default
@@ -225,25 +171,6 @@ func (h *Hierarchy) Begin(name string) {
 // End closes the innermost span opened by Begin.
 func (h *Hierarchy) End() {
 	h.dispatch(Event{Kind: EvEnd})
-}
-
-// Range annotates the enclosing Load or Store with one contiguous address
-// run of the words it moved across interface iface (store=true for the
-// fast->slow direction). Like Touch it is a no-op unless a touch-interested
-// recorder is attached, and it never changes the word or message counters:
-// it exists so address-attributing sinks (write heatmaps) can see WHICH
-// words crossed an interface, which the bulk Load/Store events do not say.
-func (h *Hierarchy) Range(iface int, addr uint64, words int64, store bool) {
-	if h.touchN == 0 {
-		return
-	}
-	n := len(h.batch)
-	if n == 0 || n+1 >= h.batchCap {
-		h.pushEdge(Event{Kind: EvRange, Arg: iface, Addr: addr, Words: words, Write: store})
-		return
-	}
-	h.batch = h.batch[:n+1]
-	h.batch[n] = Event{Kind: EvRange, Arg: iface, Addr: addr, Words: words, Write: store}
 }
 
 // dispatch records an event in the default counters and buffers it for the
@@ -262,14 +189,13 @@ func (h *Hierarchy) dispatch(e Event) {
 	h.batch[n] = e
 }
 
-// pushEdge handles the batch-boundary cases the emitters keep off their
-// manually unrolled fast paths (Touch, TouchRemote, Range, and dispatch all
-// write the buffer slot in place when the buffer is non-empty and this event
-// does not fill it — the event stream runs hundreds of millions of events per
-// experiment, and a call frame plus a second 56-byte Event copy per event
-// shows up directly in wall time). This slow path covers the lazy first
-// allocation, dirty-marking on the empty->non-empty transition, and the flush
-// when this event reaches capacity.
+// pushEdge handles the batch-boundary cases dispatch keeps off its manually
+// unrolled fast path (it writes the buffer slot in place when the buffer is
+// non-empty and this event does not fill it — the event stream runs millions
+// of events per experiment, and a call frame plus a second 40-byte Event copy
+// per event shows up directly in wall time). This slow path covers the lazy
+// first allocation, dirty-marking on the empty->non-empty transition, and the
+// flush when this event reaches capacity.
 func (h *Hierarchy) pushEdge(e Event) {
 	if h.batch == nil {
 		if h.batchCap == DefaultBatchEvents {
@@ -292,34 +218,16 @@ func (h *Hierarchy) pushEdge(e Event) {
 }
 
 // Flush delivers every buffered event to the attached recorders, in attach
-// order: one Record call per recorder with the block in emission order.
-// Non-touch recorders get the block with EvTouch/EvRange stripped (they
-// never see those kinds). It never syncs. Safe to call any time; a no-op
-// when nothing is buffered or when called re-entrantly from inside a
-// delivery.
+// order: one Record call per recorder with the block in emission order. It
+// never syncs. Safe to call any time; a no-op when nothing is buffered or
+// when called re-entrantly from inside a delivery.
 func (h *Hierarchy) Flush() {
 	if h.flushing || len(h.batch) == 0 {
 		return
 	}
 	h.flushing = true
-	// plain is the block without touches, built at most once. With no
-	// touch-interested recorder attached the block holds none to strip:
-	// Touch, TouchRemote and Range buffer nothing then, and Attach, Detach
-	// and SetBatchCapacity flush before touchN changes.
-	plain, filtered := h.batch, h.touchN == 0
 	for i := range h.recs {
-		a := &h.recs[i]
-		if a.touch {
-			a.rec.Record(h.batch)
-			continue
-		}
-		if !filtered {
-			plain = h.stripTouches()
-			filtered = true
-		}
-		if len(plain) > 0 {
-			a.rec.Record(plain)
-		}
+		h.recs[i].rec.Record(h.batch)
 	}
 	h.batch = h.batch[:0]
 	for i := range h.recs {
@@ -345,32 +253,6 @@ func (h *Hierarchy) Release() {
 	h.batch = nil
 }
 
-// stripTouches returns the buffered block without its EvTouch/EvRange
-// events: the block itself when it holds none (the common case, so nothing
-// is copied), else a copy in the scratch buffer, sized once to the batch
-// capacity.
-func (h *Hierarchy) stripTouches() []Event {
-	j := 0
-	for j < len(h.batch) && h.batch[j].Kind != EvTouch && h.batch[j].Kind != EvRange {
-		j++
-	}
-	if j == len(h.batch) {
-		return h.batch
-	}
-	if h.scratch == nil {
-		h.scratch = make([]Event, 0, h.batchCap)
-	}
-	h.scratch = append(h.scratch[:0], h.batch[:j]...)
-	for _, e := range h.batch[j:] {
-		switch e.Kind {
-		case EvTouch, EvRange:
-		default:
-			h.scratch = append(h.scratch, e)
-		}
-	}
-	return h.scratch
-}
-
 // SetBatchCapacity resizes the event buffer (minimum 1: every event flushes
 // immediately as a one-element block, the reference delivery timing the
 // differential tests pin the batched engine against). Pending events are
@@ -383,7 +265,6 @@ func (h *Hierarchy) SetBatchCapacity(n int) {
 	}
 	h.batchCap = n
 	h.batch = nil
-	h.scratch = nil
 }
 
 // Load moves words from level i+1 into level i across interface i as one

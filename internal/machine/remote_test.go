@@ -10,7 +10,7 @@ import (
 // The central NUMA invariant: remote loads/stores are sub-counters of the
 // unchanged totals, never a parallel traffic class. LoadRemote(i, w) must move
 // every counter Load(i, w) moves, plus the remote split.
-func TestRemoteAccessesAreSubCounters(t *testing.T) {
+func TestRemoteWordsAreSubCounters(t *testing.T) {
 	local := TwoLevel(64)
 	mixed := TwoLevel(64)
 
@@ -42,17 +42,16 @@ func TestRemoteAccessesAreSubCounters(t *testing.T) {
 
 // A remote-flagged event reaches per-worker counter shards (merged with Add,
 // as a dist machine merges its ranks) and a ledger's growing counters the
-// same way, and the remote touch tallies ride EvTouch.
+// same way.
 func TestRemoteEventsInShardsAndGrowingCounters(t *testing.T) {
 	a, b := NewCounterSet(2), NewCounterSet(2)
 	a.Record([]Event{
 		{Kind: EvLoad, Arg: 0, Words: 10},
-		{Kind: EvTouch, Addr: 1, Write: true, Remote: true},
+		{Kind: EvFlops, Words: 5},
 	})
 	b.Record([]Event{
 		{Kind: EvLoad, Arg: 0, Words: 4, Remote: true},
 		{Kind: EvStore, Arg: 0, Words: 3, Remote: true},
-		{Kind: EvTouch, Addr: 2},
 	})
 
 	cs := NewCounterSet(2)
@@ -64,13 +63,13 @@ func TestRemoteEventsInShardsAndGrowingCounters(t *testing.T) {
 	if cs.Iface[0].StoreWords != 3 || cs.Iface[0].RemoteStoreWords != 3 {
 		t.Fatalf("merged stores: %+v", cs.Iface[0])
 	}
-	if cs.TouchWrites != 1 || cs.RemoteTouchWrites != 1 || cs.RemoteTouchReads != 0 {
-		t.Fatalf("merged touches: %+v", cs)
+	if cs.FlopCount != 5 {
+		t.Fatalf("merged flops: %+v", cs)
 	}
 
 	l := NewLedger(GenericLevels(2))
 	l.Record([]Event{{Kind: EvLoad, Arg: 0, Words: 4, Remote: true}})
-	if s := l.Snapshot(false); s.Interfaces[0].RemoteLoadWords != 4 || s.Interfaces[0].LoadWords != 4 {
+	if s := l.Snapshot(); s.Interfaces[0].RemoteLoadWords != 4 || s.Interfaces[0].LoadWords != 4 {
 		t.Fatalf("growing snapshot: %+v", s.Interfaces[0])
 	}
 
@@ -78,11 +77,11 @@ func TestRemoteEventsInShardsAndGrowingCounters(t *testing.T) {
 	sum := NewCounterSet(2)
 	sum.Add(cs)
 	sum.Add(cs)
-	if sum.Iface[0].RemoteLoadWords != 8 || sum.RemoteTouchWrites != 2 {
+	if sum.Iface[0].RemoteLoadWords != 8 || sum.Iface[0].RemoteStoreWords != 6 {
 		t.Fatalf("Add dropped remote fields: %+v", sum.Iface[0])
 	}
 	sum.Reset()
-	if sum.Iface[0].RemoteLoadWords != 0 || sum.RemoteTouchWrites != 0 {
+	if sum.Iface[0].RemoteLoadWords != 0 || sum.Iface[0].RemoteStoreWords != 0 {
 		t.Fatalf("Reset kept remote fields: %+v", sum.Iface[0])
 	}
 }
@@ -149,23 +148,5 @@ func TestFlatSnapshotJSONHasNoRemoteKeys(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), `"remoteLoadWords":1`) {
 		t.Fatalf("remote split missing from JSON: %s", raw)
-	}
-}
-
-// TouchRemote dispatches to touch subscribers with the remote flag set while
-// the plain Touch path stays remote-free.
-func TestTouchRemoteDispatch(t *testing.T) {
-	h := TwoLevel(64)
-	cs := NewCounterSet(2)
-	h.Attach(cs)
-	h.Touch(1, true)
-	h.TouchRemote(2, true)
-	h.TouchRemote(3, false)
-	h.Flush()
-	if cs.TouchWrites != 2 || cs.TouchReads != 1 {
-		t.Fatalf("touch totals: %+v", cs)
-	}
-	if cs.RemoteTouchWrites != 1 || cs.RemoteTouchReads != 1 {
-		t.Fatalf("remote touch split: %+v", cs)
 	}
 }

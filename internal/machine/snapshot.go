@@ -15,16 +15,6 @@ type Snapshot struct {
 	Levels     []LevelSnapshot     `json:"levels"`
 	Interfaces []InterfaceSnapshot `json:"interfaces"`
 	Flops      int64               `json:"flops"`
-	// TouchReads/TouchWrites surface the per-element EvTouch tallies of
-	// recorders that subscribe to the touch stream (ledgers, stream
-	// recorders). A Hierarchy's own snapshot always reports zero: the
-	// default counter set is not on the touch path.
-	TouchReads  int64 `json:"touchReads,omitempty"`
-	TouchWrites int64 `json:"touchWrites,omitempty"`
-	// Remote touch split (multi-socket runs only; omitted when zero so
-	// flat-machine snapshots keep the pre-socket wire format).
-	RemoteTouchReads  int64 `json:"remoteTouchReads,omitempty"`
-	RemoteTouchWrites int64 `json:"remoteTouchWrites,omitempty"`
 }
 
 // LevelSnapshot is one memory level's counters.
@@ -69,13 +59,7 @@ func snapshotOf(levels []Level, between []string, c *CounterSet) Snapshot {
 	if len(levels) != len(c.Lvl) {
 		panic("machine: SnapshotOf level count mismatch")
 	}
-	s := Snapshot{
-		Flops:             c.FlopCount,
-		TouchReads:        c.TouchReads,
-		TouchWrites:       c.TouchWrites,
-		RemoteTouchReads:  c.RemoteTouchReads,
-		RemoteTouchWrites: c.RemoteTouchWrites,
-	}
+	s := Snapshot{Flops: c.FlopCount}
 	s.Levels = make([]LevelSnapshot, len(levels))
 	for i, lv := range levels {
 		lc := c.Lvl[i]
@@ -164,13 +148,7 @@ func (s Snapshot) combine(other Snapshot, sign int64) Snapshot {
 	if len(s.Levels) != len(other.Levels) || len(s.Interfaces) != len(other.Interfaces) {
 		panic("machine: snapshot geometry mismatch")
 	}
-	out := Snapshot{
-		Flops:             s.Flops + sign*other.Flops,
-		TouchReads:        s.TouchReads + sign*other.TouchReads,
-		TouchWrites:       s.TouchWrites + sign*other.TouchWrites,
-		RemoteTouchReads:  s.RemoteTouchReads + sign*other.RemoteTouchReads,
-		RemoteTouchWrites: s.RemoteTouchWrites + sign*other.RemoteTouchWrites,
-	}
+	out := Snapshot{Flops: s.Flops + sign*other.Flops}
 	out.Levels = make([]LevelSnapshot, len(s.Levels))
 	for i := range s.Levels {
 		a, b := s.Levels[i], other.Levels[i]

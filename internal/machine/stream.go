@@ -110,8 +110,7 @@ func (sw *StreamWriter) Err() error { return sw.err }
 // several, sequentially — the counters accumulate across all attached
 // sources, which is how wabench streams a whole multi-section run as one
 // trajectory) and Close it when the run ends to emit the final cumulative
-// record. The ledger asks for the per-element touch stream for it, so
-// traced runs expose read/write touch trajectories too.
+// record.
 //
 // The geometry grows on demand: observing an event for a level or
 // interface beyond the current level list extends it with generically
@@ -123,8 +122,8 @@ type StreamRecorder struct {
 	led   *Ledger
 	sw    *StreamWriter
 	every int64
-	// start and base are the ledger's event totals (touches included) when
-	// the stream joined it and at its last record; the ledger moves base.
+	// start and base are the ledger's event totals when the stream joined
+	// it and at its last record; the ledger moves base.
 	start, base int64
 	closed      bool
 }
@@ -196,7 +195,7 @@ func (s *StreamRecorder) Phase(name string) { s.led.Phase(name) }
 func (s *StreamRecorder) Flush() {
 	s.led.Sync()
 	s.led.mu.Lock()
-	if !s.closed && s.led.totalAll > s.base {
+	if !s.closed && s.led.total > s.base {
 		s.led.emitLocked(s, false)
 		s.led.rearmLocked()
 	}
@@ -232,5 +231,5 @@ func (s *StreamRecorder) Counters() *CounterSet {
 // events first.
 func (s *StreamRecorder) Snapshot() Snapshot {
 	s.led.Sync()
-	return s.led.Snapshot(true)
+	return s.led.Snapshot()
 }

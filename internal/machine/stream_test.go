@@ -190,11 +190,11 @@ func TestSnapshotSubAddRoundTrip(t *testing.T) {
 
 // SnapshotOf on counter shards merged with Add (as dist.Machine.Aggregate
 // merges its ranks) matches the wire format of a hierarchy snapshot and
-// carries the touch totals.
+// carries the flop totals.
 func TestSnapshotOfMergedShards(t *testing.T) {
 	a, b := NewCounterSet(2), NewCounterSet(2)
-	a.Record([]Event{{Kind: EvLoad, Arg: 0, Words: 10}, {Kind: EvTouch, Addr: 1, Write: true}})
-	b.Record([]Event{{Kind: EvTouch, Addr: 2}})
+	a.Record([]Event{{Kind: EvLoad, Arg: 0, Words: 10}, {Kind: EvFlops, Words: 3}})
+	b.Record([]Event{{Kind: EvFlops, Words: 4}})
 	merged := NewCounterSet(2)
 	merged.Add(a)
 	merged.Add(b)
@@ -203,8 +203,8 @@ func TestSnapshotOfMergedShards(t *testing.T) {
 	if s.Interfaces[0].LoadWords != 10 || s.Interfaces[0].LoadMsgs != 1 {
 		t.Fatalf("merged snapshot iface: %+v", s.Interfaces[0])
 	}
-	if s.TouchWrites != 1 || s.TouchReads != 1 {
-		t.Fatalf("merged snapshot touches: writes %d reads %d", s.TouchWrites, s.TouchReads)
+	if s.Flops != 7 {
+		t.Fatalf("merged snapshot flops %d want 7", s.Flops)
 	}
 	if s.Levels[0].WritesTo != 10 {
 		t.Fatalf("merged snapshot writesTo %d want 10", s.Levels[0].WritesTo)

@@ -304,7 +304,7 @@ func (h *HistogramRecorder) PhaseClosed(p *machine.PhaseDelta) {
 
 // Snapshot returns the recorder's cumulative counter snapshot (the running
 // phase's events included). Safe from any goroutine.
-func (h *HistogramRecorder) Snapshot() machine.Snapshot { return h.led.Snapshot(false) }
+func (h *HistogramRecorder) Snapshot() machine.Snapshot { return h.led.Snapshot() }
 
 // Histograms renders every phase histogram under its exported family name,
 // in the families' declaration order. Safe from any goroutine.

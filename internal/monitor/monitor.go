@@ -102,9 +102,7 @@ func (r *Registry) Len() int { return len(r.preds) }
 // record into its Ledger(); Phase and Finish drive that ledger), or a run's
 // shared one after Follow. It is internally
 // locked: the run goroutine closes phases while HTTP handlers read
-// Snapshot and Violations concurrently. It reads the ledger's touchless
-// view — conformance checks are on word counters, and the monitor never
-// subscribes to the dense EvTouch stream.
+// Snapshot and Violations concurrently.
 type Monitor struct {
 	led *machine.Ledger
 
@@ -318,7 +316,7 @@ func (m *Monitor) ViolationsSince(since int64) []Violation {
 
 // Snapshot returns the monitor's cumulative snapshot. Safe from any
 // goroutine; this is what the HTTP /snapshot and /metrics endpoints serve.
-func (m *Monitor) Snapshot() machine.Snapshot { return m.led.Snapshot(false) }
+func (m *Monitor) Snapshot() machine.Snapshot { return m.led.Snapshot() }
 
 // Phases returns how many phases carried events so far.
 func (m *Monitor) Phases() int64 {
@@ -338,4 +336,4 @@ func (m *Monitor) TotalEvents() int64 {
 // PeekTotalEvents returns the counter-bearing events recorded so far without
 // syncing batch-buffered events: safe from any goroutine, at batch rather
 // than event granularity, like Snapshot. This is what /metrics serves.
-func (m *Monitor) PeekTotalEvents() int64 { return m.led.Events(false) }
+func (m *Monitor) PeekTotalEvents() int64 { return m.led.Events() }

@@ -54,10 +54,6 @@ var families = []familyDef{
 	{"wa_up", "gauge", "1 while the observed run is live."},
 	{"wa_build_info", "gauge", "Build metadata of the serving binary (constant 1; labels carry the facts)."},
 	{"wa_flops_total", "counter", "Floating-point operations recorded."},
-	{"wa_touch_reads_total", "counter", "Per-element read touches recorded."},
-	{"wa_touch_writes_total", "counter", "Per-element write touches recorded."},
-	{"wa_touch_remote_reads_total", "counter", "Read touches classified inter-socket (included in wa_touch_reads_total)."},
-	{"wa_touch_remote_writes_total", "counter", "Write touches classified inter-socket (included in wa_touch_writes_total)."},
 	{"wa_level_init_words_total", "counter", "Words initialized directly in a memory level."},
 	{"wa_level_writes_to_words_total", "counter", "Words written into a memory level (inits + loads from below + stores from above)."},
 	{"wa_interface_load_words_total", "counter", "Words loaded (slow->fast) across an interface."},
@@ -135,16 +131,6 @@ func snapshotSamples(dst []metricSample, s machine.Snapshot, extra []labelPair) 
 		dst = append(dst, metricSample{family: family, labels: append(labels, extra...), value: v})
 	}
 	add("wa_flops_total", nil, float64(s.Flops))
-	add("wa_touch_reads_total", nil, float64(s.TouchReads))
-	add("wa_touch_writes_total", nil, float64(s.TouchWrites))
-	// Remote families appear only when a multi-socket run recorded remote
-	// traffic; flat-machine expositions are unchanged sample for sample.
-	if s.RemoteTouchReads != 0 {
-		add("wa_touch_remote_reads_total", nil, float64(s.RemoteTouchReads))
-	}
-	if s.RemoteTouchWrites != 0 {
-		add("wa_touch_remote_writes_total", nil, float64(s.RemoteTouchWrites))
-	}
 	for i, lv := range s.Levels {
 		ll := []labelPair{{"level", lv.Name}, {"index", strconv.Itoa(i)}}
 		add("wa_level_init_words_total", ll, float64(lv.InitWords))
@@ -156,6 +142,8 @@ func snapshotSamples(dst []metricSample, s machine.Snapshot, extra []labelPair) 
 		add("wa_interface_store_words_total", il, float64(ifc.StoreWords))
 		add("wa_interface_load_msgs_total", il, float64(ifc.LoadMsgs))
 		add("wa_interface_store_msgs_total", il, float64(ifc.StoreMsgs))
+		// Remote families appear only when a multi-socket run recorded
+		// remote traffic; flat-machine expositions are unchanged.
 		if ifc.RemoteLoadWords != 0 {
 			add("wa_interface_remote_load_words_total", il, float64(ifc.RemoteLoadWords))
 		}

@@ -21,8 +21,8 @@ func TestExpositionRoundTrip(t *testing.T) {
 	})
 
 	samples := []metricSample{{family: "wa_up", value: 1}}
-	samples = snapshotSamples(samples, l.Snapshot(true), nil)
-	samples = snapshotSamples(samples, l.Snapshot(true),
+	samples = snapshotSamples(samples, l.Snapshot(), nil)
+	samples = snapshotSamples(samples, l.Snapshot(),
 		[]labelPair{{"run", `ta"ble\1` + "\n"}, {"rank", "0"}})
 	samples = cacheSamples(samples, "fig2-wa", cache.Stats{Accesses: 10, Hits: 8, Misses: 2, VictimsM: 1})
 	samples = append(samples,

@@ -5,52 +5,10 @@ import (
 	"fmt"
 	"testing"
 
-	"writeavoid/internal/access"
 	"writeavoid/internal/dist"
 	"writeavoid/internal/machine"
 	"writeavoid/internal/profile"
-	"writeavoid/internal/smp"
 )
-
-// Counting recorders must ignore the span marks concurrent drivers emit:
-// RunParallel wraps every task in EvBegin/EvEnd, and the totals of the one
-// ledger every worker records into have to stay exact and
-// interleaving-independent regardless. Run with -race.
-func TestRunParallelSpansThroughLedger(t *testing.T) {
-	const workers, tasksPer, opsPer = 4, 8, 64
-	sched := smp.Schedule{Queues: make([][]smp.Task, workers)}
-	var wantOps, wantWrites int64
-	for w := 0; w < workers; w++ {
-		for k := 0; k < tasksPer; k++ {
-			task := smp.Task{Label: fmt.Sprintf("w%d.t%d", w, k)}
-			for i := 0; i < opsPer; i++ {
-				write := i%3 == 0
-				task.Ops = append(task.Ops, access.Op{Addr: uint64(w*1000 + i), Write: write})
-				wantOps++
-				if write {
-					wantWrites++
-				}
-			}
-			sched.Queues[w] = append(sched.Queues[w], task)
-		}
-	}
-	rec := machine.NewLedger(nil)
-	res, err := smp.RunParallel(sched, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AccessesRun != wantOps {
-		t.Fatalf("ran %d accesses, want %d", res.AccessesRun, wantOps)
-	}
-	merged := rec.Snapshot(true)
-	if merged.TouchReads+merged.TouchWrites != wantOps {
-		t.Errorf("merged touches %d+%d, want %d total",
-			merged.TouchReads, merged.TouchWrites, wantOps)
-	}
-	if merged.TouchWrites != wantWrites {
-		t.Errorf("merged writes %d, want %d", merged.TouchWrites, wantWrites)
-	}
-}
 
 // A distributed run with per-rank span recorders, superstep spans, and a live
 // AggregateStream flushing from rank 0 between barriers: every layer observes

@@ -1,10 +1,8 @@
 // Package profile is the attribution layer over the machine.Recorder event
 // engine: where the default counters answer "how many words moved", this
-// package answers *where they came from* — which phase of which algorithm,
-// which address range, at what reuse distance.
+// package answers *where they came from* — which phase of which algorithm.
 //
-// Four cooperating sinks that attach to any Hierarchy (or are recorded into
-// directly):
+// Two cooperating parts, over any Hierarchy (or recorded into directly):
 //
 //   - SpanRecorder turns the nested EvBegin/EvEnd marks the algorithm
 //     drivers emit (panel/update/trsm phases, parallel supersteps) into a
@@ -17,14 +15,6 @@
 //     renders span trees as B/E duration events plus per-interface C
 //     counter tracks, one pid/tid pair per processor, so any wabench or
 //     pmm run opens directly in Perfetto or chrome://tracing.
-//   - ReuseRecorder, a machine.Recorder, computes the LRU stack distance
-//     of every EvTouch in O(log n) with a Fenwick tree, split by
-//     read/write, and derives the Proposition 6.1 write-back floor from the
-//     write-distance tail.
-//   - HeatmapRecorder, a machine.Recorder, counts writes per address block
-//     from the EvRange annotations of block transfers (and, at the element
-//     level, from EvTouch), proving structurally that the write-avoiding
-//     algorithms write each output block exactly once to slow memory.
 //
 // The Profiler type bundles a main SpanRecorder with per-processor groups
 // for distributed runs; cmd/wabench drives one behind -trace and -profile.

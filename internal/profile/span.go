@@ -14,7 +14,7 @@ import (
 type Span struct {
 	Name string
 	// Start and End are profiler-clock readings: counts of counter-bearing
-	// events (loads, stores, inits, discards, flops, touches) recorded
+	// events (loads, stores, inits, discards, flops) recorded
 	// before the span opened and closed. The clock is deterministic —
 	// replaying the same program yields the same span boundaries.
 	Start, End int64
@@ -70,7 +70,7 @@ const (
 // wholeEvery is the checkpoint interval of the row log: every wholeEvery-th
 // boundary logs its whole row, so rebuilding a row applies at most
 // wholeEvery-1 masks to the nearest whole row at or before it. Over an
-// observed dist op a boundary moves 3.6 of its 26 fields on average, so a
+// observed dist op a boundary moves 3.6 of its 22 fields on average, so a
 // mask entry is about a fifth of a row; at 32 the checkpoints add under a
 // word per boundary, and a random read stays under two hundred word
 // copies. A fixed constant, not an option: it trades memory against read
@@ -112,8 +112,7 @@ type spanRec struct {
 //
 // It is not a machine.Recorder itself: attach its Ledger() to a hierarchy,
 // or record into it, and the ledger's span tap subscription makes it ask for
-// the span marks (Hierarchy.Marking) and the per-element touch stream, so
-// traced runs attribute touch counts per span. It is not safe for
+// the span marks (Hierarchy.Marking). It is not safe for
 // concurrent use: give each processor of a distributed machine its own
 // (dist.Config.Observe, ProcGroup.Recorder). The geometry grows on demand
 // with generic level names, so one recorder can follow hierarchies of
@@ -359,7 +358,7 @@ func (r *SpanRecorder) Clock() int64 {
 // every delta telescopes into. Buffered events are synced first.
 func (r *SpanRecorder) Snapshot() machine.Snapshot {
 	r.led.Sync()
-	return r.led.Snapshot(true)
+	return r.led.Snapshot()
 }
 
 // Total is Snapshot under the name the exactness invariant uses.

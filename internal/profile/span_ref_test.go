@@ -143,7 +143,7 @@ func (r *refRecorder) Roots() []*Span {
 
 func (r *refRecorder) Unattributed() machine.Snapshot {
 	r.led.Sync()
-	out := r.led.Snapshot(true)
+	out := r.led.Snapshot()
 	for i := range r.spans {
 		if sp := &r.spans[i]; sp.parent < 0 {
 			out = out.Sub(r.delta(sp.start, sp.end))
@@ -217,10 +217,6 @@ func refSpanArgs(d *machine.CounterSet) map[string]any {
 	for i, ifc := range d.Iface {
 		args[fmt.Sprintf("if%d.loadWords", i)] = ifc.LoadWords
 		args[fmt.Sprintf("if%d.storeWords", i)] = ifc.StoreWords
-	}
-	if d.TouchReads != 0 || d.TouchWrites != 0 {
-		args["touchReads"] = d.TouchReads
-		args["touchWrites"] = d.TouchWrites
 	}
 	return args
 }
@@ -352,12 +348,8 @@ func spanProgram(rng *rand.Rand, p spanPair, steps, maxLevels int) {
 			h.Init(rng.Intn(levels), words)
 		case k < 9:
 			h.Discard(rng.Intn(levels), words)
-		case k < 11:
-			h.Flops(words)
-		case k < 12:
-			h.Touch(uint64(rng.Intn(1<<16)), rng.Intn(2) == 0)
 		case k < 13:
-			h.Range(rng.Intn(levels-1), uint64(rng.Intn(1<<16)), words, rng.Intn(2) == 0)
+			h.Flops(words)
 		case k < 17:
 			h.Begin(spanNames[rng.Intn(len(spanNames))])
 			open = append(open, false)

@@ -228,8 +228,8 @@ func (b *TraceBuilder) Write(w io.Writer) error {
 }
 
 // writeRecorder writes one recorder's events: a B/E pair per span, in open
-// order, the E event's args the span's flops and per-interface words
-// (touches too when it saw any); then, at every boundary, one sample per
+// order, the E event's args the span's flops and per-interface words; then,
+// at every boundary, one sample per
 // interface track and one of the flops track.
 func (b *TraceBuilder) writeRecorder(t *traceWriter, tr *recorderTrack) {
 	r, s := tr.r, &b.rows
@@ -247,10 +247,6 @@ func (b *TraceBuilder) writeRecorder(t *traceWriter, tr *recorderTrack) {
 				v = ifc.StoreWords
 			}
 			t.arg(false, k.key, v)
-		}
-		if d.TouchReads != 0 || d.TouchWrites != 0 {
-			t.arg(false, `"touchReads":`, d.TouchReads)
-			t.arg(false, `"touchWrites":`, d.TouchWrites)
 		}
 		t.end(true)
 	}

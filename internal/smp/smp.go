@@ -39,10 +39,6 @@ type Result struct {
 	Stats       cache.Stats
 	TasksRun    int
 	AccessesRun int64
-	// RemoteAccesses counts the accesses a placed parallel run (see
-	// RunParallelPlaced) classified as inter-socket; always included in
-	// AccessesRun, zero for serial runs and flat placements.
-	RemoteAccesses int64
 }
 
 // Run interleaves the workers' task streams into the shared cache, quantum
