@@ -182,8 +182,8 @@ func record(args []string) int {
 }
 
 // sim replays a trace and returns the exit code: 2 for bad input, a cache
-// geometry cache.New or cache.NewFALRU rejects included, and 1 for a failed
-// read or write.
+// geometry cache.New, cache.NewFALRU or cache.CheckLines (OPT) rejects
+// included, and 1 for a failed read or write.
 func sim(args []string) (rc int) {
 	// cache.New and cache.NewFALRU treat bad geometry as a programming
 	// error and panic; for the CLI it is user input, so report it politely.
@@ -218,10 +218,15 @@ func sim(args []string) (rc int) {
 	defer f.Close()
 
 	// Build the simulator before opening any output, so that a rejected
-	// geometry leaves nothing behind. OPT is offline: it has none.
+	// geometry leaves nothing behind. OPT is offline, built only once the
+	// trace is read: check its geometry now.
 	var c cache.Simulator
 	switch {
 	case *policy == "opt":
+		if err := cache.CheckLines(*size, *line); err != nil {
+			fmt.Fprintln(os.Stderr, "watrace:", err)
+			return 2
+		}
 	case *full:
 		c = cache.NewFALRU(*size, *line)
 	default:

@@ -61,6 +61,9 @@ func TestSimRejectsBadGeometry(t *testing.T) {
 		{"-fullassoc", "-size", "100"},                       // not a whole number of lines
 		{"-policy", "plru", "-size", "4096", "-assoc", "64"}, // PLRU over 32 ways
 		{"-policy", "lru", "-size", "4096", "-assoc", "-1"},  // 0, not a negative, means fully associative
+		{"-policy", "opt", "-size", "100"},                   // not a whole number of lines
+		{"-policy", "opt", "-size", "32"},                    // smaller than one line
+		{"-policy", "opt", "-line", "48"},                    // not a power of two
 	} {
 		if rc := run(args...); rc != 2 {
 			t.Errorf("sim %v = %d, want 2", args, rc)

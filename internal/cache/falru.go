@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 
 	"writeavoid/internal/access"
@@ -57,16 +58,27 @@ const (
 	fillEvictDirty
 )
 
-// NewFALRU builds a fully-associative LRU cache of sizeBytes capacity.
-func NewFALRU(sizeBytes, lineBytes int) *FALRU {
+// CheckLines reports whether sizeBytes in lines of lineBytes is the
+// geometry of a fully associative cache: the line a positive power of two,
+// the size a whole number of lines, at least one. NewFALRU and SimulateOPT
+// panic with its error; a caller taking the geometry as input checks first.
+func CheckLines(sizeBytes, lineBytes int) error {
 	if lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
-		panic("cache: line size must be a positive power of two")
+		return errors.New("cache: line size must be a positive power of two")
 	}
 	if sizeBytes < lineBytes {
-		panic("cache: size smaller than one line")
+		return errors.New("cache: size smaller than one line")
 	}
 	if sizeBytes%lineBytes != 0 {
-		panic(fmt.Sprintf("cache: size %d not a multiple of line size %d", sizeBytes, lineBytes))
+		return fmt.Errorf("cache: size %d not a multiple of line size %d", sizeBytes, lineBytes)
+	}
+	return nil
+}
+
+// NewFALRU builds a fully-associative LRU cache of sizeBytes capacity.
+func NewFALRU(sizeBytes, lineBytes int) *FALRU {
+	if err := CheckLines(sizeBytes, lineBytes); err != nil {
+		panic(err)
 	}
 	capacity := sizeBytes / lineBytes
 	if capacity > 1<<30 {

@@ -221,8 +221,8 @@ func TestProp61Anchor(t *testing.T) {
 	}
 }
 
-// NewFALRU rejects a size that is not a whole number of lines, as New does,
-// instead of flooring it to one.
+// NewFALRU and SimulateOPT reject a size that is not a whole number of
+// lines, as New does, instead of flooring it to one.
 func TestNewFALRURejectsPartialLine(t *testing.T) {
 	for _, c := range []struct {
 		size, line int
@@ -233,14 +233,19 @@ func TestNewFALRURejectsPartialLine(t *testing.T) {
 		{32, 64, "cache: size smaller than one line"},
 		{96, 48, "cache: line size must be a positive power of two"},
 	} {
-		func() {
-			defer func() {
-				if e := recover(); fmt.Sprint(e) != c.want {
-					t.Errorf("NewFALRU(%d, %d) panicked with %v, want %q", c.size, c.line, e, c.want)
-				}
+		for name, build := range map[string]func(){
+			"NewFALRU":    func() { NewFALRU(c.size, c.line) },
+			"SimulateOPT": func() { SimulateOPT(nil, c.size, c.line) },
+		} {
+			func() {
+				defer func() {
+					if e := recover(); fmt.Sprint(e) != c.want {
+						t.Errorf("%s(%d, %d) panicked with %v, want %q", name, c.size, c.line, e, c.want)
+					}
+				}()
+				build()
 			}()
-			NewFALRU(c.size, c.line)
-		}()
+		}
 	}
 	if got := NewFALRU(64*3, 64).Capacity(); got != 3 {
 		t.Fatalf("NewFALRU(192, 64) holds %d lines, want 3", got)

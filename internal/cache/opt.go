@@ -53,13 +53,10 @@ type optSim struct {
 const optCompactFloor = 64
 
 func newOptSim(ops []access.Op, sizeBytes, lineBytes int) *optSim {
-	if lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
-		panic("cache: line size must be a positive power of two")
+	if err := CheckLines(sizeBytes, lineBytes); err != nil {
+		panic(err)
 	}
 	capacity := sizeBytes / lineBytes
-	if capacity < 1 {
-		panic("cache: size smaller than one line")
-	}
 	s := &optSim{
 		capacity: capacity,
 		res:      make(map[uint64]bool, capacity+1),

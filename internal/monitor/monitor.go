@@ -17,7 +17,10 @@
 // The companion Server (server.go) serves the same state live over HTTP:
 // Prometheus text metrics, JSON snapshots and span trees, an SSE bridge over
 // the streaming JSONL records, and the violation list — so a long run is
-// both watchable and continuously self-checking.
+// both watchable and continuously self-checking. Its /metrics body is
+// encoded family by family straight from the sources into a pooled buffer
+// (prometheus.go), so a scrape allocates nothing per sample however many
+// rank snapshots a dist run publishes.
 package monitor
 
 import (

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"regexp"
+	"runtime/metrics"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,14 +30,16 @@ type labelPair struct {
 	key, value string
 }
 
-// metricSample is one rendered sample of a counter/gauge family.
+// metricSample is one scalar sample of a counter or gauge family: the
+// sources with no family of their own (wa_up, the monitor, flight and SSE
+// counts, build info, the runtime bridge).
 type metricSample struct {
 	family string
 	labels []labelPair
 	value  float64
 }
 
-// histogramSample is one rendered histogram series of a histogram family.
+// histogramSample is one histogram series of a histogram family.
 type histogramSample struct {
 	family string
 	labels []labelPair
@@ -114,176 +118,398 @@ func Families() []Family {
 	return out
 }
 
-// familyType returns the declared type of name, or "".
-func familyType(name string) string {
-	for _, f := range families {
-		if f.name == name {
-			return f.typ
-		}
-	}
-	return ""
+// exposition is what one /metrics body is encoded from: the cumulative
+// snapshot, per-rank snapshots by run, cache simulator stats, scalar
+// samples and histogram series. write encodes it family by family, in
+// declaration order, straight from these sources into one buffer: labels
+// are escaped and values formatted in place, so a body allocates nothing
+// per sample. Server.handleMetrics takes one from a pool for every scrape
+// and keeps its slices and buffer for the next.
+type exposition struct {
+	snap    machine.Snapshot
+	hasSnap bool
+	ranks   []rankRun
+	caches  []cacheRun
+	scalars []metricSample
+	hists   []histogramSample
+
+	buf []byte
+	rt  []metrics.Sample // the runtime bridge's reads (runtime.go)
 }
 
-// snapshotSamples renders one machine.Snapshot as samples, with extra labels
-// (e.g. run/rank for per-processor views) appended to every sample.
-func snapshotSamples(dst []metricSample, s machine.Snapshot, extra []labelPair) []metricSample {
-	add := func(family string, labels []labelPair, v float64) {
-		dst = append(dst, metricSample{family: family, labels: append(labels, extra...), value: v})
-	}
-	add("wa_flops_total", nil, float64(s.Flops))
-	for i, lv := range s.Levels {
-		ll := []labelPair{{"level", lv.Name}, {"index", strconv.Itoa(i)}}
-		add("wa_level_init_words_total", ll, float64(lv.InitWords))
-		add("wa_level_writes_to_words_total", ll, float64(lv.WritesTo))
-	}
-	for i, ifc := range s.Interfaces {
-		il := []labelPair{{"iface", strconv.Itoa(i)}, {"between", ifc.Between}}
-		add("wa_interface_load_words_total", il, float64(ifc.LoadWords))
-		add("wa_interface_store_words_total", il, float64(ifc.StoreWords))
-		add("wa_interface_load_msgs_total", il, float64(ifc.LoadMsgs))
-		add("wa_interface_store_msgs_total", il, float64(ifc.StoreMsgs))
-		// Remote families appear only when a multi-socket run recorded
-		// remote traffic; flat-machine expositions are unchanged.
-		if ifc.RemoteLoadWords != 0 {
-			add("wa_interface_remote_load_words_total", il, float64(ifc.RemoteLoadWords))
-		}
-		if ifc.RemoteStoreWords != 0 {
-			add("wa_interface_remote_store_words_total", il, float64(ifc.RemoteStoreWords))
-		}
-		add("wa_interface_traffic_words_total", il, float64(ifc.Traffic))
-		holds := 0.0
-		if ifc.Theorem1Holds {
-			holds = 1
-		}
-		add("wa_interface_theorem1_holds", il, holds)
-	}
-	return dst
+// rankRun is one run's per-rank snapshots, from the source fn; each
+// sample carries run and rank labels after its own.
+type rankRun struct {
+	name  string
+	fn    func() []machine.Snapshot
+	snaps []machine.Snapshot
 }
 
-// cacheSamples renders one cache.Stats observation under a sim label.
-func cacheSamples(dst []metricSample, name string, st cache.Stats) []metricSample {
-	ll := []labelPair{{"sim", name}}
-	add := func(family string, v int64) {
-		dst = append(dst, metricSample{family: family, labels: ll, value: float64(v)})
-	}
-	add("wa_cache_accesses_total", st.Accesses)
-	add("wa_cache_hits_total", st.Hits)
-	add("wa_cache_misses_total", st.Misses)
-	add("wa_cache_victims_dirty_total", st.VictimsM)
-	add("wa_cache_victims_clean_total", st.VictimsE)
-	add("wa_cache_write_throughs_total", st.WriteThroughs)
-	return dst
+// cacheRun is one cache simulator's stats, under a sim label.
+type cacheRun struct {
+	name string
+	st   cache.Stats
 }
 
-// writeExposition renders the samples grouped by family in declaration
-// order, with HELP/TYPE headers, skipping families with no samples.
-// Histogram families render each series as cumulative buckets + sum + count.
-func writeExposition(w io.Writer, samples []metricSample, hists []histogramSample) error {
-	byFamily := make(map[string][]metricSample, len(families))
-	for _, s := range samples {
-		byFamily[s.family] = append(byFamily[s.family], s)
-	}
-	histByFamily := make(map[string][]histogramSample, len(hists))
-	for _, h := range hists {
-		histByFamily[h.family] = append(histByFamily[h.family], h)
-	}
-	for _, f := range families {
-		group := byFamily[f.name]
-		hgroup := histByFamily[f.name]
-		if len(group) == 0 && len(hgroup) == 0 {
-			continue
+// reset empties e for the next scrape, keeping its slices' capacity and
+// no reference to what the last one read.
+func (e *exposition) reset() {
+	e.snap, e.hasSnap = machine.Snapshot{}, false
+	clear(e.ranks)
+	clear(e.scalars)
+	clear(e.hists)
+	e.ranks, e.caches, e.scalars, e.hists = e.ranks[:0], e.caches[:0], e.scalars[:0], e.hists[:0]
+}
+
+// snapshotFamily is what each snapshot emits into a family: its flops, or
+// a sample per level, or a sample per interface (sparse: only where the
+// value is nonzero, so the remote families appear only when a multi-socket
+// run recorded remote traffic and flat-machine bodies are unchanged).
+type snapshotFamily struct {
+	level  func(*machine.LevelSnapshot) int64
+	iface  func(*machine.InterfaceSnapshot) int64
+	sparse bool
+}
+
+// snapshotFamilies are the families a machine.Snapshot emits into;
+// wa_flops_total has neither a level nor an interface function.
+var snapshotFamilies = map[string]snapshotFamily{
+	"wa_flops_total":                        {},
+	"wa_level_init_words_total":             {level: func(l *machine.LevelSnapshot) int64 { return l.InitWords }},
+	"wa_level_writes_to_words_total":        {level: func(l *machine.LevelSnapshot) int64 { return l.WritesTo }},
+	"wa_interface_load_words_total":         {iface: func(i *machine.InterfaceSnapshot) int64 { return i.LoadWords }},
+	"wa_interface_store_words_total":        {iface: func(i *machine.InterfaceSnapshot) int64 { return i.StoreWords }},
+	"wa_interface_load_msgs_total":          {iface: func(i *machine.InterfaceSnapshot) int64 { return i.LoadMsgs }},
+	"wa_interface_store_msgs_total":         {iface: func(i *machine.InterfaceSnapshot) int64 { return i.StoreMsgs }},
+	"wa_interface_remote_load_words_total":  {iface: func(i *machine.InterfaceSnapshot) int64 { return i.RemoteLoadWords }, sparse: true},
+	"wa_interface_remote_store_words_total": {iface: func(i *machine.InterfaceSnapshot) int64 { return i.RemoteStoreWords }, sparse: true},
+	"wa_interface_traffic_words_total":      {iface: func(i *machine.InterfaceSnapshot) int64 { return i.Traffic }},
+	"wa_interface_theorem1_holds": {iface: func(i *machine.InterfaceSnapshot) int64 {
+		if i.Theorem1Holds {
+			return 1
 		}
-		delete(byFamily, f.name)
-		delete(histByFamily, f.name)
-		if len(group) > 0 && f.typ == "histogram" {
+		return 0
+	}},
+}
+
+// cacheFamilies are the families a cache.Stats emits into.
+var cacheFamilies = map[string]func(*cache.Stats) int64{
+	"wa_cache_accesses_total":       func(s *cache.Stats) int64 { return s.Accesses },
+	"wa_cache_hits_total":           func(s *cache.Stats) int64 { return s.Hits },
+	"wa_cache_misses_total":         func(s *cache.Stats) int64 { return s.Misses },
+	"wa_cache_victims_dirty_total":  func(s *cache.Stats) int64 { return s.VictimsM },
+	"wa_cache_victims_clean_total":  func(s *cache.Stats) int64 { return s.VictimsE },
+	"wa_cache_write_throughs_total": func(s *cache.Stats) int64 { return s.WriteThroughs },
+}
+
+// flushAt is the buffered body size at which the encoder writes out.
+const flushAt = 1 << 16
+
+// write encodes the body to w: families in declaration order, each with
+// its HELP and TYPE lines, skipping families with no samples; within a
+// family the cumulative snapshot's samples, each rank's in run order, each
+// cache's, the scalar samples, then the histogram series (cumulative
+// `_bucket{le=...}` lines ending in `+Inf`, `_sum`, `_count`). A scalar
+// sample under a histogram family, a histogram under any other, a
+// histogram whose counts do not match its bounds and a sample of an
+// undeclared family fail it, after what came before went out.
+func (e *exposition) write(w io.Writer) error {
+	x := encoder{w: w, buf: e.buf[:0]}
+	err := x.body(e)
+	x.flush()
+	e.buf = x.buf
+	if err != nil {
+		return err
+	}
+	return x.err
+}
+
+// encoder is one body being written: buf goes out to w whenever it
+// reaches flushAt, and err keeps the first write error.
+type encoder struct {
+	w    io.Writer
+	buf  []byte
+	err  error
+	fam  *familyDef
+	open bool // fam's HELP and TYPE lines are written
+}
+
+func (x *encoder) body(e *exposition) error {
+	for i := range families {
+		f := &families[i]
+		var scalars, hists int
+		for j := range e.scalars {
+			if e.scalars[j].family == f.name {
+				scalars++
+			}
+		}
+		for j := range e.hists {
+			if e.hists[j].family == f.name {
+				hists++
+			}
+		}
+		if scalars > 0 && f.typ == "histogram" {
 			return fmt.Errorf("monitor: scalar samples for histogram family %q", f.name)
 		}
-		if len(hgroup) > 0 && f.typ != "histogram" {
+		if hists > 0 && f.typ != "histogram" {
 			return fmt.Errorf("monitor: histogram samples for %s family %q", f.typ, f.name)
 		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
-			return err
-		}
-		for _, s := range group {
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", s.family, renderLabels(s.labels), formatValue(s.value)); err != nil {
-				return err
+		x.fam, x.open = f, false
+		if sf, ok := snapshotFamilies[f.name]; ok {
+			if e.hasSnap {
+				x.snapshot(&sf, &e.snap, "", -1)
+			}
+			for _, r := range e.ranks {
+				for rank := range r.snaps {
+					x.snapshot(&sf, &r.snaps[rank], r.name, rank)
+				}
 			}
 		}
-		for _, h := range hgroup {
-			if err := writeHistogram(w, h); err != nil {
-				return err
+		if v, ok := cacheFamilies[f.name]; ok {
+			for j := range e.caches {
+				c := &e.caches[j]
+				x.line("")
+				x.label(true, "sim", c.name)
+				x.float(true, float64(v(&c.st)))
+			}
+		}
+		for j := range e.scalars {
+			if s := &e.scalars[j]; s.family == f.name {
+				x.line("")
+				x.float(x.labels(s.labels), s.value)
+			}
+		}
+		for j := range e.hists {
+			if h := &e.hists[j]; h.family == f.name {
+				if err := x.histogram(h); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	undeclared := make([]string, 0, len(byFamily)+len(histByFamily))
-	for name := range byFamily {
-		undeclared = append(undeclared, name)
+	return undeclared(e)
+}
+
+// undeclared fails on samples of families not in the registry, naming
+// each once among the scalar samples and once among the histograms.
+func undeclared(e *exposition) error {
+	var names []string
+	add := func(from int, name string) {
+		declared := slices.ContainsFunc(families, func(f familyDef) bool { return f.name == name })
+		if !declared && !slices.Contains(names[from:], name) {
+			names = append(names, name)
+		}
 	}
-	for name := range histByFamily {
-		undeclared = append(undeclared, name)
+	for _, s := range e.scalars {
+		add(0, s.family)
 	}
-	if len(undeclared) > 0 {
-		sort.Strings(undeclared)
-		return fmt.Errorf("monitor: samples for undeclared families %v", undeclared)
+	hists := len(names)
+	for _, h := range e.hists {
+		add(hists, h.family)
 	}
+	if len(names) == 0 {
+		return nil
+	}
+	sort.Strings(names)
+	return fmt.Errorf("monitor: samples for undeclared families %v", names)
+}
+
+// snapshot writes s's samples of the current family; a rank's (rank >= 0)
+// carry the run and rank labels after their own.
+func (x *encoder) snapshot(sf *snapshotFamily, s *machine.Snapshot, run string, rank int) {
+	switch {
+	case sf.level != nil:
+		for i := range s.Levels {
+			l := &s.Levels[i]
+			x.line("")
+			x.label(true, "level", l.Name)
+			x.labelInt(false, "index", i)
+			x.float(x.rank(true, run, rank), float64(sf.level(l)))
+		}
+	case sf.iface != nil:
+		for i := range s.Interfaces {
+			ifc := &s.Interfaces[i]
+			v := sf.iface(ifc)
+			if sf.sparse && v == 0 {
+				continue
+			}
+			x.line("")
+			x.labelInt(true, "iface", i)
+			x.label(false, "between", ifc.Between)
+			x.float(x.rank(true, run, rank), float64(v))
+		}
+	default:
+		x.line("")
+		x.float(x.rank(false, run, rank), float64(s.Flops))
+	}
+}
+
+// rank appends a rank snapshot's run and rank labels (rank >= 0) after
+// the line's own, if any, and reports whether the line has labels.
+func (x *encoder) rank(some bool, run string, rank int) bool {
+	if rank < 0 {
+		return some
+	}
+	x.label(!some, "run", run)
+	x.labelInt(false, "rank", rank)
+	return true
+}
+
+// histogram writes one histogram series.
+func (x *encoder) histogram(h *histogramSample) error {
+	x.head()
+	s := &h.h
+	if len(s.Counts) != len(s.Bounds)+1 {
+		return fmt.Errorf("monitor: histogram %q has %d counts for %d bounds",
+			h.family, len(s.Counts), len(s.Bounds))
+	}
+	var cum int64
+	for i, bound := range s.Bounds {
+		cum += s.Counts[i]
+		x.line("_bucket")
+		x.sep(!x.labels(h.labels))
+		x.buf = append(x.buf, `le="`...)
+		x.buf = strconv.AppendFloat(x.buf, bound, 'g', -1, 64)
+		x.buf = append(x.buf, '"')
+		x.int(true, cum)
+	}
+	cum += s.Counts[len(s.Counts)-1]
+	x.line("_bucket")
+	x.sep(!x.labels(h.labels))
+	x.buf = append(x.buf, `le="+Inf"`...)
+	x.int(true, cum)
+	x.line("_sum")
+	x.float(x.labels(h.labels), s.Sum)
+	x.line("_count")
+	x.int(x.labels(h.labels), cum)
 	return nil
 }
 
-// writeHistogram renders one histogram series: the snapshot's per-bucket
-// counts accumulated into the cumulative `le` series a scraper expects,
-// closed by `+Inf`, `_sum`, and `_count`.
-func writeHistogram(w io.Writer, h histogramSample) error {
-	if len(h.h.Counts) != len(h.h.Bounds)+1 {
-		return fmt.Errorf("monitor: histogram %q has %d counts for %d bounds",
-			h.family, len(h.h.Counts), len(h.h.Bounds))
+// head writes the current family's HELP and TYPE lines, once.
+func (x *encoder) head() {
+	if x.open {
+		return
 	}
-	var cum int64
-	for i, bound := range h.h.Bounds {
-		cum += h.h.Counts[i]
-		labels := append(append([]labelPair(nil), h.labels...), labelPair{"le", formatValue(bound)})
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", h.family, renderLabels(labels), cum); err != nil {
-			return err
-		}
-	}
-	cum += h.h.Counts[len(h.h.Counts)-1]
-	labels := append(append([]labelPair(nil), h.labels...), labelPair{"le", "+Inf"})
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", h.family, renderLabels(labels), cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", h.family, renderLabels(h.labels), formatValue(h.h.Sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", h.family, renderLabels(h.labels), cum)
-	return err
+	x.open = true
+	f := x.fam
+	x.buf = append(x.buf, "# HELP "...)
+	x.buf = append(x.buf, f.name...)
+	x.buf = append(x.buf, ' ')
+	x.buf = append(x.buf, f.help...)
+	x.buf = append(x.buf, "\n# TYPE "...)
+	x.buf = append(x.buf, f.name...)
+	x.buf = append(x.buf, ' ')
+	x.buf = append(x.buf, f.typ...)
+	x.buf = append(x.buf, '\n')
 }
 
+// line starts a sample line of the current family: its name and suffix.
+func (x *encoder) line(suffix string) {
+	x.head()
+	x.buf = append(x.buf, x.fam.name...)
+	x.buf = append(x.buf, suffix...)
+}
+
+// sep opens the label set before the first label, else separates.
+func (x *encoder) sep(first bool) {
+	if first {
+		x.buf = append(x.buf, '{')
+	} else {
+		x.buf = append(x.buf, ',')
+	}
+}
+
+func (x *encoder) label(first bool, key, value string) {
+	x.sep(first)
+	x.buf = append(x.buf, key...)
+	x.buf = append(x.buf, `="`...)
+	x.buf = appendLabelValue(x.buf, value)
+	x.buf = append(x.buf, '"')
+}
+
+func (x *encoder) labelInt(first bool, key string, v int) {
+	x.sep(first)
+	x.buf = append(x.buf, key...)
+	x.buf = append(x.buf, `="`...)
+	x.buf = strconv.AppendInt(x.buf, int64(v), 10)
+	x.buf = append(x.buf, '"')
+}
+
+// labels appends a label list and reports whether it had any.
+func (x *encoder) labels(ls []labelPair) bool {
+	for i := range ls {
+		x.label(i == 0, ls[i].key, ls[i].value)
+	}
+	return len(ls) > 0
+}
+
+// float and int close the label set when the line has one, then write the
+// value and end the line.
+func (x *encoder) float(labels bool, v float64) {
+	x.value(labels)
+	x.buf = strconv.AppendFloat(x.buf, v, 'g', -1, 64)
+	x.end()
+}
+
+func (x *encoder) int(labels bool, v int64) {
+	x.value(labels)
+	x.buf = strconv.AppendInt(x.buf, v, 10)
+	x.end()
+}
+
+func (x *encoder) value(labels bool) {
+	if labels {
+		x.buf = append(x.buf, '}')
+	}
+	x.buf = append(x.buf, ' ')
+}
+
+func (x *encoder) end() {
+	x.buf = append(x.buf, '\n')
+	if len(x.buf) >= flushAt {
+		x.flush()
+	}
+}
+
+func (x *encoder) flush() {
+	if x.err == nil && len(x.buf) > 0 {
+		_, x.err = x.w.Write(x.buf)
+	}
+	x.buf = x.buf[:0]
+}
+
+// appendLabelValue appends v with the exposition format's escapes: a
+// backslash, a double quote and a newline become \\, \" and \n; every other
+// byte is copied.
+func appendLabelValue(b []byte, v string) []byte {
+	for {
+		i := strings.IndexAny(v, "\\\"\n")
+		if i < 0 {
+			return append(b, v...)
+		}
+		b = append(b, v[:i]...)
+		switch v[i] {
+		case '\n':
+			b = append(b, '\\', 'n')
+		default:
+			b = append(b, '\\', v[i])
+		}
+		v = v[i+1:]
+	}
+}
+
+// renderLabels renders a label set as the encoder writes it: the
+// validator's key for a histogram series.
 func renderLabels(labels []labelPair) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.key)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.value))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
+	var x encoder
+	x.labels(labels)
+	return string(append(x.buf, '}'))
 }
 
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return v
-}
-
-// unescapeLabel inverts escapeLabel — the parser side of the label
+// unescapeLabel inverts appendLabelValue — the parser side of the label
 // round-trip the exposition tests pin.
 func unescapeLabel(v string) string {
 	var b strings.Builder
@@ -306,10 +532,6 @@ func unescapeLabel(v string) string {
 		}
 	}
 	return b.String()
-}
-
-func formatValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // --- validation --------------------------------------------------------------

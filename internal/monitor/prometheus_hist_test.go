@@ -9,8 +9,8 @@ import (
 func renderOne(t *testing.T, hs histogramSample) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeExposition(&buf, nil, []histogramSample{hs}); err != nil {
-		t.Fatalf("writeExposition: %v", err)
+	if err := (&exposition{hists: []histogramSample{hs}}).write(&buf); err != nil {
+		t.Fatalf("write: %v", err)
 	}
 	return buf.String()
 }
@@ -50,12 +50,12 @@ func TestHistogramExpositionRoundTrip(t *testing.T) {
 // scalar family) are writer errors, not silent misrenders.
 func TestWriteExpositionRejectsTypeMismatches(t *testing.T) {
 	var buf bytes.Buffer
-	err := writeExposition(&buf, []metricSample{{family: "wa_phase_load_words", value: 1}}, nil)
+	err := (&exposition{scalars: []metricSample{{family: "wa_phase_load_words", value: 1}}}).write(&buf)
 	if err == nil {
 		t.Fatal("scalar sample under histogram family accepted")
 	}
 	h := NewHistogram([]float64{1})
-	err = writeExposition(&buf, nil, []histogramSample{{family: "wa_flops_total", h: h.Snapshot()}})
+	err = (&exposition{hists: []histogramSample{{family: "wa_flops_total", h: h.Snapshot()}}}).write(&buf)
 	if err == nil {
 		t.Fatal("histogram sample under counter family accepted")
 	}
@@ -173,7 +173,7 @@ func TestHistogramLabelEscapingRoundTrip(t *testing.T) {
 		t.Fatalf("info = %+v, want 2 series / 2 families", info)
 	}
 	// The parser recovers the original label value byte for byte.
-	if got := unescapeLabel(escapeLabel(tricky)); got != tricky {
+	if got := unescapeLabel(string(appendLabelValue(nil, tricky))); got != tricky {
 		t.Fatalf("unescape(escape(%q)) = %q", tricky, got)
 	}
 	name, pairs, _, _, err := parseSample(`wa_x_bucket{tag="a\\b\"c\nd",le="+Inf"} 1`)

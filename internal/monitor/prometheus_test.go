@@ -10,8 +10,8 @@ import (
 )
 
 // The writer and the validator are two halves of one contract: everything
-// writeExposition emits — snapshot families, cache families, labels that
-// need escaping — must round-trip through ValidateExposition.
+// an exposition writes — snapshot families, per-rank and cache families,
+// labels that need escaping — must round-trip through ValidateExposition.
 func TestExpositionRoundTrip(t *testing.T) {
 	l := machine.NewLedger(machine.GenericLevels(3))
 	l.Record([]machine.Event{
@@ -20,27 +20,29 @@ func TestExpositionRoundTrip(t *testing.T) {
 		{Kind: machine.EvFlops, Words: 7},
 	})
 
-	samples := []metricSample{{family: "wa_up", value: 1}}
-	samples = snapshotSamples(samples, l.Snapshot(), nil)
-	samples = snapshotSamples(samples, l.Snapshot(),
-		[]labelPair{{"run", `ta"ble\1` + "\n"}, {"rank", "0"}})
-	samples = cacheSamples(samples, "fig2-wa", cache.Stats{Accesses: 10, Hits: 8, Misses: 2, VictimsM: 1})
-	samples = append(samples,
-		metricSample{family: "wa_monitor_events_total", value: 3},
-		metricSample{family: "wa_violations_total", value: 0},
-		metricSample{family: "wa_sse_clients", value: 0},
-	)
+	e := &exposition{
+		snap: l.Snapshot(), hasSnap: true,
+		ranks:  []rankRun{{name: `ta"ble\1` + "\n", snaps: []machine.Snapshot{l.Snapshot()}}},
+		caches: []cacheRun{{name: "fig2-wa", st: cache.Stats{Accesses: 10, Hits: 8, Misses: 2, VictimsM: 1}}},
+		scalars: []metricSample{
+			{family: "wa_up", value: 1},
+			{family: "wa_monitor_events_total", value: 3},
+			{family: "wa_violations_total", value: 0},
+			{family: "wa_sse_clients", value: 0},
+		},
+	}
 
 	var buf bytes.Buffer
-	if err := writeExposition(&buf, samples, nil); err != nil {
+	if err := e.write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	info, err := ValidateExposition(buf.Bytes())
 	if err != nil {
 		t.Fatalf("own exposition does not validate: %v\n%s", err, buf.String())
 	}
-	if info.Samples != len(samples) {
-		t.Fatalf("validated %d samples, wrote %d", info.Samples, len(samples))
+	// Per snapshot: flops, two per level, six per interface.
+	if want := 2*(1+2*3+6*2) + 6 + len(e.scalars); info.Samples != want {
+		t.Fatalf("validated %d samples, want %d:\n%s", info.Samples, want, buf.String())
 	}
 	if !strings.Contains(buf.String(), `run="ta\"ble\\1\n"`) {
 		t.Fatalf("label not escaped:\n%s", buf.String())
@@ -49,7 +51,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 
 func TestWriteExpositionRejectsUndeclaredFamily(t *testing.T) {
 	var buf bytes.Buffer
-	err := writeExposition(&buf, []metricSample{{family: "made_up_total", value: 1}}, nil)
+	err := (&exposition{scalars: []metricSample{{family: "made_up_total", value: 1}}}).write(&buf)
 	if err == nil || !strings.Contains(err.Error(), "made_up_total") {
 		t.Fatalf("err = %v", err)
 	}

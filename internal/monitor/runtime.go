@@ -6,13 +6,15 @@ import (
 	"runtime/debug"
 	"runtime/metrics"
 	"sort"
+	"sync"
 )
 
 // Self-telemetry: the serving process's own vitals, so a dashboard showing
 // wa_* traffic distributions can correlate them with what the Go runtime was
 // doing (GC pressure while a phase ran long, goroutine leaks from SSE
 // handlers). Everything comes from runtime/metrics — one Read per scrape, no
-// background goroutine — plus runtime/debug.ReadBuildInfo for wa_build_info.
+// background goroutine — plus runtime/debug.ReadBuildInfo, once per process,
+// for wa_build_info.
 
 // GCPauseBuckets prices stop-the-world GC pauses: 1µs up to ~0.26s.
 var GCPauseBuckets = ExpBuckets(1e-6, 4, 10)
@@ -35,6 +37,12 @@ var runtimeMetrics = []runtimeMetric{
 
 // buildInfoSample renders wa_build_info: constant 1, facts in the labels.
 func buildInfoSample() metricSample {
+	return metricSample{family: "wa_build_info", labels: buildInfo(), value: 1}
+}
+
+// buildInfo is wa_build_info's labels, read once per process: the build
+// does not change while it runs.
+var buildInfo = sync.OnceValue(func() []labelPair {
 	labels := []labelPair{{"go_version", runtime.Version()}}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		labels = append(labels, labelPair{"module", bi.Main.Path})
@@ -49,32 +57,33 @@ func buildInfoSample() metricSample {
 			}
 		}
 	}
-	return metricSample{family: "wa_build_info", labels: labels, value: 1}
-}
+	return labels
+})
 
-// runtimeSamples reads the bridge in one runtime/metrics.Read call and
-// appends the scalar families to dst, returning the histogram families
-// (currently the GC-pause distribution) alongside. Metrics a toolchain does
-// not export (KindBad) are skipped, not invented.
-func runtimeSamples(dst []metricSample) ([]metricSample, []histogramSample) {
-	samples := make([]metrics.Sample, len(runtimeMetrics))
-	for i, rm := range runtimeMetrics {
-		samples[i].Name = rm.name
+// readRuntime reads the bridge in one runtime/metrics.Read call into e's
+// kept samples (so the GC-pause histogram's buckets are reused scrape to
+// scrape) and appends the scalar families to e.scalars and the histogram
+// families (currently the GC-pause distribution) to e.hists. Metrics a
+// toolchain does not export (KindBad) are skipped, not invented.
+func (e *exposition) readRuntime() {
+	if len(e.rt) == 0 {
+		e.rt = make([]metrics.Sample, len(runtimeMetrics))
+		for i, rm := range runtimeMetrics {
+			e.rt[i].Name = rm.name
+		}
 	}
-	metrics.Read(samples)
-	var hists []histogramSample
-	for i, s := range samples {
+	metrics.Read(e.rt)
+	for i, s := range e.rt {
 		family := runtimeMetrics[i].family
 		switch s.Value.Kind() {
 		case metrics.KindUint64:
-			dst = append(dst, metricSample{family: family, value: float64(s.Value.Uint64())})
+			e.scalars = append(e.scalars, metricSample{family: family, value: float64(s.Value.Uint64())})
 		case metrics.KindFloat64:
-			dst = append(dst, metricSample{family: family, value: s.Value.Float64()})
+			e.scalars = append(e.scalars, metricSample{family: family, value: s.Value.Float64()})
 		case metrics.KindFloat64Histogram:
-			hists = append(hists, histogramSample{family: family, h: rebucket(s.Value.Float64Histogram(), GCPauseBuckets)})
+			e.hists = append(e.hists, histogramSample{family: family, h: rebucket(s.Value.Float64Histogram(), GCPauseBuckets)})
 		}
 	}
-	return dst, hists
 }
 
 // rebucket folds a runtime/metrics histogram onto one of our fixed ladders:

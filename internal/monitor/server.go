@@ -8,8 +8,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -405,56 +406,64 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
+// handleMetrics encodes the body straight from the sources: it gathers
+// them into an exposition taken from a pool (each scrape its own, so
+// concurrent scrapes share nothing) and writes family by family into the
+// exposition's buffer, escaping labels and formatting values in place, so
+// a body costs no allocation per sample however many rank snapshots are
+// published (TestMetricsAllocationsFlatInRanks). The bytes are what the
+// sample-list writer kept in prometheus_ref_test.go writes.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	e := expositions.Get().(*exposition)
+	s.gather(e)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	// On an error the headers are committed; the truncated body fails a
+	// scraper's parse, which is the detectable outcome we want.
+	_ = e.write(w)
+	e.reset()
+	expositions.Put(e)
+}
+
+// expositions pools the per-scrape exposition, so a steady scraper reuses
+// its buffer and slices.
+var expositions = sync.Pool{New: func() any { return new(exposition) }}
+
+// gather reads every source into e, in the order the body lists them: the
+// registrations under the lock, then the sources themselves outside it.
+func (s *Server) gather(e *exposition) {
 	s.mu.Lock()
 	mon, snapFn, violFn, hr := s.mon, s.snapFn, s.violFn, s.hists
 	fr, bundleCount := s.flight, len(s.bundles)
-	rankNames := make([]string, 0, len(s.ranks))
-	for name := range s.ranks {
-		rankNames = append(rankNames, name)
+	for name, fn := range s.ranks {
+		e.ranks = append(e.ranks, rankRun{name: name, fn: fn})
 	}
-	sort.Strings(rankNames)
-	rankFns := make([]func() []machine.Snapshot, len(rankNames))
-	for i, name := range rankNames {
-		rankFns[i] = s.ranks[name]
-	}
-	cacheNames := make([]string, 0, len(s.cacheSt))
-	for name := range s.cacheSt {
-		cacheNames = append(cacheNames, name)
-	}
-	sort.Strings(cacheNames)
-	cacheStats := make([]cache.Stats, len(cacheNames))
-	for i, name := range cacheNames {
-		cacheStats[i] = s.cacheSt[name]
+	for name, st := range s.cacheSt {
+		e.caches = append(e.caches, cacheRun{name: name, st: st})
 	}
 	s.mu.Unlock()
+	slices.SortFunc(e.ranks, func(a, b rankRun) int { return strings.Compare(a.name, b.name) })
+	slices.SortFunc(e.caches, func(a, b cacheRun) int { return strings.Compare(a.name, b.name) })
 
-	samples := []metricSample{{family: "wa_up", value: 1}}
+	e.scalars = append(e.scalars, metricSample{family: "wa_up", value: 1})
 	if snapFn != nil {
-		samples = snapshotSamples(samples, snapFn(), nil)
+		e.snap, e.hasSnap = snapFn(), true
 	}
-	for i, name := range rankNames {
-		for rank, snap := range rankFns[i]() {
-			samples = snapshotSamples(samples, snap,
-				[]labelPair{{"run", name}, {"rank", strconv.Itoa(rank)}})
-		}
-	}
-	for i, name := range cacheNames {
-		samples = cacheSamples(samples, name, cacheStats[i])
+	for i := range e.ranks {
+		e.ranks[i].snaps = e.ranks[i].fn()
 	}
 	if mon != nil {
-		samples = append(samples,
+		e.scalars = append(e.scalars,
 			metricSample{family: "wa_monitor_events_total", value: float64(mon.PeekTotalEvents())},
 			metricSample{family: "wa_monitor_phases_total", value: float64(mon.Phases())},
 		)
 	}
 	if violFn != nil {
-		samples = append(samples,
+		e.scalars = append(e.scalars,
 			metricSample{family: "wa_violations_total", value: float64(len(violFn()))})
 	}
 	if fr != nil {
 		st := fr.Stats()
-		samples = append(samples,
+		e.scalars = append(e.scalars,
 			metricSample{family: "wa_flight_events_total", value: float64(st.TotalEvents)},
 			metricSample{family: "wa_flight_dropped_events_total", value: float64(st.Dropped)},
 			metricSample{family: "wa_flight_ring_events", value: float64(st.Len)},
@@ -462,28 +471,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			metricSample{family: "wa_flight_bundles_total", value: float64(bundleCount)},
 		)
 	}
-	samples = append(samples,
+	e.scalars = append(e.scalars,
 		metricSample{family: "wa_sse_clients", value: float64(s.broker.Clients())},
 		metricSample{family: "wa_sse_sent_total", value: float64(s.broker.Sent())},
 		metricSample{family: "wa_sse_dropped_total", value: float64(s.broker.Dropped())},
 		buildInfoSample(),
 	)
-	var hists []histogramSample
 	if hr != nil {
 		for _, fh := range hr.Histograms() {
-			hists = append(hists, histogramSample{family: fh.Family, h: fh.Snap})
+			e.hists = append(e.hists, histogramSample{family: fh.Family, h: fh.Snap})
 		}
 	}
-	hists = append(hists, histogramSample{family: "wa_sse_queue_depth", h: s.depth.Snapshot()})
-	samples, runtimeHists := runtimeSamples(samples)
-	hists = append(hists, runtimeHists...)
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := writeExposition(w, samples, hists); err != nil {
-		// Headers are committed; the truncated body fails a scraper's parse,
-		// which is the detectable outcome we want.
-		return
-	}
+	e.hists = append(e.hists, histogramSample{family: "wa_sse_queue_depth", h: s.depth.Snapshot()})
+	e.readRuntime()
 }
 
 // snapshotDoc is the /snapshot JSON document.

@@ -240,9 +240,10 @@ func TestBuildInfoSample(t *testing.T) {
 // The runtime bridge reads real values: goroutines and gomaxprocs are
 // positive on any live process, and the families match the registry.
 func TestRuntimeSamples(t *testing.T) {
-	samples, hists := runtimeSamples(nil)
+	var e exposition
+	e.readRuntime()
 	byFamily := map[string]float64{}
-	for _, s := range samples {
+	for _, s := range e.scalars {
 		byFamily[s.family] = s.value
 	}
 	if byFamily["wa_go_goroutines"] < 1 || byFamily["wa_go_gomaxprocs"] < 1 {
@@ -251,7 +252,7 @@ func TestRuntimeSamples(t *testing.T) {
 	if byFamily["wa_go_memory_total_bytes"] <= 0 {
 		t.Fatalf("memory total = %v", byFamily["wa_go_memory_total_bytes"])
 	}
-	for _, h := range hists {
+	for _, h := range e.hists {
 		if h.family != "wa_go_gc_pauses_seconds" {
 			t.Fatalf("unexpected runtime histogram %q", h.family)
 		}

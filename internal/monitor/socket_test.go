@@ -38,14 +38,14 @@ func TestPrometheusRemoteFamiliesGatedOnNonzero(t *testing.T) {
 	h.Load(0, 10)
 	h.Store(0, 4)
 
-	flat := exposition(t, h.Snapshot())
+	flat := snapshotBody(t, h.Snapshot())
 	if strings.Contains(flat, "remote") {
 		t.Fatalf("flat exposition leaks remote families:\n%s", flat)
 	}
 
 	h.LoadRemote(0, 3)
 	h.StoreRemote(0, 2)
-	numa := exposition(t, h.Snapshot())
+	numa := snapshotBody(t, h.Snapshot())
 	for _, want := range []string{
 		`wa_interface_remote_load_words_total{iface="0",between="fast<->slow"} 3`,
 		`wa_interface_remote_store_words_total{iface="0",between="fast<->slow"} 2`,
@@ -59,10 +59,10 @@ func TestPrometheusRemoteFamiliesGatedOnNonzero(t *testing.T) {
 	}
 }
 
-func exposition(t *testing.T, s machine.Snapshot) string {
+func snapshotBody(t *testing.T, s machine.Snapshot) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeExposition(&buf, snapshotSamples(nil, s, nil), nil); err != nil {
+	if err := (&exposition{snap: s, hasSnap: true}).write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()

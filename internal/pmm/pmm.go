@@ -230,7 +230,9 @@ func MM25D(cfg Config, a, b *matrix.Dense) (*matrix.Dense, *dist.Machine, error)
 		if mark {
 			p.H.Begin("reduce")
 		}
-		cFlat := flatten(cLoc)
+		// cLoc is contiguous (stride nb) and not written again: Reduce
+		// hands it over or sums into a copy.
+		cFlat := cLoc.Data
 		if cfg.UseL3 {
 			p.StageUpFromLevel(nvmLevel, int64(nb*nb))
 		}

@@ -10,7 +10,11 @@
 //     inside it, extending the streaming layer's exactness invariant to
 //     trees: child deltas plus the parent's self events sum to the parent,
 //     and the implicit root's delta is the post-hoc snapshot. It reads a
-//     machine.Ledger's fold, and that ledger is what attaches.
+//     machine.Ledger's fold, and that ledger is what attaches. At every
+//     boundary it logs only the counter fields that moved, and it keeps
+//     the log and its boundary and span records in chunks that start
+//     small, double up to a cap and never move, so a rank tree of an
+//     observed dist op allocates about what it records.
 //   - The Chrome trace-event exporter (WriteTraceEvent, TraceBuilder)
 //     renders span trees as B/E duration events plus per-interface C
 //     counter tracks, one pid/tid pair per processor, so any wabench or
@@ -146,8 +150,8 @@ func (p *Profiler) Summary() string {
 	fmt.Fprintf(&b, "%-40s %12s %12s %12s\n", "span", "loadWords", "storeWords", "flops")
 	m := p.Main
 	m.Finish()
-	for i := range m.spans {
-		sp := &m.spans[i]
+	for i := int32(0); i < m.spans.len(); i++ {
+		sp := m.spans.at(i)
 		d := m.counters(&p.rows, sp.start, sp.end)
 		top := topIface(d)
 		name := strings.Repeat("  ", int(sp.depth)) + sp.name
@@ -162,8 +166,8 @@ func (p *Profiler) Summary() string {
 		for _, rank := range g.Ranks() {
 			r := g.recs[rank]
 			r.Finish()
-			for i := range r.spans {
-				sp := &r.spans[i]
+			for i := int32(0); i < r.spans.len(); i++ {
+				sp := r.spans.at(i)
 				spans++
 				stores += topIface(r.counters(&p.rows, sp.start, sp.end)).StoreWords
 			}

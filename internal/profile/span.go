@@ -61,11 +61,59 @@ type boundary struct {
 // The row log is a list of chunks that never move once allocated: the
 // first holds minRowChunk words, each next one twice its predecessor up to
 // maxRowChunk, so the log costs about its own size and no copying as it
-// grows.
+// grows. Both ends are small because most logs are: of an observed dist
+// op's 384 rank trees, 304 log 124 to 280 words and the largest about
+// 10,000, so the log allocates 1.31 times what it holds, where a first
+// chunk of 256 words and a cap of 32,768 would allocate 1.89 times.
 const (
-	minRowChunk = 256
-	maxRowChunk = 1 << 15
+	minRowChunk = 64
+	maxRowChunk = 1 << 10
 )
+
+// Boundary and span records are kept in chunks the same way (chunkList):
+// the first holds 1<<minRecShift records, each next one twice its
+// predecessor up to 1<<maxRecShift. The same dist trees hold 32 to 2,080
+// boundaries, and their records take 1.26 times their size.
+const (
+	minRecShift = 4
+	maxRecShift = 7
+)
+
+// chunkList is an append-only list of records kept in chunks that never
+// move once allocated, sized as the const block above says, so it costs
+// about what it holds and copies nothing as it grows. Record i's chunk and
+// offset follow from i alone.
+type chunkList[T any] struct {
+	chunks [][]T
+	n      int32
+}
+
+// push appends v and returns its index.
+func (l *chunkList[T]) push(v T) int32 {
+	k := len(l.chunks) - 1
+	if k < 0 || len(l.chunks[k]) == cap(l.chunks[k]) {
+		l.chunks = append(l.chunks, make([]T, 0, 1<<min(minRecShift+k+1, maxRecShift)))
+		k++
+	}
+	l.chunks[k] = append(l.chunks[k], v)
+	l.n++
+	return l.n - 1
+}
+
+// at returns record i. Chunk k < maxRecShift-minRecShift holds the
+// records from 2^minRecShift·(2^k−1) on; the capped chunks follow it.
+func (l *chunkList[T]) at(i int32) *T {
+	j := int(i) + 1<<minRecShift
+	if j < 1<<maxRecShift {
+		k := bits.Len(uint(j)) - 1
+		return &l.chunks[k-minRecShift][j-1<<k]
+	}
+	j -= 1 << maxRecShift
+	return &l.chunks[maxRecShift-minRecShift+j>>maxRecShift][j&(1<<maxRecShift-1)]
+}
+
+// len returns the number of records.
+func (l *chunkList[T]) len() int32 { return l.n }
 
 // wholeEvery is the checkpoint interval of the row log: every wholeEvery-th
 // boundary logs its whole row, so rebuilding a row applies at most
@@ -99,11 +147,13 @@ type spanRec struct {
 // from the previous boundary's row and their new values, with a whole row
 // at every wholeEvery-th boundary, whenever the row's width changes (the
 // geometry grew) and for rows too wide for the mask. Spans are kept in
-// open order (a pre-order walk of the forest) by boundary index, so a
-// boundary allocates nothing once the logs have grown. A span's Delta is
-// built once, the first time the tree is read after the span closed; the
-// trace exporter and Summary read the log directly and build no tree at
-// all.
+// open order (a pre-order walk of the forest) by boundary index. The log
+// and the boundary and span records are all kept in chunks that never
+// move, so the recorder allocates about what it records, copies nothing
+// as it grows, and a boundary allocates nothing between chunks. A span's
+// Delta is built once, the first time the tree is read after the span
+// closed; the trace exporter and Summary read the log directly and build
+// no tree at all.
 //
 // Exactness invariant, extending the streaming layer's to trees and pinned
 // by tests here and in cmd/wabench: for every span, Self + Σ children.Delta
@@ -120,12 +170,12 @@ type spanRec struct {
 type SpanRecorder struct {
 	led *machine.Ledger
 
-	log    [][]int64  // every boundary's entry, in chunks
-	bounds []boundary // every boundary, in order
-	spans  []spanRec  // every span, in open order
-	stack  []int32    // open spans, innermost last
-	last   []int64    // the latest boundary's row
-	next   []int64    // the row being logged
+	log    [][]int64           // every boundary's entry, in chunks
+	bounds chunkList[boundary] // every boundary, in order
+	spans  chunkList[spanRec]  // every span, in open order
+	stack  []int32             // open spans, innermost last
+	last   []int64             // the latest boundary's row
+	next   []int64             // the row being logged
 
 	nodes []*Span // spans[:len(nodes)] materialized by the reads so far
 	roots []*Span
@@ -193,7 +243,7 @@ func (r *SpanRecorder) Mark(name string) {
 // boundary logs the ledger's cumulative counters and clock and returns the
 // boundary's index.
 func (r *SpanRecorder) boundary() int32 {
-	b := int32(len(r.bounds))
+	b := r.bounds.len()
 	c := r.led.Counters()
 	n := machine.RowWidth(len(c.Lvl))
 	whole := b%wholeEvery == 0 || n != len(r.last) || n > maxMaskFields
@@ -230,7 +280,7 @@ func (r *SpanRecorder) boundary() int32 {
 			r.log[k] = append(r.log[k], r.next[bits.TrailingZeros64(m)])
 		}
 	}
-	r.bounds = append(r.bounds, boundary{
+	r.bounds.push(boundary{
 		clock: r.led.Clock(), chunk: int32(k), off: int32(off), n: int32(n), whole: whole,
 	})
 	r.last, r.next = r.next, r.last
@@ -242,11 +292,10 @@ func (r *SpanRecorder) push(name string) {
 	if n := len(r.stack); n > 0 {
 		parent = r.stack[n-1]
 	}
-	r.spans = append(r.spans, spanRec{
-		name: name, parent: parent, depth: int32(len(r.stack)),
-		start: r.boundary(), end: -1,
-	})
-	r.stack = append(r.stack, int32(len(r.spans)-1))
+	start := r.boundary()
+	r.stack = append(r.stack, r.spans.push(spanRec{
+		name: name, parent: parent, depth: int32(len(r.stack)), start: start, end: -1,
+	}))
 }
 
 func (r *SpanRecorder) pop() {
@@ -256,13 +305,13 @@ func (r *SpanRecorder) pop() {
 	}
 	top := r.stack[n-1]
 	r.stack = r.stack[:n-1]
-	r.spans[top].end = r.boundary()
+	r.spans.at(top).end = r.boundary()
 }
 
 // step turns row, boundary b-1's row, into boundary b's and returns it: a
 // whole entry replaces it, a mask entry overwrites the fields that moved.
 func (r *SpanRecorder) step(row []int64, b int32) []int64 {
-	bd := &r.bounds[b]
+	bd := r.bounds.at(b)
 	e := r.log[bd.chunk][bd.off:]
 	if bd.whole {
 		return append(row[:0], e[:bd.n]...)
@@ -279,7 +328,7 @@ func (r *SpanRecorder) step(row []int64, b int32) []int64 {
 // returns it: the nearest whole row at or before b, then the masks after it.
 func (r *SpanRecorder) row(dst []int64, b int32) []int64 {
 	k := b
-	for !r.bounds[k].whole {
+	for !r.bounds.at(k).whole {
 		k--
 	}
 	for ; k <= b; k++ {
@@ -320,9 +369,9 @@ func (r *SpanRecorder) Finish() {
 // zero End and Delta until a later read finds them closed.
 func (r *SpanRecorder) Roots() []*Span {
 	r.led.Sync()
-	for i := len(r.nodes); i < len(r.spans); i++ {
-		sp := &r.spans[i]
-		n := &Span{Name: sp.name, Start: r.bounds[sp.start].clock}
+	for i := int32(len(r.nodes)); i < r.spans.len(); i++ {
+		sp := r.spans.at(i)
+		n := &Span{Name: sp.name, Start: r.bounds.at(sp.start).clock}
 		if sp.parent < 0 {
 			r.roots = append(r.roots, n)
 		} else {
@@ -330,18 +379,18 @@ func (r *SpanRecorder) Roots() []*Span {
 			p.Children = append(p.Children, n)
 		}
 		r.nodes = append(r.nodes, n)
-		r.open = append(r.open, int32(i))
+		r.open = append(r.open, i)
 	}
 	k := 0
 	for _, i := range r.open {
-		sp := &r.spans[i]
+		sp := r.spans.at(i)
 		if sp.end < 0 {
 			r.open[k] = i
 			k++
 			continue
 		}
 		n := r.nodes[i]
-		n.End = r.bounds[sp.end].clock
+		n.End = r.bounds.at(sp.end).clock
 		n.Delta = r.delta(sp.start, sp.end)
 	}
 	r.open = r.open[:k]
@@ -368,8 +417,8 @@ func (r *SpanRecorder) Total() machine.Snapshot { return r.Snapshot() }
 // root deltas. With marks covering the whole run it is the zero snapshot.
 func (r *SpanRecorder) Unattributed() machine.Snapshot {
 	out := r.Snapshot()
-	for i := range r.spans {
-		if sp := &r.spans[i]; sp.parent < 0 {
+	for i := int32(0); i < r.spans.len(); i++ {
+		if sp := r.spans.at(i); sp.parent < 0 {
 			out = out.Sub(r.delta(sp.start, sp.end))
 		}
 	}

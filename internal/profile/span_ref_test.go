@@ -14,10 +14,12 @@ import (
 )
 
 // refRecorder is the span recorder as it was before its row log kept only
-// the fields that moved: a whole machine.RowWidth row of cumulative
-// counters per boundary, in chunks, read back directly. It is the
-// reference the masked row log, the span trees, Summary, Unattributed and
-// the trace exporter built on it are checked against.
+// the fields that moved and its records went into chunks: a whole
+// machine.RowWidth row of cumulative counters per boundary, in chunks,
+// read back directly, and the boundary and span records in slices grown by
+// append. It is the reference the masked row log, the chunked records, the
+// span trees, Summary, Unattributed and the trace exporter built on them
+// are checked against.
 type refRecorder struct {
 	led    *machine.Ledger
 	rows   [][]int64
@@ -400,12 +402,12 @@ func renderSpans(roots []*Span) string {
 // and every row as the reference logged it.
 func checkRowLog(t *testing.T, what string, got *SpanRecorder, ref *refRecorder) {
 	t.Helper()
-	if len(got.bounds) != len(ref.bounds) {
-		t.Fatalf("%s: %d boundaries, reference %d", what, len(got.bounds), len(ref.bounds))
+	if int(got.bounds.len()) != len(ref.bounds) {
+		t.Fatalf("%s: %d boundaries, reference %d", what, got.bounds.len(), len(ref.bounds))
 	}
 	var row []int64
-	for b := range got.bounds {
-		bd, rb := got.bounds[b], ref.bounds[b]
+	for b := range len(ref.bounds) {
+		bd, rb := got.bounds.at(int32(b)), ref.bounds[b]
 		if bd.clock != rb.clock || bd.n != rb.n {
 			t.Fatalf("%s: boundary %d clock/width %d/%d, reference %d/%d", what, b, bd.clock, bd.n, rb.clock, rb.n)
 		}

@@ -46,7 +46,7 @@ type recorderTrack struct {
 	r             *SpanRecorder
 	pid, tid      int
 	name          string
-	spans, bounds int
+	spans, bounds int32
 	at            int
 }
 
@@ -114,7 +114,7 @@ func (b *TraceBuilder) AddRecorder(pid, tid int, name string, r *SpanRecorder) {
 	b.AddThreadName(pid, tid, name)
 	b.tracks = append(b.tracks, recorderTrack{
 		r: r, pid: pid, tid: tid, name: name,
-		spans: len(r.spans), bounds: len(r.bounds), at: len(b.events),
+		spans: r.spans.len(), bounds: r.bounds.len(), at: len(b.events),
 	})
 }
 
@@ -233,12 +233,12 @@ func (b *TraceBuilder) Write(w io.Writer) error {
 // interface track and one of the flops track.
 func (b *TraceBuilder) writeRecorder(t *traceWriter, tr *recorderTrack) {
 	r, s := tr.r, &b.rows
-	for i := range r.spans[:tr.spans] {
-		sp := &r.spans[i]
-		t.begin(sp.name, 'B', float64(r.bounds[sp.start].clock), tr.pid, tr.tid)
+	for i := int32(0); i < tr.spans; i++ {
+		sp := r.spans.at(i)
+		t.begin(sp.name, 'B', float64(r.bounds.at(sp.start).clock), tr.pid, tr.tid)
 		t.end(false)
 		d := r.counters(s, sp.start, sp.end)
-		t.begin(sp.name, 'E', float64(r.bounds[sp.end].clock), tr.pid, tr.tid)
+		t.begin(sp.name, 'E', float64(r.bounds.at(sp.end).clock), tr.pid, tr.tid)
 		t.arg(true, `"flops":`, d.FlopCount)
 		for _, k := range b.keys(len(d.Iface)) {
 			ifc := &d.Iface[k.val/2]
@@ -255,10 +255,10 @@ func (b *TraceBuilder) writeRecorder(t *traceWriter, tr *recorderTrack) {
 	flops := tr.name + " flops"
 	c := &s.delta
 	row := s.hi[:0]
-	for i, bd := range r.bounds[:tr.bounds] {
-		row = r.step(row, int32(i))
+	for i := int32(0); i < tr.bounds; i++ {
+		row = r.step(row, i)
 		c.SetRow(row)
-		ts := float64(bd.clock)
+		ts := float64(r.bounds.at(i).clock)
 		for k := len(tracks); k < len(c.Iface); k++ {
 			tracks = append(tracks, tr.name+" "+r.led.Between()[k])
 		}
